@@ -8,6 +8,15 @@ Step size delta, B and C are projected from the input sequence itself.
 
 2D feature maps are flattened along four paths (row/column order, forward and
 reversed), scanned independently per path, then restored and summed.
+
+The autodiff op streams the recurrence in blocks of SCAN_BLOCK time steps.
+Forward forms one block's Abar and Bbar*x at a time and keeps only the state
+entering each block, [P, ceil(L/T), C, N], instead of the full history h and
+Abar, 2 x [P, L, C, N].  Backward walks the blocks in reverse, recomputes each
+block's Abar, Bbar*x and h from its saved state with the forward's float ops
+in the forward's order (so bit-identical), and runs the reverse recurrence over
+that block.  _scan_forward_core/_scan_backward_core keep the full history and
+stay as the reference the streamed op is tested against.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .tensor import (
 
 __all__ = [
     "ScanPathId", "ScanParams", "discretize",
-    "selective_scan_seq", "selective_scan_chunked", "scan_reference",
+    "selective_scan_seq", "selective_scan_chunked",
     "cross_scan", "cross_merge", "SS2D", "run_scan_benchmark",
 ]
 
@@ -92,6 +101,9 @@ def discretize(delta: Tensor, a: Tensor, b: Tensor):
 
 
 # -- fused recurrence ----------------------------------------------------------
+
+SCAN_BLOCK = 64  # time steps per block of the streamed op; 16-128 measured flat at L=3136, C=192
+
 
 def _scan_forward_core(x, delta, a, b, c_out, skip, chunk=None):
     """Batched scan on raw arrays.
@@ -169,15 +181,82 @@ def _scan_backward_core(grad_y, x, delta, a, b, c_out, skip, h, abar):
     return g_x, g_delta, g_a, g_b, g_c, g_skip
 
 
+def _block_terms(x, delta, a, b, s):
+    """Abar and Bbar*x of the time steps in slice ``s``: [P, T, C, N] each."""
+    d = delta[:, s, :, None]
+    return np.exp(d * a[:, None, :, :]), d * b[:, s, None, :] * x[:, s, :, None]
+
+
+def _block_states(abar, bx, h0):
+    """Overwrite ``bx`` with the block's states h, starting from state ``h0``.
+
+    Each step computes bx_t + abar_t * h_{t-1}, the same two roundings as the
+    full-history loop, so the states are bit-identical to it.
+    """
+    tmp = np.empty_like(h0)
+    prev = h0
+    for t in range(bx.shape[1]):
+        np.multiply(prev, abar[:, t], out=tmp)
+        prev = bx[:, t]
+        prev += tmp
+    return bx
+
+
 def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
              skip: Tensor, chunk: int | None = None) -> Tensor:
-    """Autodiff-recorded scan over stacked paths ([P, L, C] layout)."""
-    y, h, abar = _scan_forward_core(x.data, delta.data, a.data, b.data,
-                                    c_out.data, skip.data, chunk)
+    """Autodiff-recorded scan over stacked paths ([P, L, C] layout).
+
+    Streams the recurrence in blocks of ``chunk`` steps (SCAN_BLOCK when None)
+    and keeps only the state entering each block for backward.
+    """
+    block = chunk or SCAN_BLOCK
+    xd, dd, ad, bd, cd, sd = (t.data for t in (x, delta, a, b, c_out, skip))
+    dtype = np.result_type(xd, dd, ad, bd, cd, sd)
+    p, l, c = xd.shape
+    n = ad.shape[-1]
+    spans = [slice(t0, min(t0 + block, l)) for t0 in range(0, l, block)]
+    carries = np.empty((p, len(spans), c, n), dtype=dtype)
+    y = np.empty((p, l, c), dtype=dtype)
+    state = np.zeros((p, c, n), dtype=dtype)
+    for j, s in enumerate(spans):
+        carries[:, j] = state
+        h = _block_states(*_block_terms(xd, dd, ad, bd, s), state)
+        y[:, s] = (h * cd[:, s, None, :]).sum(-1) + sd[:, None, :] * xd[:, s]
+        state = h[:, -1]
 
     def backward(grad):
-        return _scan_backward_core(grad, x.data, delta.data, a.data, b.data,
-                                   c_out.data, skip.data, h, abar)
+        # reads inputs through their tensors so the closure holds only carries
+        xd, dd, ad, bd, cd, sd = (t.data for t in (x, delta, a, b, c_out, skip))
+        g_a = np.zeros((p, c, n), dtype=dtype)
+        g_b = np.empty((p, l, n), dtype=dtype)
+        g_c = np.empty((p, l, n), dtype=dtype)
+        gbx_b = np.empty((p, l, c), dtype=dtype)     # sum_n g_bx * b
+        gabar_a = np.empty((p, l, c), dtype=dtype)   # sum_n g_abar * a
+        gh_carry = np.zeros((p, c, n), dtype=dtype)  # state gradient entering from the next block
+        for j in range(len(spans) - 1, -1, -1):
+            s, h0 = spans[j], carries[:, j]
+            abar, h = _block_terms(xd, dd, ad, bd, s)
+            _block_states(abar, h, h0)
+            gy = grad[:, s]
+            # the sums over C or N run as batched matmuls: [1, C] @ [C, N], [C, N] @ [N, 1]
+            g_c[:, s] = np.matmul(gy[:, :, None, :], h)[:, :, 0]
+            # after the loop g_bx[:, t] holds the total state gradient at step t
+            g_bx = gy[..., None] * cd[:, s, None, :]
+            g_abar = np.empty_like(h)
+            for t in range(h.shape[1] - 1, -1, -1):
+                gh = g_bx[:, t]
+                gh += gh_carry
+                np.multiply(gh, h[:, t - 1] if t else h0, out=g_abar[:, t])
+                np.multiply(gh, abar[:, t], out=gh_carry)
+            g_abar *= abar  # now holds dL/d(delta * a) summands
+            g_a += np.einsum("ptcn,ptc->pcn", g_abar, dd[:, s])
+            gabar_a[:, s] = np.einsum("ptcn,pcn->ptc", g_abar, ad)
+            gbx_b[:, s] = np.matmul(g_bx, bd[:, s, :, None])[..., 0]
+            g_b[:, s] = np.matmul((dd[:, s] * xd[:, s])[:, :, None, :], g_bx)[:, :, 0]
+        g_delta = gabar_a + gbx_b * xd
+        g_x = grad * sd[:, None, :] + gbx_b * dd
+        g_skip = (grad * xd).sum(axis=1)
+        return g_x, g_delta, g_a, g_b, g_c, g_skip
 
     return record_op(y, (x, delta, a, b, c_out, skip), backward, "selective_scan")
 
@@ -208,30 +287,15 @@ def selective_scan_seq(x: Tensor, params: ScanParams) -> Tensor:
 
 
 def selective_scan_chunked(x: Tensor, params: ScanParams, chunk: int) -> Tensor:
-    """Blocked scan: per-chunk local scans combined through a carried state.
+    """Streamed scan with an explicit block length of ``chunk`` steps.
 
-    Output matches selective_scan_seq to within accumulated rounding; the
-    intra-chunk combination uses the associative pair operator
-    (a1, b1) o (a2, b2) = (a1*a2, a2*b1 + b2).
+    Every block length repeats the sequential recurrence's float ops in the
+    same order, so the output equals selective_scan_seq's bit for bit; only
+    the state kept for backward, [ceil(L/chunk), C, N], changes.
     """
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
     return _scan_sequence(x, params, chunk=chunk)
-
-
-def scan_reference(x: np.ndarray, delta: np.ndarray, a: np.ndarray, b: np.ndarray,
-                   c_out: np.ndarray, skip: np.ndarray) -> np.ndarray:
-    """Plain per-timestep loop on raw arrays ([L, C] in, [L, C] out)."""
-    l, c = x.shape
-    n = a.shape[1]
-    h = np.zeros((c, n), dtype=x.dtype)
-    y = np.empty_like(x)
-    for t in range(l):
-        abar = np.exp(delta[t][:, None] * a)
-        bx = delta[t][:, None] * b[t][None, :] * x[t][:, None]
-        h = abar * h + bx
-        y[t] = h @ c_out[t] + skip * x[t]
-    return y
 
 
 # -- 2D cross scan --------------------------------------------------------------

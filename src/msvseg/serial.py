@@ -6,10 +6,15 @@ u8 rank, rank x u64 extents, then the little-endian payload.
 Checkpoint ("MSVC"): magic, u16 version=1, u32 config-blob length, the
 structured-text config blob (utf-8 key=value lines), u32 tensor count, then
 named tensor records (u16 name length, utf-8 name, tensor record).
+
+Readers check every field against the bytes that remain before reading it,
+so a truncated or forged file raises ValueError and never drives a large
+allocation.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -34,20 +39,33 @@ def tensor_record_bytes(array: np.ndarray) -> bytes:
     return head + arr.astype(arr.dtype.newbyteorder("<")).tobytes()
 
 
+def _need(buf: bytes, pos: int, size: int, what: str):
+    """Raise ValueError unless ``size`` bytes remain in ``buf`` at ``pos``."""
+    if size > len(buf) - pos:
+        raise ValueError(f"truncated {what}: needs {size} bytes at offset {pos}, "
+                         f"{max(len(buf) - pos, 0)} remain")
+
+
+def _unpack(fmt: str, buf: bytes, pos: int, what: str) -> tuple[tuple, int]:
+    """Bounds-checked struct.unpack_from; returns (fields, next offset)."""
+    size = struct.calcsize(fmt)
+    _need(buf, pos, size, what)
+    return struct.unpack_from(fmt, buf, pos), pos + size
+
+
 def read_tensor_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     """Decode one record from ``buf`` at ``offset``; returns (array, next offset)."""
     if buf[offset:offset + 4] != TENSOR_MAGIC:
         raise ValueError("bad tensor record magic")
-    version, code, rank = struct.unpack_from("<HBB", buf, offset + 4)
+    (version, code, rank), pos = _unpack("<HBB", buf, offset + 4, "tensor record header")
     if version != VERSION:
         raise ValueError(f"unsupported tensor record version {version}")
     if code not in _CODE_DTYPES:
         raise ValueError(f"unknown dtype code {code}")
-    pos = offset + 8
-    shape = struct.unpack_from(f"<{rank}Q", buf, pos) if rank else ()
-    pos += 8 * rank
+    shape, pos = _unpack(f"<{rank}Q", buf, pos, "tensor record extents")
     dtype = _CODE_DTYPES[code]
-    count = int(np.prod(shape)) if shape else 1
+    count = math.prod(shape)  # Python ints: a forged extent cannot wrap around
+    _need(buf, pos, count * dtype.itemsize, "tensor record payload")
     payload = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
     pos += count * dtype.itemsize
     return payload.reshape(shape).astype(dtype.newbyteorder("=")), pos
@@ -58,7 +76,10 @@ def save_tensor(path, array: np.ndarray):
 
 
 def load_tensor(path) -> np.ndarray:
-    arr, _ = read_tensor_record(Path(path).read_bytes())
+    buf = Path(path).read_bytes()
+    arr, end = read_tensor_record(buf)
+    if end != len(buf):
+        raise ValueError(f"{len(buf) - end} trailing bytes after the tensor record")
     return arr
 
 
@@ -84,21 +105,21 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
     buf = Path(path).read_bytes()
     if buf[:4] != CHECKPOINT_MAGIC:
         raise ValueError("bad checkpoint magic")
-    (version,) = struct.unpack_from("<H", buf, 4)
+    (version, blob_len), pos = _unpack("<HI", buf, 4, "checkpoint header")
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    (blob_len,) = struct.unpack_from("<I", buf, 6)
-    pos = 10
-    config_text = buf[pos:pos + blob_len].decode("utf-8")
+    _need(buf, pos, blob_len, "checkpoint config blob")
+    config_text = buf[pos:pos + blob_len].decode("utf-8")  # UnicodeDecodeError is a ValueError
     pos += blob_len
-    (count,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
+    (count,), pos = _unpack("<I", buf, pos, "checkpoint tensor count")
     tensors = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", buf, pos)
-        pos += 2
+        (name_len,), pos = _unpack("<H", buf, pos, "tensor name length")
+        _need(buf, pos, name_len, "tensor name")
         name = buf[pos:pos + name_len].decode("utf-8")
         pos += name_len
         arr, pos = read_tensor_record(buf, pos)
         tensors[name] = arr
+    if pos != len(buf):
+        raise ValueError(f"{len(buf) - pos} trailing bytes after the last checkpoint tensor")
     return config_text, tensors

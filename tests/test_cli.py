@@ -111,6 +111,12 @@ class TestArtifacts:
                         "--data", str(dataset_dir), "--out-dir", str(d)]) == 0
         assert (a_dir / "metrics.txt").read_bytes() == (b_dir / "metrics.txt").read_bytes()
 
+    def test_eval_truncated_checkpoint_is_invalid_input(self, trained_dir, dataset_dir, tmp_path):
+        truncated = tmp_path / "truncated.msvc"
+        truncated.write_bytes((trained_dir / "checkpoint.msvc").read_bytes()[:30])
+        assert run(["eval", "--checkpoint", str(truncated), "--data", str(dataset_dir),
+                    "--out-dir", str(tmp_path)]) == 1
+
     def test_export_features(self, trained_dir, dataset_dir, tmp_path):
         out = tmp_path / "feat"
         assert run(["export-features", "--checkpoint", str(trained_dir / "checkpoint.msvc"),

@@ -132,6 +132,68 @@ class TestChunkedScan:
         assert np.abs(y.data).max() < 1e4
 
 
+def _raw_scan_inputs(seed, p, length, c, n):
+    rng = Rng(seed)
+    x = rng.normal((p, length, c))
+    delta = np.log1p(np.exp(rng.normal((p, length, c)))) + 1e-4
+    a = -np.exp(rng.normal((p, c, n)) * 0.5)
+    b = rng.normal((p, length, n))
+    c_out = rng.normal((p, length, n))
+    skip = rng.normal((p, c))
+    return x, delta, a, b, c_out, skip
+
+
+BLOCK = S.SCAN_BLOCK
+
+
+class TestStreamedScan:
+    """The autodiff op against the full-history reference pair."""
+
+    @staticmethod
+    def _check_against_core(arrays, chunk=None):
+        y = S._scan_op(*[Tensor(v, dtype=np.float64, requires_grad=True) for v in arrays], chunk)
+        y_ref, h, abar = S._scan_forward_core(*arrays)
+        assert np.array_equal(y.data, y_ref)
+        grad_y = Rng(y_ref.size).normal(y_ref.shape)
+        expected = S._scan_backward_core(grad_y, *arrays, h, abar)
+        for g, ref in zip(y._backward(grad_y), expected):
+            assert g.shape == ref.shape
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("length", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("c,n", [(1, 1), (3, 4), (5, 16)])
+    def test_matches_full_history_core(self, length, p, c, n):
+        self._check_against_core(
+            _raw_scan_inputs(length * 97 + p * 11 + c * 3 + n, p, length, c, n))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 200])
+    def test_block_length_changes_no_result(self, chunk):
+        self._check_against_core(_raw_scan_inputs(31, 2, 50, 3, 4), chunk)
+
+    def test_backward_keeps_only_block_boundary_state(self):
+        p, length, c, n = 4, 3 * BLOCK + 5, 3, 4
+        arrays = _raw_scan_inputs(33, p, length, c, n)
+        y = S._scan_op(*[Tensor(v, dtype=np.float64, requires_grad=True) for v in arrays])
+        held = [cell.cell_contents for cell in y._backward.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
+        assert held, "the closure should keep the block-start states"
+        for arr in held:
+            assert not (arr.ndim == 4 and arr.shape[1] == length), arr.shape
+        n_blocks = -(-length // BLOCK)
+        assert sum(arr.nbytes for arr in held) == p * n_blocks * c * n * 8
+
+    def test_chunked_gradients_match_fd(self):
+        p = f64_params(34, channels=2, n_state=3)
+        x = Tensor(Rng(35).normal((9, 2)), dtype=np.float64, requires_grad=True)
+        params = [t for _, t in p.named_parameters()]
+        err = finite_diff_grad_check(
+            lambda *args: T.tsum(T.mul(selective_scan_chunked(args[0], p, 2),
+                                       selective_scan_chunked(args[0], p, 2))),
+            [x] + params)
+        assert err <= 1e-4
+
+
 class TestCrossScan:
     def test_single_pixel(self):
         seqs = cross_scan(Tensor(np.array([[[3.0]], [[4.0]]]), dtype=np.float64))

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msvseg.serial import (checkpoint_bytes, load_checkpoint, load_tensor,
                            read_tensor_record, save_checkpoint, save_tensor,
@@ -74,3 +76,55 @@ class TestCheckpoint:
     def test_byte_stable(self):
         named = [("w", np.ones((2, 2), dtype=np.float32))]
         assert checkpoint_bytes("k=v", named) == checkpoint_bytes("k=v", named)
+
+
+_RECORD = tensor_record_bytes(Rng(3).normal((2, 3)).astype(np.float32))
+_CHECKPOINT = checkpoint_bytes("model.base_channels=16\n",
+                               [("enc.weight", Rng(4).normal((3, 4)).astype(np.float32)),
+                                ("enc.bias", np.zeros(4, dtype=np.float64))])
+
+
+def _corrupt(raw: bytes, data) -> bytes:
+    """Truncate ``raw`` or overwrite a few of its bytes, as hypothesis draws."""
+    if data.draw(st.booleans(), label="truncate"):
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    buf = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 4), label="flips")):
+        buf[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    return bytes(buf)
+
+
+class TestMalformedInput:
+    def test_truncated_header_is_value_error(self):
+        with pytest.raises(ValueError, match="truncated"):
+            read_tensor_record(_RECORD[:6])
+
+    def test_forged_extent_is_rejected_before_allocating(self):
+        # rank 2 with extents 2**32 x 2**32: the element count wraps to 0 in a u64 product
+        forged = b"MSVT" + struct.pack("<HBB", 1, 0, 2) + struct.pack("<2Q", 2**32, 2**32)
+        with pytest.raises(ValueError, match="payload"):
+            read_tensor_record(forged + b"\x00" * 16)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "c.msvc"
+        path.write_bytes(_CHECKPOINT + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(path)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_record_only_raises_value_error(self, data):
+        try:
+            read_tensor_record(_corrupt(_RECORD, data))
+        except ValueError:
+            pass
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_checkpoint_only_raises_value_error(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "c.msvc"
+        path.write_bytes(_corrupt(_CHECKPOINT, data))
+        try:
+            load_checkpoint(path)
+        except ValueError:
+            pass
