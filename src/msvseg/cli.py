@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .model import (ModelConfig, build_model, count_flops, count_params,
                     export_stage_features)
 from .scan import run_scan_benchmark
 from .serial import load_checkpoint, save_checkpoint
-from .tensor import Rng
+from .tensor import NonFiniteError, Rng
 from .train import TrainConfig, evaluate, train_loop
 
 # published full-model reference for the tiny encoder at 224x224 (diagnostic only)
@@ -78,12 +79,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fast", action="store_true", help="reduced seeds (smoke mode)")
     p.add_argument("--skip-model", action="store_true")
 
-    p = sub.add_parser("bench-scan", help="benchmark sequential vs chunked scans")
+    p = sub.add_parser("bench-scan", help="benchmark the streamed scan against the sequential reference")
     _add_common(p)
     p.add_argument("--lengths", default="256,1024,4096")
     p.add_argument("--state-size", type=int, default=16)
     p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--chunk", type=int, default=64)
+    p.add_argument("--chunk", type=int, default=64, help="block length of the streamed scan")
 
     p = sub.add_parser("export-features", help="write decoder heatmaps for one sample")
     _add_common(p)
@@ -124,8 +125,22 @@ def _restore_model(checkpoint_path):
         if tensors[name].shape != p.data.shape:
             raise ValueError(f"checkpoint tensor {name} has shape {tensors[name].shape}, "
                              f"expected {p.data.shape}")
-        p.data[...] = tensors[name].astype(p.data.dtype)
+        with np.errstate(over="ignore"):  # a float64 value beyond float32 range becomes inf
+            p.data[...] = tensors[name].astype(p.data.dtype)
+        if not np.isfinite(p.data).all():
+            raise ValueError(f"checkpoint tensor {name} has non-finite values as {p.data.dtype}")
     return model, model_cfg
+
+
+@contextmanager
+def _restored_forward(checkpoint_path):
+    """Report a forward pass that overflows on restored parameters as an
+    invalid checkpoint (exit 1), not a runtime failure."""
+    try:
+        yield
+    except NonFiniteError as exc:
+        raise ValueError(f"invalid checkpoint {checkpoint_path}: its parameters overflow "
+                         f"in the forward pass: {exc}") from exc
 
 
 def _cmd_gen_data(args) -> int:
@@ -165,7 +180,8 @@ def _cmd_eval(args) -> int:
     samples, num_classes = load_dataset(args.data)
     if num_classes != model_cfg.num_classes:
         raise ValueError("dataset class count does not match the checkpointed model")
-    report = evaluate(model, samples, alpha=model_cfg.alpha)
+    with _restored_forward(args.checkpoint):
+        report = evaluate(model, samples, alpha=model_cfg.alpha)
     text = "\n".join(report.lines()) + "\n"
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -215,7 +231,8 @@ def _cmd_export_features(args) -> int:
     if not 0 <= args.index < len(samples):
         raise ValueError(f"--index {args.index} outside the dataset (n={len(samples)})")
     model.eval()
-    paths = export_stage_features(model, samples[args.index].image, args.out_dir)
+    with _restored_forward(args.checkpoint):
+        paths = export_stage_features(model, samples[args.index].image, args.out_dir)
     for p in paths:
         print(p)
     return 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from msvseg.cli import main
-from msvseg.serial import load_checkpoint
+from msvseg.serial import load_checkpoint, save_checkpoint
 
 
 def run(args):
@@ -116,6 +116,34 @@ class TestArtifacts:
         truncated.write_bytes((trained_dir / "checkpoint.msvc").read_bytes()[:30])
         assert run(["eval", "--checkpoint", str(truncated), "--data", str(dataset_dir),
                     "--out-dir", str(tmp_path)]) == 1
+
+    @staticmethod
+    def _checkpoint_with_first_tensor(trained_dir, path, value):
+        text, tensors = load_checkpoint(trained_dir / "checkpoint.msvc")
+        first = next(iter(tensors))
+        tensors[first] = np.full_like(tensors[first], value)
+        save_checkpoint(path, text, tensors.items())
+        return first
+
+    def test_eval_nonfinite_checkpoint_is_invalid_input(self, trained_dir, dataset_dir,
+                                                        tmp_path, capsys):
+        ckpt = tmp_path / "nan.msvc"
+        name = self._checkpoint_with_first_tensor(trained_dir, ckpt, np.nan)
+        assert run(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+                    "--out-dir", str(tmp_path)]) == 1
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("command", ["eval", "export-features"])
+    def test_overflowing_checkpoint_is_invalid_input(self, trained_dir, dataset_dir,
+                                                     tmp_path, capsys, command):
+        # finite in float32, but the forward pass overflows
+        ckpt = tmp_path / "huge.msvc"
+        self._checkpoint_with_first_tensor(trained_dir, ckpt, 3e38)
+        assert run([command, "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "invalid checkpoint" in err and "op '" in err
 
     def test_export_features(self, trained_dir, dataset_dir, tmp_path):
         out = tmp_path / "feat"

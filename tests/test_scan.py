@@ -153,12 +153,14 @@ class TestStreamedScan:
     def _check_against_core(arrays, chunk=None):
         y = S._scan_op(*[Tensor(v, dtype=np.float64, requires_grad=True) for v in arrays], chunk)
         y_ref, h, abar = S._scan_forward_core(*arrays)
-        assert np.array_equal(y.data, y_ref)
+        # the matmul readout sums over N in another order than the reference
+        assert np.max(np.abs(y.data - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
         grad_y = Rng(y_ref.size).normal(y_ref.shape)
         expected = S._scan_backward_core(grad_y, *arrays, h, abar)
         for g, ref in zip(y._backward(grad_y), expected):
             assert g.shape == ref.shape
             assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+        return y.data
 
     @pytest.mark.parametrize("length", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     @pytest.mark.parametrize("p", [1, 4])
@@ -192,6 +194,22 @@ class TestStreamedScan:
                                        selective_scan_chunked(args[0], p, 2))),
             [x] + params)
         assert err <= 1e-4
+
+
+class TestStreamedScanRandomShapes:
+    """The op the model runs, on 200 seeded random shapes and block lengths."""
+
+    @pytest.mark.parametrize("case", range(200))
+    def test_matches_full_history_core(self, case):
+        rng = Rng(5000 + case)
+        p, length = int(rng.integers(1, 5)), int(rng.integers(1, 513))
+        c, n = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+        chunk = int(rng.integers(1, length + 2))
+        arrays = _raw_scan_inputs(case, p, length, c, n)
+        y = TestStreamedScan._check_against_core(arrays, chunk)
+        with no_grad():
+            y_inference = S._scan_op(*[Tensor(v, dtype=np.float64) for v in arrays], chunk)
+        assert np.array_equal(y_inference.data, y)
 
 
 class TestCrossScan:
@@ -288,10 +306,17 @@ class TestSS2D:
 class TestBenchmark:
     def test_rows_and_gate(self):
         rows = run_scan_benchmark(lengths=(64, 128), n_state=4, channels=2, chunk=16, seed=3)
-        assert len(rows) == 4
+        assert [(r["L"], r["variant"]) for r in rows] == [
+            (64, "reference"), (64, "streamed"), (128, "reference"), (128, "streamed")]
         for row in rows:
             assert set(row) >= {"path_count", "L", "N", "C", "variant", "wall_ns", "checksum"}
             assert row["wall_ns"] > 0
+
+    def test_gate_aborts_on_a_deviating_streamed_op(self, monkeypatch):
+        real_op = S._scan_op
+        monkeypatch.setattr(S, "_scan_op", lambda *args: T.mul(real_op(*args), 1.0 + 1e-9))
+        with pytest.raises(AssertionError, match="benchmark gate failed"):
+            run_scan_benchmark(lengths=(64,), n_state=4, channels=2, chunk=16, seed=3)
 
     def test_checksums_deterministic(self):
         r1 = run_scan_benchmark(lengths=(64,), n_state=4, channels=2, chunk=16, seed=3)
