@@ -38,6 +38,11 @@ class SegSample:
             raise ValueError("image/mask extents do not match")
         if self.mask.min() < 0 or self.mask.max() >= num_classes:
             raise ValueError(f"mask ids must lie in [0, {num_classes})")
+        img = self.image.data
+        if not np.isfinite(img).all():
+            raise ValueError(f"sample {self.sample_id}: image has non-finite values")
+        if img.min() < 0 or img.max() > 1:
+            raise ValueError(f"sample {self.sample_id}: image values must lie in [0, 1]")
         return self
 
 

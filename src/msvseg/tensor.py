@@ -18,7 +18,7 @@ from scipy import special
 
 __all__ = [
     "Tensor", "NonFiniteError", "no_grad", "record_op", "constant",
-    "linear", "depthwise_conv2d", "conv2d", "shift2d", "take_flat", "put_flat",
+    "linear", "depthwise_conv2d", "conv2d", "shift2d", "take_flat",
     "layer_norm", "batch_norm2d", "softmax_channels",
     "relu", "silu", "gelu", "sigmoid", "softplus", "exp", "log", "sqrt", "erf",
     "tsum", "tmean", "reshape", "transpose",
@@ -455,18 +455,6 @@ def take_flat(a: Tensor, flat_index: np.ndarray, out_shape, unique: bool = False
         return (ga.reshape(a.data.shape),)
 
     return record_op(np.ascontiguousarray(out), (a,), backward, "take_flat")
-
-
-def put_flat(a: Tensor, flat_index: np.ndarray, out_shape) -> Tensor:
-    """Scatter-add: out.flat[flat_index.flat[i]] += a.flat[i]."""
-    idx = np.asarray(flat_index, dtype=np.intp)
-    out = np.zeros(int(np.prod(out_shape)), dtype=a.data.dtype)
-    np.add.at(out, idx.reshape(-1), a.data.reshape(-1))
-
-    def backward(grad):
-        return (grad.reshape(-1)[idx.reshape(-1)].reshape(a.data.shape),)
-
-    return record_op(out.reshape(out_shape), (a,), backward, "put_flat")
 
 
 def stack(tensors) -> Tensor:

@@ -1,10 +1,12 @@
 """CLI subcommands, exit codes, artifact determinism."""
 
+import shutil
+
 import numpy as np
 import pytest
 
 from msvseg.cli import main
-from msvseg.serial import load_checkpoint, save_checkpoint
+from msvseg.serial import load_checkpoint, load_tensor, save_checkpoint, save_tensor
 
 
 def run(args):
@@ -144,6 +146,19 @@ class TestArtifacts:
                     "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "invalid checkpoint" in err and "op '" in err
+
+    @pytest.mark.parametrize("value", [np.inf, 1e38])
+    def test_eval_bad_image_names_the_sample(self, trained_dir, dataset_dir, tmp_path,
+                                             capsys, value):
+        # images are checked on load, so a forward overflow can only come from the checkpoint
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        image = sorted(data.glob("*.image.msvt"))[0]
+        save_tensor(image, np.full_like(load_tensor(image), value))
+        assert run(["eval", "--checkpoint", str(trained_dir / "checkpoint.msvc"),
+                    "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert image.name.split(".")[0] in err and "checkpoint" not in err
 
     def test_export_features(self, trained_dir, dataset_dir, tmp_path):
         out = tmp_path / "feat"

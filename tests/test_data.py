@@ -124,6 +124,14 @@ class TestDatasetIo:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 1.5])
+    def test_bad_image_values_rejected_on_save(self, tmp_path, value):
+        img = np.zeros((3, 8, 8), dtype=np.float32)
+        img[1, 2, 3] = value
+        bad = SegSample(Tensor(img), np.zeros((8, 8), dtype=np.int32), "bad")
+        with pytest.raises(ValueError, match="sample bad"):
+            save_dataset([bad], tmp_path, 4)
+
     def test_bad_mask_ids_rejected_on_save(self, tmp_path):
         bad = SegSample(Tensor(np.zeros((3, 8, 8), dtype=np.float32)),
                         np.full((8, 8), 9, dtype=np.int32), "bad")
