@@ -2,7 +2,8 @@
 
 Feature maps are channels-first [C, H, W].  Linear projections and layer
 norms act on the channel extent (the map is transposed to channels-last
-around them); pixel shuffles are pure index permutations.
+around them); pixel shuffles and nearest-neighbour upsampling are reshapes
+and transposes of the map.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    Module, Rng, Tensor, batch_norm_core, channels_first, channels_last,
+    Module, Rng, Tensor, batch_norm2d, channels_first, channels_last, constant,
     conv2d, depthwise_conv2d, gelu, init_kaiming_uniform, init_trunc_normal,
-    init_zeros, init_ones, layer_norm, linear, relu, reshape, silu, take_flat,
+    init_zeros, init_ones, layer_norm, linear, mul, relu, reshape, silu, transpose,
 )
 from .scan import SS2D
 
@@ -89,70 +90,22 @@ class ChannelLayerNorm(Module):
 class BatchNorm2d(Module):
     """Per-channel batch normalization of a [C, H, W] map (batch of one).
 
-    Train mode normalizes with the sample's own statistics and updates the
-    running buffers.  Eval mode defaults to the same per-sample statistics
-    (stateless, so checkpoints stay parameters-only); set use_running_stats
-    to normalize with the accumulated buffers instead, which is an error
-    before any training step.
+    Train and eval mode both normalize each map with its own statistics over
+    (H, W), so the layer keeps no running buffers and checkpoints stay
+    parameters-only.
     """
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-                 use_running_stats: bool = False):
+    def __init__(self, channels: int, eps: float = 1e-5):
         super().__init__()
         self.gamma = init_ones((channels,))
         self.beta = init_zeros((channels,))
-        self.running_mean = np.zeros(channels, dtype=np.float64)
-        self.running_var = np.ones(channels, dtype=np.float64)
-        self.momentum = momentum
         self.eps = eps
-        self.use_running_stats = use_running_stats
-        self.batches_seen = 0
 
     def forward(self, x: Tensor) -> Tensor:
-        c, h, w = x.data.shape
-        x4 = reshape(x, (1, c, h, w))
-        if self.training:
-            self.batches_seen += 1
-            y = batch_norm_core(x4, self.gamma, self.beta, self.running_mean,
-                                self.running_var, self.momentum, self.eps, training=True)
-        elif self.use_running_stats:
-            if self.batches_seen == 0:
-                raise RuntimeError("BatchNorm2d evaluated before any training step")
-            y = batch_norm_core(x4, self.gamma, self.beta, self.running_mean,
-                                self.running_var, self.momentum, self.eps, training=False)
-        else:
-            # per-sample statistics, momentum 0 leaves the buffers untouched
-            y = batch_norm_core(x4, self.gamma, self.beta, self.running_mean,
-                                self.running_var, 0.0, self.eps, training=True)
-        return reshape(y, (c, h, w))
+        return batch_norm2d(x, self.gamma, self.beta, self.eps)
 
 
-# -- index-permutation resamplers ---------------------------------------------------
-
-_SHUFFLE_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _pixel_shuffle_index(c: int, h: int, w: int, r: int) -> np.ndarray:
-    """Gather map: out[c, y, x] = in[c*r*r + (y%r)*r + x%r, y//r, x//r]."""
-    key = ("ps", c, h, w, r)
-    if key not in _SHUFFLE_CACHE:
-        c_out = c // (r * r)
-        oc, oy, ox = np.indices((c_out, h * r, w * r))
-        g = (oy % r) * r + ox % r
-        _SHUFFLE_CACHE[key] = (oc * r * r + g) * (h * w) + (oy // r) * w + ox // r
-    return _SHUFFLE_CACHE[key]
-
-
-def _space_to_depth_index(c: int, h: int, w: int, r: int) -> np.ndarray:
-    """Gather map for the exact inverse of pixel_shuffle."""
-    key = ("sd", c, h, w, r)
-    if key not in _SHUFFLE_CACHE:
-        oc, oy, ox = np.indices((c * r * r, h // r, w // r))
-        src_c = oc // (r * r)
-        g = oc % (r * r)
-        _SHUFFLE_CACHE[key] = src_c * (h * w) + (oy * r + g // r) * w + (ox * r + g % r)
-    return _SHUFFLE_CACHE[key]
-
+# -- layout resamplers ----------------------------------------------------------------
 
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     """[C, H, W] -> [C/r^2, rH, rW]; channel group g of output channel c lands
@@ -160,8 +113,8 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     c, h, w = x.data.shape
     if c % (r * r) != 0:
         raise ValueError(f"pixel_shuffle: {c} channels not divisible by r^2={r * r}")
-    idx = _pixel_shuffle_index(c, h, w, r)
-    return take_flat(x, idx, idx.shape, unique=True)
+    cells = transpose(reshape(x, (c // (r * r), r, r, h, w)), (0, 3, 1, 4, 2))
+    return reshape(cells, (c // (r * r), h * r, w * r))
 
 
 def space_to_depth(x: Tensor, r: int) -> Tensor:
@@ -169,18 +122,15 @@ def space_to_depth(x: Tensor, r: int) -> Tensor:
     c, h, w = x.data.shape
     if h % r != 0 or w % r != 0:
         raise ValueError(f"space_to_depth: spatial extents {h}x{w} not divisible by {r}")
-    idx = _space_to_depth_index(c, h, w, r)
-    return take_flat(x, idx, idx.shape, unique=True)
+    cells = transpose(reshape(x, (c, h // r, r, w // r, r)), (0, 2, 4, 1, 3))
+    return reshape(cells, (c * r * r, h // r, w // r))
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:
+    """[C, H, W] -> [C, 2H, 2W], each pixel repeated over a 2 x 2 cell."""
     c, h, w = x.data.shape
-    key = ("nn", c, h, w)
-    if key not in _SHUFFLE_CACHE:
-        oc, oy, ox = np.indices((c, h * 2, w * 2))
-        _SHUFFLE_CACHE[key] = oc * (h * w) + (oy // 2) * w + ox // 2
-    idx = _SHUFFLE_CACHE[key]
-    return take_flat(x, idx, idx.shape)
+    cells = mul(reshape(x, (c, h, 1, w, 1)), constant(np.ones((2, 1, 2)), like=x))
+    return reshape(cells, (c, 2 * h, 2 * w))
 
 
 # -- scan blocks ----------------------------------------------------------------
@@ -354,10 +304,6 @@ class TransposedConvUp(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return pixel_shuffle(self.proj.forward_chw(x), 2)
-
-    def set_uniform_kernel(self, value: float = 1.0):
-        self.proj.weight.data[:] = value
-        self.proj.bias.data[:] = 0.0
 
 
 class UpsampleConv(Module):

@@ -52,7 +52,7 @@ _MODEL_FIELDS = {
 
 _TRAIN_FIELDS = {
     "lr": float, "weight_decay": float, "batch_size": int, "max_epochs": int,
-    "max_steps": _parse_opt_int, "alpha": float, "seed": int, "eval_every": int,
+    "max_steps": _parse_opt_int, "seed": int, "eval_every": int,
     "stop_dsc": _parse_opt_float,
 }
 

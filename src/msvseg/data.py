@@ -8,12 +8,15 @@ fully determined by the seed.
 Dataset directory: a ``manifest.txt`` of key=value lines (version,
 num_classes, one ``sample=<id>`` line per sample) next to per-sample
 ``<id>.image.msvt`` / ``<id>.mask.msvt`` tensor records (masks are stored as
-f32 records holding integer ids).
+f32 records holding integer ids).  Sample ids match
+``[A-Za-z0-9_-][A-Za-z0-9_.-]*``, so they cannot name a file outside the
+directory.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -259,7 +262,20 @@ def gen_synthetic_dataset(n: int, num_classes: int, size: int, rng: Rng) -> list
 # -- dataset directory io ----------------------------------------------------------------
 
 
+_SAMPLE_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+
+
+def _checked_id(sid: str) -> str:
+    """A sample id names files inside the dataset directory, so it may hold
+    no path separator and may not start with a dot."""
+    if not _SAMPLE_ID.fullmatch(sid):
+        raise ValueError(f"invalid sample id {sid!r}: ids must match {_SAMPLE_ID.pattern}")
+    return sid
+
+
 def save_dataset(samples: list[SegSample], out_dir, num_classes: int):
+    for s in samples:
+        _checked_id(s.sample_id)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["version=1", f"num_classes={num_classes}"]
@@ -286,7 +302,7 @@ def load_dataset(in_dir) -> tuple[list[SegSample], int]:
         if key == "num_classes":
             num_classes = int(value)
         elif key == "sample":
-            ids.append(value)
+            ids.append(_checked_id(value))
         elif key == "version":
             if int(value) != 1:
                 raise ValueError(f"unsupported dataset version {value}")

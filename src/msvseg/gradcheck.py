@@ -20,7 +20,7 @@ from .blocks import (
 )
 from .losses import ce_loss, dice_loss, total_loss
 from .model import ModelConfig, build_model
-from .scan import ScanParams, SS2D, discretize, selective_scan_seq
+from .scan import ScanParams, SS2D, selective_scan_seq
 from .tensor import Rng, Tensor, finite_diff_grad_check
 
 __all__ = ["CheckResult", "run_gradient_suite", "OP_TOL", "BLOCK_TOL", "MODEL_TOL"]
@@ -94,14 +94,10 @@ def _op_cases(seed: int):
     be = _t(r.child(9), (6,))
     yield "op.layer_norm", OP_TOL, (lambda xn, g, be: _square_sum(T.layer_norm(xn, g, be))), [xn, g, be]
 
-    xb = _t(r.child(10), (2, 3, 4, 4))
+    xb = _t(r.child(10), (3, 4, 4))
     gb = _t(r.child(11), (3,))
     bb = _t(r.child(12), (3,))
-
-    def bn_fn(xb, gb, bb):
-        return _square_sum(T.batch_norm2d(xb, gb, bb, np.zeros(3), np.ones(3), training=True))
-
-    yield "op.batch_norm2d", OP_TOL, bn_fn, [xb, gb, bb]
+    yield "op.batch_norm2d", OP_TOL, (lambda xb, gb, bb: _square_sum(T.batch_norm2d(xb, gb, bb))), [xb, gb, bb]
 
     for name, fn in (("silu", T.silu), ("gelu", T.gelu), ("relu", T.relu),
                      ("sigmoid", T.sigmoid), ("softplus", T.softplus), ("erf", T.erf)):
@@ -122,20 +118,7 @@ def _op_cases(seed: int):
 
     yield "op.softmax_channels", OP_TOL, softmax_fn, [xs]
 
-    xsh = _t(r.child(16), (2, 4, 4))
-    yield "op.shift2d", TIGHT_TOL, (lambda xsh: _square_sum(T.shift2d(xsh, 1, -1))), [xsh]
-
     # scan primitives
-    dl = _t(r.child(17), (5, 2), positive=True)
-    aa = Tensor(-np.abs(Rng(seed + 1).normal((2, 3))) - 0.1, dtype=np.float64, requires_grad=True)
-    bb_ = _t(r.child(18), (5, 3))
-
-    def disc_fn(dl, aa, bb_):
-        abar, bbar = discretize(dl, aa, bb_)
-        return _square_sum(abar) + _square_sum(bbar)
-
-    yield "op.discretize", OP_TOL, disc_fn, [dl, aa, bb_]
-
     params = ScanParams(Rng(seed + 2), channels=3, n_state=4).astype(np.float64)
     xq = _t(r.child(19), (6, 3))
     scan_inputs = [xq] + [p for _, p in params.named_parameters()]

@@ -44,7 +44,7 @@ def ce_loss(logits: Tensor, mask: np.ndarray) -> Tensor:
     z = logits - constant(shift, like=logits)
     lse = log(tsum(exp(z), axis=0))
     flat = np.asarray(mask, dtype=np.intp) * (h * w) + np.arange(h * w).reshape(h, w)
-    picked = take_flat(z, flat, (h, w), unique=True)
+    picked = take_flat(z, flat, (h, w))
     return tmean(lse - picked)
 
 

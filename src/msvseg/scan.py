@@ -6,8 +6,10 @@ input injection Bbar = delta * B (Euler form), state
 h_t = Abar_t * h_{t-1} + Bbar_t * x_t and readout y_t = <C_t, h_t> + D * x_t.
 Step size delta, B and C are projected from the input sequence itself.
 
-2D feature maps are flattened along four paths (row/column order, forward and
-reversed), scanned independently per path, then restored and summed.
+2D feature maps are flattened along four paths, stacked as [4, L, C]: row
+order is the map reshaped to [C, L] and transposed, column order is the same
+after an H<->W swap, and the two reverse paths are flips of those.  Each path
+is scanned with its own parameters, then restored and summed.
 
 The autodiff op streams the recurrence in blocks of SCAN_BLOCK time steps in
 a state-major layout, [P, T, N, C] with C contiguous.  Forward writes one
@@ -36,11 +38,11 @@ import numpy as np
 
 from .tensor import (
     Module, Rng, Tensor, exp, linear, mul, record_op, reshape, softplus, stack,
-    take_flat, init_trunc_normal, init_ones,
+    init_trunc_normal, init_ones,
 )
 
 __all__ = [
-    "ScanPathId", "ScanParams", "discretize",
+    "ScanPathId", "ScanParams",
     "selective_scan_seq", "selective_scan_chunked",
     "cross_scan", "cross_merge", "SS2D", "run_scan_benchmark",
 ]
@@ -89,22 +91,6 @@ class ScanParams(Module):
             if isinstance(p, Tensor):
                 setattr(self, name, Tensor(p.data.astype(dtype), requires_grad=p.requires_grad))
         return self
-
-
-def discretize(delta: Tensor, a: Tensor, b: Tensor):
-    """Zero-order-hold transition and Euler input term.
-
-    delta: [L, C] (> 0), a: [C, N], b: [L, N]
-    returns Abar = exp(delta * a): [L, C, N] and Bbar = delta * b: [L, C, N].
-    """
-    if np.any(delta.data <= 0):
-        raise ValueError("discretize: delta must be strictly positive")
-    l, c = delta.data.shape
-    n = a.data.shape[1]
-    d3 = reshape(delta, (l, c, 1))
-    abar = exp(mul(d3, reshape(a, (1, c, n))))
-    bbar = mul(d3, reshape(b, (l, 1, n)))
-    return abar, bbar
 
 
 # -- fused recurrence ----------------------------------------------------------
@@ -287,23 +273,24 @@ def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
     return record_op(y, (x, delta, a, b, c_out, skip), backward, "selective_scan")
 
 
-def _project_step_params(x: Tensor, params: ScanParams):
-    """delta [L, C] (softplus), B [L, N], C [L, N] from the input sequence."""
-    dt = linear(linear(x, params.w_dt_down), params.w_dt_up)
-    delta = softplus(dt + params.dt_bias)
-    b = linear(x, params.w_b)
-    c_out = linear(x, params.w_c)
-    a = mul(exp(params.a_log), -1.0)
-    return delta, a, b, c_out
+def _project_step_params(x: Tensor, paths):
+    """Step inputs of stacked sequences x [P, L, C], path p projected with the
+    ScanParams paths[p]: delta [P, L, C] (softplus), A [P, C, N], B and C
+    [P, L, N] and skip [P, C]."""
+    a_log, skip, w_b, w_c, w_dt_down, w_dt_up, dt_bias = (
+        stack([getattr(p, name) for p in paths])
+        for name in ("a_log", "skip", "w_b", "w_c", "w_dt_down", "w_dt_up", "dt_bias"))
+    delta = softplus(linear(linear(x, w_dt_down), w_dt_up, dt_bias))
+    b = linear(x, w_b)
+    c_out = linear(x, w_c)
+    a = mul(exp(a_log), -1.0)
+    return delta, a, b, c_out, skip
 
 
 def _scan_sequence(x: Tensor, params: ScanParams, chunk: int | None) -> Tensor:
     l, c = x.data.shape
-    delta, a, b, c_out = _project_step_params(x, params)
-    y = _scan_op(reshape(x, (1, l, c)), reshape(delta, (1, l, c)),
-                 reshape(a, (1, c, params.n_state)), reshape(b, (1, l, params.n_state)),
-                 reshape(c_out, (1, l, params.n_state)), reshape(params.skip, (1, c)),
-                 chunk)
+    x1 = reshape(x, (1, l, c))
+    y = _scan_op(x1, *_project_step_params(x1, [params]), chunk)
     return reshape(y, (l, c))
 
 
@@ -326,71 +313,52 @@ def selective_scan_chunked(x: Tensor, params: ScanParams, chunk: int) -> Tensor:
 
 # -- 2D cross scan --------------------------------------------------------------
 
-_PERM_CACHE: dict[tuple[int, int], list[np.ndarray]] = {}
+def _paths(fmap: np.ndarray) -> np.ndarray:
+    """[C, H, W] -> [4, H*W, C] in ScanPathId order."""
+    c = fmap.shape[0]
+    rows = fmap.reshape(c, -1).T
+    cols = fmap.transpose(0, 2, 1).reshape(c, -1).T
+    return np.stack([rows, cols, rows[::-1], cols[::-1]])
 
 
-def _path_perms(h: int, w: int) -> list[np.ndarray]:
-    """Flat pixel order for each ScanPathId over an h x w map."""
-    key = (h, w)
-    if key not in _PERM_CACHE:
-        row = np.arange(h * w, dtype=np.intp)
-        col = (row % h) * w + (row // h)
-        _PERM_CACHE[key] = [row, col, row[::-1].copy(), col[::-1].copy()]
-    return _PERM_CACHE[key]
-
-
-def _take_path(fmap: Tensor, perm: np.ndarray) -> Tensor:
-    """[C, H, W] -> [H*W, C] along one path: out[t, ch] = fmap[ch].flat[perm[t]]."""
-    c = fmap.data.shape[0]
-    # a row gather on the [H*W, C] view needs only the path's pixel order
-    out = fmap.data.reshape(c, -1).T[perm]
-
-    def backward(grad):
-        g = np.zeros((c, perm.size), dtype=grad.dtype)
-        g.T[perm] = grad
-        return (g.reshape(fmap.data.shape),)
-
-    return record_op(out, (fmap,), backward, "take_path")
-
-
-def _put_path(seq: Tensor, perm: np.ndarray, h: int, w: int) -> Tensor:
-    """Inverse of _take_path: [H*W, C] -> [C, H, W], out[ch].flat[perm[t]] = seq[t, ch].
-
-    The path order is a permutation, so the scatter is a plain assignment.
-    """
-    c = seq.data.shape[1]
-    out = np.zeros((c, h * w), dtype=seq.data.dtype)
-    out.T[perm] = seq.data
-
-    def backward(grad):
-        return (grad.reshape(c, h * w).T[perm],)
-
-    return record_op(out.reshape(c, h, w), (seq,), backward, "put_path")
-
-
-def cross_scan(fmap: Tensor) -> list[Tensor]:
-    """Flatten a [C, H, W] map into four [H*W, C] sequences, one per path."""
-    _, h, w = fmap.data.shape
-    return [_take_path(fmap, perm) for perm in _path_perms(h, w)]
-
-
-def cross_merge(seqs, h: int, w: int) -> Tensor:
-    """Restore four [L, C] sequences along their own paths and sum to [C, H, W]."""
-    out = None
-    for seq, perm in zip(seqs, _path_perms(h, w)):
-        l = seq.data.shape[0]
-        if l != h * w:
-            raise ValueError(f"cross_merge: sequence length {l} != {h}*{w}")
-        restored = _put_path(seq, perm, h, w)
-        out = restored if out is None else out + restored
+def _merge(seqs: np.ndarray, h: int, w: int) -> np.ndarray:
+    """[4, H*W, C] -> [C, H, W]: each path restored to the map, summed as
+    r0 + r1 + r2 + r3 in that order."""
+    c = seqs.shape[2]
+    out = np.empty((c, h, w), dtype=seqs.dtype)
+    np.add(seqs[0].T.reshape(c, h, w), seqs[1].T.reshape(c, w, h).transpose(0, 2, 1), out=out)
+    out += seqs[2, ::-1].T.reshape(c, h, w)
+    out += seqs[3, ::-1].T.reshape(c, w, h).transpose(0, 2, 1)
     return out
+
+
+def cross_scan(fmap: Tensor) -> Tensor:
+    """Flatten a [C, H, W] map along the four paths, stacked as [4, H*W, C]."""
+    _, h, w = fmap.data.shape
+
+    def backward(grad):
+        return (_merge(grad, h, w),)
+
+    return record_op(_paths(fmap.data), (fmap,), backward, "cross_scan")
+
+
+def cross_merge(seqs: Tensor, h: int, w: int) -> Tensor:
+    """Restore stacked [4, L, C] paths to [C, H, W] each and sum them."""
+    if seqs.data.ndim != 3 or seqs.data.shape[:2] != (4, h * w):
+        raise ValueError(f"cross_merge: expected paths [4, {h}*{w}, C], got {seqs.data.shape}")
+
+    def backward(grad):
+        return (_paths(grad),)
+
+    return record_op(_merge(seqs.data, h, w), (seqs,), backward, "cross_merge")
 
 
 class SS2D(Module):
     """Four-direction selective scan over a 2D feature map.
 
     Each path owns an independent ScanParams; the four restored outputs are
-    summed.  The per-path recurrences run stacked so the time loop is shared.
+    summed.  The paths are projected and scanned stacked, so the time loop
+    is shared.
     """
 
     def __init__(self, rng: Rng, channels: int, n_state: int = 16, dt_rank: int | None = None):
@@ -400,21 +368,10 @@ class SS2D(Module):
         self.paths = [ScanParams(rng.child(i), channels, n_state, dt_rank) for i in range(4)]
 
     def forward(self, fmap: Tensor, chunk: int | None = None) -> Tensor:
-        c, h, w = fmap.data.shape
+        _, h, w = fmap.data.shape
         seqs = cross_scan(fmap)
-        deltas, a_s, b_s, c_s = [], [], [], []
-        for seq, p in zip(seqs, self.paths):
-            delta, a, b, c_out = _project_step_params(seq, p)
-            deltas.append(delta)
-            a_s.append(a)
-            b_s.append(b)
-            c_s.append(c_out)
-        y = _scan_op(stack(seqs), stack(deltas), stack(a_s), stack(b_s), stack(c_s),
-                     stack([p.skip for p in self.paths]), chunk)
-        l = h * w
-        outs = [take_flat(y, np.arange(l * c).reshape(l, c) + i * l * c, (l, c), unique=True)
-                for i in range(4)]
-        return cross_merge(outs, h, w)
+        y = _scan_op(seqs, *_project_step_params(seqs, self.paths), chunk)
+        return cross_merge(y, h, w)
 
 
 # -- benchmark -------------------------------------------------------------------

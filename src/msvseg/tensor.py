@@ -18,7 +18,7 @@ from scipy import special
 
 __all__ = [
     "Tensor", "NonFiniteError", "no_grad", "record_op", "constant",
-    "linear", "depthwise_conv2d", "conv2d", "shift2d", "take_flat",
+    "linear", "depthwise_conv2d", "conv2d", "take_flat",
     "layer_norm", "batch_norm2d", "softmax_channels",
     "relu", "silu", "gelu", "sigmoid", "softplus", "exp", "log", "sqrt", "erf",
     "tsum", "tmean", "reshape", "transpose",
@@ -385,14 +385,6 @@ def gelu(a: Tensor) -> Tensor:
     return record_op(out, (a,), backward, "gelu")
 
 
-def activation(kind: str, x: Tensor) -> Tensor:
-    try:
-        fn = {"silu": silu, "gelu": gelu, "relu": relu}[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation '{kind}'") from None
-    return fn(x)
-
-
 # -- reductions / shape ops ----------------------------------------------------
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -439,19 +431,15 @@ def transpose(a: Tensor, axes) -> Tensor:
     return record_op(out, (a,), backward, "transpose")
 
 
-def take_flat(a: Tensor, flat_index: np.ndarray, out_shape, unique: bool = False) -> Tensor:
-    """Gather: out.flat[i] = a.flat[flat_index.flat[i]].  Backward scatter-adds,
-    so repeated indices (e.g. nearest-neighbour upsampling) are handled; pass
-    unique=True for injective index maps to skip the slow accumulating path."""
-    idx = np.asarray(flat_index, dtype=np.intp)
-    out = a.data.reshape(-1)[idx.reshape(-1)].reshape(out_shape)
+def take_flat(a: Tensor, flat_index: np.ndarray, out_shape) -> Tensor:
+    """Gather: out.flat[i] = a.flat[flat_index.flat[i]].  The map must be
+    injective (no index repeats): backward scatters by assignment."""
+    idx = np.asarray(flat_index, dtype=np.intp).reshape(-1)
+    out = a.data.reshape(-1)[idx].reshape(out_shape)
 
     def backward(grad):
         ga = np.zeros(a.data.size, dtype=grad.dtype)
-        if unique:
-            ga[idx.reshape(-1)] = grad.reshape(-1)
-        else:
-            np.add.at(ga, idx.reshape(-1), grad.reshape(-1))
+        ga[idx] = grad.reshape(-1)
         return (ga.reshape(a.data.shape),)
 
     return record_op(np.ascontiguousarray(out), (a,), backward, "take_flat")
@@ -468,42 +456,32 @@ def stack(tensors) -> Tensor:
     return record_op(out, tensors, backward, "stack")
 
 
-def shift2d(a: Tensor, dy: int, dx: int) -> Tensor:
-    """Shift the trailing two axes by (dy, dx), zero-filling exposed borders."""
-    out = np.zeros_like(a.data)
-    h, w = a.data.shape[-2:]
-    ys = slice(max(dy, 0), h + min(dy, 0))
-    xs = slice(max(dx, 0), w + min(dx, 0))
-    ys_src = slice(max(-dy, 0), h + min(-dy, 0))
-    xs_src = slice(max(-dx, 0), w + min(-dx, 0))
-    out[..., ys, xs] = a.data[..., ys_src, xs_src]
-
-    def backward(grad):
-        g = np.zeros_like(grad)
-        g[..., ys_src, xs_src] = grad[..., ys, xs]
-        return (g,)
-
-    return record_op(out, (a,), backward, "shift2d")
-
-
 # -- neural-net primitives ------------------------------------------------------
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """y[..., j] = sum_i x[..., i] * W[i, j] + b[j]."""
-    if x.data.shape[-1] != weight.data.shape[0]:
-        raise ValueError(f"linear: trailing extent {x.data.shape[-1]} != weight rows {weight.data.shape[0]}")
-    lead = x.data.shape[:-1]
-    x2 = x.data.reshape(-1, x.data.shape[-1])
-    out2 = x2 @ weight.data
+    """y[..., j] = sum_i x[..., i] * W[i, j] + b[j].
+
+    A weight [P, K, M] with a leading path axis maps a stacked input
+    [P, L, K] path by path, with bias [P, M]: y[p] = x[p] @ W[p] + b[p].
+    """
+    paths = weight.data.shape[:-2]
+    k, m = weight.data.shape[-2:]
+    if x.data.shape[-1] != k:
+        raise ValueError(f"linear: trailing extent {x.data.shape[-1]} != weight rows {k}")
+    if paths and (x.data.ndim != 3 or x.data.shape[0] != paths[0]):
+        raise ValueError(f"linear: weight {weight.data.shape} needs input [{paths[0]}, L, {k}], "
+                         f"got {x.data.shape}")
+    x3 = x.data.reshape(paths + (-1, k))
+    out3 = x3 @ weight.data
     if bias is not None:
-        out2 = out2 + bias.data
-    out = out2.reshape(lead + (weight.data.shape[1],))
+        out3 = out3 + bias.data[..., None, :]
+    out = out3.reshape(x.data.shape[:-1] + (m,))
 
     def backward(grad):
-        g2 = grad.reshape(-1, weight.data.shape[1])
-        gx = (g2 @ weight.data.T).reshape(x.data.shape)
-        gw = x2.T @ g2
-        gb = g2.sum(axis=0) if bias is not None else None
+        g3 = grad.reshape(paths + (-1, m))
+        gx = (g3 @ weight.data.swapaxes(-1, -2)).reshape(x.data.shape)
+        gw = x3.swapaxes(-1, -2) @ g3
+        gb = g3.sum(axis=-2) if bias is not None else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -604,42 +582,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return add(mul(normed, gamma), beta)
 
 
-def batch_norm_core(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-                    running_var: np.ndarray, momentum: float = 0.1, eps: float = 1e-5,
-                    training: bool = True) -> Tensor:
-    """batch_norm2d without the train-mode size guard (single-value batches
-    normalize to exactly zero before the affine stage)."""
-    b, c, h, w = x.data.shape
-    if training:
-        mu = tmean(x, axis=(0, 2, 3), keepdims=True)
-        xc = x - mu
-        var = tmean(mul(xc, xc), axis=(0, 2, 3), keepdims=True)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.data.reshape(c)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.data.reshape(c)
-    else:
-        mu = constant(running_mean.reshape(1, c, 1, 1), like=x)
-        var = constant(running_var.reshape(1, c, 1, 1), like=x)
-        xc = x - mu
+def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-channel normalization of one [C, H, W] map over its own (H, W)
+    extent, then affine scale and shift.  A 1x1 map normalizes to exactly
+    zero, so its output is beta."""
+    c = x.data.shape[0]
+    mu = tmean(x, axis=(1, 2), keepdims=True)
+    xc = x - mu
+    var = tmean(mul(xc, xc), axis=(1, 2), keepdims=True)
     normed = div(xc, sqrt(add(var, eps)))
-    return add(mul(normed, reshape(gamma, (1, c, 1, 1))), reshape(beta, (1, c, 1, 1)))
-
-
-def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-                 running_var: np.ndarray, momentum: float = 0.1, eps: float = 1e-5,
-                 training: bool = True) -> Tensor:
-    """Per-channel normalization of [B, C, H, W] over (B, H, W).
-
-    Train mode requires at least two values per channel, normalizes with
-    batch statistics and updates the running buffers in place:
-    running = (1 - momentum) * running + momentum * batch.  Eval mode
-    normalizes with the running buffers.
-    """
-    b, c, h, w = x.data.shape
-    if training and b * h * w < 2:
-        raise ValueError("batch_norm2d: need at least 2 values per channel in train mode")
-    return batch_norm_core(x, gamma, beta, running_mean, running_var, momentum, eps, training)
+    return add(mul(normed, reshape(gamma, (c, 1, 1))), reshape(beta, (c, 1, 1)))
 
 
 def softmax_channels(x: Tensor) -> Tensor:

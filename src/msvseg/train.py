@@ -31,7 +31,6 @@ class TrainConfig:
     batch_size: int = 8
     max_epochs: int = 200
     max_steps: int | None = 200
-    alpha: float = 0.6
     seed: int = 0
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     eval_every: int = 25
@@ -40,8 +39,6 @@ class TrainConfig:
     def validate(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
         if self.batch_size < 1 or self.max_epochs < 1 or self.eval_every < 1:
             raise ValueError("batch_size, max_epochs and eval_every must be >= 1")
         return self
@@ -144,7 +141,7 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
     if cfg.max_steps is not None:
         total_steps = min(total_steps, cfg.max_steps)
 
-    alpha = cfg.alpha
+    alpha = model.cfg.alpha
     history: list[dict] = []
     best_dsc, best_step, best_state = -1.0, 0, _snapshot(model)
     run_loss = run_dice = run_ce = 0.0

@@ -160,6 +160,33 @@ class TestArtifacts:
         err = capsys.readouterr().err
         assert image.name.split(".")[0] in err and "checkpoint" not in err
 
+    def test_eval_manifest_id_outside_dataset_is_invalid_input(self, trained_dir, dataset_dir,
+                                                               tmp_path, capsys):
+        data, outside = tmp_path / "data", tmp_path / "outside"
+        shutil.copytree(dataset_dir, data)
+        shutil.copytree(dataset_dir, outside)
+        manifest = data / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("sample=s0000", "sample=../outside/s0000"))
+        assert run(["eval", "--checkpoint", str(trained_dir / "checkpoint.msvc"),
+                    "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "../outside/s0000" in capsys.readouterr().err
+
+    def test_model_alpha_weights_train_and_eval_loss(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(dataset_dir), "--out-dir", str(out), "--quiet",
+                    "--set", "train.max_steps=1", "--set", "model.alpha=0.3", "--seed", "3"]) == 0
+        header, row = (out / "train_log.csv").read_text().splitlines()
+        logged = dict(zip(header.split(","), map(float, row.split(","))))
+        assert logged["loss"] == pytest.approx(
+            0.3 * logged["dice_loss"] + 0.7 * logged["ce_loss"], rel=1e-5)
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", str(out / "checkpoint.msvc"),
+                    "--data", str(dataset_dir), "--out-dir", str(tmp_path / "eval")]) == 0
+        report = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        loss, dice, ce = (float(report[k]) for k in ("loss", "dice_loss", "ce_loss"))
+        assert loss == pytest.approx(0.3 * dice + 0.7 * ce, rel=1e-9)
+        assert loss != pytest.approx(0.6 * dice + 0.4 * ce, rel=1e-3)
+
     def test_export_features(self, trained_dir, dataset_dir, tmp_path):
         out = tmp_path / "feat"
         assert run(["export-features", "--checkpoint", str(trained_dir / "checkpoint.msvc"),

@@ -137,3 +137,23 @@ class TestDatasetIo:
                         np.full((8, 8), 9, dtype=np.int32), "bad")
         with pytest.raises(ValueError):
             save_dataset([bad], tmp_path, 4)
+
+    @pytest.mark.parametrize("sid", ["../outside/x", "/tmp/x", "a/b", ".hidden", ""])
+    def test_id_outside_directory_rejected_on_load(self, dataset, tmp_path, sid):
+        save_dataset(dataset[:1], tmp_path / "outside", 4)
+        (tmp_path / "outside" / f"{dataset[0].sample_id}.image.msvt").rename(
+            tmp_path / "outside" / "x.image.msvt")
+        (tmp_path / "outside" / f"{dataset[0].sample_id}.mask.msvt").rename(
+            tmp_path / "outside" / "x.mask.msvt")
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.txt").write_text(f"version=1\nnum_classes=4\nsample={sid}\n")
+        with pytest.raises(ValueError, match="invalid sample id"):
+            load_dataset(data)
+
+    def test_id_outside_directory_rejected_on_save(self, dataset, tmp_path):
+        bad = SegSample(dataset[0].image, dataset[0].mask, "../escaped")
+        with pytest.raises(ValueError, match=r"'\.\./escaped'"):
+            save_dataset([bad], tmp_path / "out", 4)
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "escaped.image.msvt").exists()

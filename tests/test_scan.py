@@ -9,13 +9,28 @@ from conftest import scan_scalar_loop
 from msvseg import scan as S
 from msvseg import tensor as T
 from msvseg.scan import (SS2D, ScanParams, ScanPathId, cross_merge, cross_scan,
-                         discretize, run_scan_benchmark, selective_scan_chunked,
-                         selective_scan_seq)
+                         run_scan_benchmark, selective_scan_chunked, selective_scan_seq)
 from msvseg.tensor import Rng, Tensor, finite_diff_grad_check, no_grad
 
 
 def f64_params(seed, channels, n_state):
     return ScanParams(Rng(seed), channels, n_state).astype(np.float64)
+
+
+def discretize(delta: Tensor, a: Tensor, b: Tensor):
+    """Oracle: zero-order-hold transition and Euler input term.
+
+    delta: [L, C] (> 0), a: [C, N], b: [L, N]
+    returns Abar = exp(delta * a): [L, C, N] and Bbar = delta * b: [L, C, N].
+    """
+    if np.any(delta.data <= 0):
+        raise ValueError("discretize: delta must be strictly positive")
+    l, c = delta.data.shape
+    n = a.data.shape[1]
+    d3 = T.reshape(delta, (l, c, 1))
+    abar = T.exp(T.mul(d3, T.reshape(a, (1, c, n))))
+    bbar = T.mul(d3, T.reshape(b, (l, 1, n)))
+    return abar, bbar
 
 
 class TestDiscretize:
@@ -53,6 +68,18 @@ class TestDiscretize:
                        Tensor(-np.ones((2, 2)), dtype=np.float64),
                        Tensor(np.ones((2, 2)), dtype=np.float64))
 
+    def test_streamed_block_terms_match(self):
+        x, delta, a, b, _, _ = _raw_scan_inputs(3, 1, 9, 3, 4)
+        abar_ref, bbar_ref = discretize(*(Tensor(v[0], dtype=np.float64) for v in (delta, a, b)))
+        n, c = a.shape[2], a.shape[1]
+        abuf, bxbuf = np.empty((1, 9, n, c)), np.empty((1, 9, n, c))
+        abar, bx, _ = S._block_terms(x, delta, np.ascontiguousarray(a.transpose(0, 2, 1)), b,
+                                     slice(0, 9), abuf, bxbuf)
+        assert np.array_equal(abar[0].transpose(0, 2, 1), abar_ref.data)
+        # the op forms delta * x first, then multiplies by B
+        expected_bx = bbar_ref.data * x[0][:, :, None]
+        assert np.max(np.abs(bx[0].transpose(0, 2, 1) - expected_bx)) <= 1e-15 * np.abs(expected_bx).max()
+
 
 class TestSequentialScan:
     def test_zero_input_zero_output(self):
@@ -72,8 +99,8 @@ class TestSequentialScan:
         p = f64_params(3, channels=2, n_state=3)
         x = Tensor(Rng(4).normal((7, 2)), dtype=np.float64)
         with no_grad():
-            delta, a, b, c_out = S._project_step_params(x, p)
-        expected = scan_scalar_loop(x.data, delta.data, a.data, b.data, c_out.data,
+            delta, a, b, c_out, _ = S._project_step_params(T.reshape(x, (1, 7, 2)), [p])
+        expected = scan_scalar_loop(x.data, delta.data[0], a.data[0], b.data[0], c_out.data[0],
                                     p.skip.data)
         got = selective_scan_seq(x, p)
         assert np.max(np.abs(got.data - expected)) < 1e-12
@@ -215,13 +242,13 @@ class TestStreamedScanRandomShapes:
 class TestCrossScan:
     def test_single_pixel(self):
         seqs = cross_scan(Tensor(np.array([[[3.0]], [[4.0]]]), dtype=np.float64))
-        assert len(seqs) == 4
-        for s in seqs:
-            assert np.array_equal(s.data, [[3.0, 4.0]])
+        assert seqs.data.shape == (4, 1, 2)
+        for s in seqs.data:
+            assert np.array_equal(s, [[3.0, 4.0]])
 
     def test_2x2_enumeration(self):
         fmap = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]), dtype=np.float64)
-        seqs = [s.data.ravel().tolist() for s in cross_scan(fmap)]
+        seqs = [s.ravel().tolist() for s in cross_scan(fmap).data]
         assert seqs[ScanPathId.ROW_FWD] == [1, 2, 3, 4]
         assert seqs[ScanPathId.COL_FWD] == [1, 3, 2, 4]
         assert seqs[ScanPathId.ROW_REV] == [4, 3, 2, 1]
@@ -229,9 +256,9 @@ class TestCrossScan:
 
     def test_reversed_paths_are_exact_reversals(self):
         fmap = Tensor(Rng(14).normal((3, 4, 5)), dtype=np.float64)
-        seqs = cross_scan(fmap)
-        assert np.array_equal(seqs[2].data, seqs[0].data[::-1])
-        assert np.array_equal(seqs[3].data, seqs[1].data[::-1])
+        seqs = cross_scan(fmap).data
+        assert np.array_equal(seqs[2], seqs[0][::-1])
+        assert np.array_equal(seqs[3], seqs[1][::-1])
 
     def test_merge_of_scan_is_four_x(self):
         fmap = Tensor(Rng(15).normal((4, 6, 3)), dtype=np.float64)
@@ -240,34 +267,97 @@ class TestCrossScan:
 
     def test_zeroed_path_drops_only_its_contribution(self):
         fmap = Tensor(Rng(16).normal((2, 3, 3)), dtype=np.float64)
-        seqs = cross_scan(fmap)
-        seqs[1] = Tensor(np.zeros_like(seqs[1].data))
-        merged = cross_merge(seqs, 3, 3)
+        seqs = cross_scan(fmap).data.copy()
+        seqs[1] = 0.0
+        merged = cross_merge(Tensor(seqs), 3, 3)
         assert np.allclose(merged.data, 3.0 * fmap.data)
 
     def test_merge_is_linear(self):
-        a = [Tensor(Rng(17 + i).normal((12, 2)), dtype=np.float64) for i in range(4)]
-        b = [Tensor(Rng(27 + i).normal((12, 2)), dtype=np.float64) for i in range(4)]
-        merged_sum = cross_merge([Tensor(x.data + y.data, dtype=np.float64)
-                                  for x, y in zip(a, b)], 4, 3)
-        sum_merged = cross_merge(a, 4, 3).data + cross_merge(b, 4, 3).data
+        a = Rng(17).normal((4, 12, 2))
+        b = Rng(27).normal((4, 12, 2))
+        merged_sum = cross_merge(Tensor(a + b, dtype=np.float64), 4, 3)
+        sum_merged = (cross_merge(Tensor(a, dtype=np.float64), 4, 3).data
+                      + cross_merge(Tensor(b, dtype=np.float64), 4, 3).data)
         assert np.max(np.abs(merged_sum.data - sum_merged)) <= 1e-12
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cross_merge([Tensor(np.zeros((5, 2)))] * 4, 2, 2)
+            cross_merge(Tensor(np.zeros((4, 5, 2))), 2, 2)
+        with pytest.raises(ValueError):
+            cross_merge(Tensor(np.zeros((3, 4, 2))), 2, 2)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
     @settings(max_examples=20, deadline=None)
     def test_scatter_gather_roundtrip(self, h, w):
         fmap = Tensor(Rng(h * 31 + w).normal((2, h, w)), dtype=np.float64)
-        for path, seq in enumerate(cross_scan(fmap)):
-            restored = cross_merge([seq if i == path else
-                                    Tensor(np.zeros_like(seq.data)) for i in range(4)], h, w)
+        seqs = cross_scan(fmap).data
+        for path in range(4):
+            only = np.zeros_like(seqs)
+            only[path] = seqs[path]
+            restored = cross_merge(Tensor(only), h, w)
             assert np.array_equal(restored.data, fmap.data)
+
+    @pytest.mark.parametrize("hw", [(1, 1), (3, 5), (6, 2)])
+    def test_gradients_are_the_adjoint_layout_moves(self, hw):
+        # backward of cross_scan is cross_merge and vice versa
+        h, w = hw
+        fmap = Tensor(Rng(36).normal((3, h, w)), dtype=np.float64, requires_grad=True)
+        seqs = cross_scan(fmap)
+        g_seqs = Rng(37).normal(seqs.data.shape)
+        assert np.array_equal(seqs._backward(g_seqs)[0], cross_merge(Tensor(g_seqs), h, w).data)
+        paths = Tensor(Rng(38).normal((4, h * w, 3)), dtype=np.float64, requires_grad=True)
+        merged = cross_merge(paths, h, w)
+        g_map = Rng(39).normal(merged.data.shape)
+        assert np.array_equal(merged._backward(g_map)[0], cross_scan(Tensor(g_map)).data)
+
+
+def _core_op(x, delta, a, b, c_out, skip):
+    """One path through the full-history reference core, recorded as an op."""
+    arrays = [t.data[None] for t in (x, delta, a, b, c_out, skip)]
+    y, h, abar = S._scan_forward_core(*arrays)
+
+    def backward(grad):
+        return tuple(g[0] for g in S._scan_backward_core(grad[None], *arrays, h, abar))
+
+    return T.record_op(y[0], (x, delta, a, b, c_out, skip), backward, "oracle_scan")
+
+
+def _ss2d_oracle(ss, fmap):
+    """Oracle: gather each path by its pixel order, project it with its own
+    parameters, scan it with the full-history core, scatter it back and sum."""
+    c, h, w = fmap.data.shape
+    row = np.arange(h * w)
+    col = (row % h) * w + row // h
+    out = None
+    for perm, p in zip((row, col, row[::-1], col[::-1]), ss.paths):
+        idx = perm[:, None] + np.arange(c)[None, :] * (h * w)  # seq[t, ch] = fmap[ch].flat[perm[t]]
+        seq = T.take_flat(fmap, idx, (h * w, c))
+        delta = T.softplus(T.linear(T.linear(seq, p.w_dt_down), p.w_dt_up) + p.dt_bias)
+        a = T.mul(T.exp(p.a_log), -1.0)
+        y = _core_op(seq, delta, a, T.linear(seq, p.w_b), T.linear(seq, p.w_c), p.skip)
+        restored = T.take_flat(y, np.argsort(idx.ravel()).reshape(c, h, w), (c, h, w))
+        out = restored if out is None else out + restored
+    return out
 
 
 class TestSS2D:
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (2, 9, 8), (1, 1, 6)])
+    def test_matches_per_path_gather_oracle(self, shape):
+        ss = SS2D(Rng(40), channels=shape[0], n_state=4)
+        for p in ss.paths:
+            p.astype(np.float64)
+        params = [t for _, t in ss.named_parameters()]
+        fmap = Tensor(Rng(41).normal(shape), dtype=np.float64, requires_grad=True)
+        weight = Tensor(Rng(42).normal(shape), dtype=np.float64)
+        results = []
+        for run in (ss, lambda f: _ss2d_oracle(ss, f)):
+            for t in [fmap] + params:
+                t.grad = None
+            y = run(fmap)
+            T.tsum(T.mul(y, weight)).backward()
+            results.append([y.data] + [t.grad for t in [fmap] + params])
+        for got, ref in zip(*results):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     def test_zero_input_zero_output(self):
         ss = SS2D(Rng(18), channels=3, n_state=4)
         y = ss(Tensor(np.zeros((3, 4, 4))))
