@@ -1,9 +1,10 @@
 """Network building blocks: scan blocks, multi-scale FFN, patch resamplers.
 
-Feature maps are channels-first [C, H, W].  Linear projections and layer
-norms act on the channel extent (the map is transposed to channels-last
-around them); pixel shuffles and nearest-neighbour upsampling are reshapes
-and transposes of the map.
+Feature maps are channels-last [H, W, C], so linear projections and layer
+norms act on the trailing extent of the map as it is.  Pixel shuffles and
+nearest-neighbour upsampling are reshapes and transposes of the map.  Only
+the model's boundary speaks the image layout: PatchEmbed takes a [3, H, W]
+image and FLKPE emits [K, H, W] logits.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    Module, Rng, Tensor, batch_norm2d, channels_first, channels_last, constant,
-    conv2d, depthwise_conv2d, gelu, init_kaiming_uniform, init_trunc_normal,
-    init_zeros, init_ones, layer_norm, linear, mul, relu, reshape, silu, transpose,
+    Module, Rng, Tensor, batch_norm2d, constant, conv2d, depthwise_conv2d, gelu,
+    init_kaiming_uniform, init_trunc_normal, init_zeros, init_ones, layer_norm, linear,
+    mul, relu, reshape, silu, transpose,
 )
 from .scan import SS2D
 
@@ -50,20 +51,15 @@ class BlockConfig:
 
 class Linear(Module):
     def __init__(self, rng: Rng, in_features: int, out_features: int, bias: bool = True):
-        super().__init__()
         self.weight = init_trunc_normal(rng, (in_features, out_features), std=0.02)
         self.bias = init_zeros((out_features,)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
 
-    def forward_chw(self, x: Tensor) -> Tensor:
-        return channels_first(self.forward(channels_last(x)))
-
 
 class DepthwiseConv2d(Module):
     def __init__(self, rng: Rng, channels: int, kernel_size: int):
-        super().__init__()
         self.kernel = init_kaiming_uniform(rng, (channels, kernel_size, kernel_size),
                                            fan_in=kernel_size * kernel_size)
 
@@ -72,31 +68,26 @@ class DepthwiseConv2d(Module):
 
 
 class ChannelLayerNorm(Module):
-    """Layer normalization over the channel extent of a [C, H, W] map."""
+    """Layer normalization over the channel extent of an [H, W, C] map."""
 
     def __init__(self, channels: int, eps: float = 1e-5):
-        super().__init__()
         self.gamma = init_ones((channels,))
         self.beta = init_zeros((channels,))
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return channels_first(layer_norm(channels_last(x), self.gamma, self.beta, self.eps))
-
-    def forward_last(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class BatchNorm2d(Module):
-    """Per-channel batch normalization of a [C, H, W] map (batch of one).
+    """Per-channel batch normalization of an [H, W, C] map (batch of one).
 
-    Train and eval mode both normalize each map with its own statistics over
-    (H, W), so the layer keeps no running buffers and checkpoints stay
+    Training and evaluation alike normalize each map with its own statistics
+    over (H, W), so the layer keeps no running buffers and checkpoints stay
     parameters-only.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5):
-        super().__init__()
         self.gamma = init_ones((channels,))
         self.beta = init_zeros((channels,))
         self.eps = eps
@@ -108,29 +99,29 @@ class BatchNorm2d(Module):
 # -- layout resamplers ----------------------------------------------------------------
 
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
-    """[C, H, W] -> [C/r^2, rH, rW]; channel group g of output channel c lands
+    """[H, W, C] -> [rH, rW, C/r^2]; channel group g of output channel c lands
     at spatial offset (g // r, g % r) inside the r x r cell."""
-    c, h, w = x.data.shape
+    h, w, c = x.data.shape
     if c % (r * r) != 0:
         raise ValueError(f"pixel_shuffle: {c} channels not divisible by r^2={r * r}")
-    cells = transpose(reshape(x, (c // (r * r), r, r, h, w)), (0, 3, 1, 4, 2))
-    return reshape(cells, (c // (r * r), h * r, w * r))
+    cells = transpose(reshape(x, (h, w, c // (r * r), r, r)), (0, 3, 1, 4, 2))
+    return reshape(cells, (h * r, w * r, c // (r * r)))
 
 
 def space_to_depth(x: Tensor, r: int) -> Tensor:
-    """[C, H, W] -> [C*r^2, H/r, W/r], exact inverse of pixel_shuffle."""
-    c, h, w = x.data.shape
+    """[H, W, C] -> [H/r, W/r, C*r^2], exact inverse of pixel_shuffle."""
+    h, w, c = x.data.shape
     if h % r != 0 or w % r != 0:
         raise ValueError(f"space_to_depth: spatial extents {h}x{w} not divisible by {r}")
-    cells = transpose(reshape(x, (c, h // r, r, w // r, r)), (0, 2, 4, 1, 3))
-    return reshape(cells, (c * r * r, h // r, w // r))
+    cells = transpose(reshape(x, (h // r, r, w // r, r, c)), (0, 2, 4, 1, 3))
+    return reshape(cells, (h // r, w // r, c * r * r))
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:
-    """[C, H, W] -> [C, 2H, 2W], each pixel repeated over a 2 x 2 cell."""
-    c, h, w = x.data.shape
-    cells = mul(reshape(x, (c, h, 1, w, 1)), constant(np.ones((2, 1, 2)), like=x))
-    return reshape(cells, (c, 2 * h, 2 * w))
+    """[H, W, C] -> [2H, 2W, C], each pixel repeated over a 2 x 2 cell."""
+    h, w, c = x.data.shape
+    cells = mul(reshape(x, (h, 1, w, 1, c)), constant(np.ones((2, 1, 2, 1)), like=x))
+    return reshape(cells, (2 * h, 2 * w, c))
 
 
 # -- scan blocks ----------------------------------------------------------------
@@ -140,7 +131,6 @@ class SS2DBlock(Module):
     layer norm, then projection back to the input width."""
 
     def __init__(self, rng: Rng, cfg: BlockConfig):
-        super().__init__()
         c = cfg.channels
         self.proj_in = Linear(rng.child(0), c, 2 * c)
         self.dwconv = DepthwiseConv2d(rng.child(1), 2 * c, cfg.dwconv_kernel)
@@ -149,10 +139,10 @@ class SS2DBlock(Module):
         self.proj_out = Linear(rng.child(3), 2 * c, c)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.proj_in.forward_chw(x)
+        h = self.proj_in(x)
         h = silu(self.dwconv(h))
         h = self.norm(self.ss2d(h))
-        return self.proj_out.forward_chw(h)
+        return self.proj_out(h)
 
 
 class MultiScaleFFN(Module):
@@ -161,7 +151,6 @@ class MultiScaleFFN(Module):
     reduction back to the input width."""
 
     def __init__(self, rng: Rng, cfg: BlockConfig):
-        super().__init__()
         c, hidden = cfg.channels, cfg.channels * cfg.ffn_expand
         self.expand = Linear(rng.child(0), c, hidden)
         self.branches = [DepthwiseConv2d(rng.child(10 + i), hidden, k)
@@ -169,31 +158,29 @@ class MultiScaleFFN(Module):
         self.reduce = Linear(rng.child(1), hidden, c)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = gelu(self.expand.forward_chw(x))
+        h = gelu(self.expand(x))
         s = h
         for branch in self.branches:
             s = s + branch(h)
-        return self.reduce.forward_chw(s)
+        return self.reduce(s)
 
 
 class MLPFFN(Module):
     """Plain two-layer feed-forward (expansion, GELU, reduction)."""
 
     def __init__(self, rng: Rng, cfg: BlockConfig):
-        super().__init__()
         c, hidden = cfg.channels, cfg.channels * cfg.ffn_expand
         self.expand = Linear(rng.child(0), c, hidden)
         self.reduce = Linear(rng.child(1), hidden, c)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.reduce.forward_chw(gelu(self.expand.forward_chw(x)))
+        return self.reduce(gelu(self.expand(x)))
 
 
 class _ResidualPair(Module):
     """Pre-norm residual wrapper shared by the VSS flavors."""
 
     def __init__(self, rng: Rng, cfg: BlockConfig, ffn: Module):
-        super().__init__()
         self.norm1 = ChannelLayerNorm(cfg.channels)
         self.mixer = SS2DBlock(rng.child(0), cfg)
         self.norm2 = ChannelLayerNorm(cfg.channels)
@@ -221,10 +208,11 @@ class VSSBlock(_ResidualPair):
 # -- encoder resamplers -----------------------------------------------------------
 
 class PatchEmbed(Module):
-    """Non-overlapping 4x4 patch projection to C channels, then layer norm."""
+    """Non-overlapping 4x4 patch projection of a [Cin, H, W] image to an
+    [H/4, W/4, C] map, then layer norm.  The image enters channels-last
+    through one transpose."""
 
     def __init__(self, rng: Rng, in_channels: int, out_channels: int):
-        super().__init__()
         self.proj = Linear(rng, in_channels * 16, out_channels)
         self.norm = ChannelLayerNorm(out_channels)
 
@@ -232,22 +220,21 @@ class PatchEmbed(Module):
         c, h, w = img.data.shape
         if h % 4 or w % 4:
             raise ValueError(f"patch_embed: spatial extents {h}x{w} not divisible by 4")
-        return self.norm(self.proj.forward_chw(space_to_depth(img, 4)))
+        return self.norm(self.proj(space_to_depth(transpose(img, (1, 2, 0)), 4)))
 
 
 class PatchMerge(Module):
     """Gather 2x2 neighborhoods into channels, layer-normalize, project to 2C."""
 
     def __init__(self, rng: Rng, channels: int):
-        super().__init__()
         self.norm = ChannelLayerNorm(4 * channels)
         self.proj = Linear(rng, 4 * channels, 2 * channels, bias=False)
 
     def forward(self, x: Tensor) -> Tensor:
-        c, h, w = x.data.shape
+        h, w, _ = x.data.shape
         if h % 2 or w % 2:
             raise ValueError(f"patch_merge: spatial extents {h}x{w} must be even")
-        return self.proj.forward_chw(self.norm(space_to_depth(x, 2)))
+        return self.proj(self.norm(space_to_depth(x, 2)))
 
 
 # -- decoder upsamplers -------------------------------------------------------------
@@ -255,10 +242,9 @@ class PatchMerge(Module):
 class LKPE(Module):
     """Large-kernel patch expanding: double channels, batch-norm, ReLU,
     depthwise conv, pixel-shuffle, layer norm.  At the default factor 2:
-    [C,H,W] -> [C/2,2H,2W]."""
+    [H,W,C] -> [2H,2W,C/2]."""
 
     def __init__(self, rng: Rng, channels: int, dwconv_kernel: int = 3, factor: int = 2):
-        super().__init__()
         if (2 * channels) % (factor * factor):
             raise ValueError(f"LKPE: 2*{channels} channels not divisible by {factor}^2")
         self.factor = factor
@@ -268,7 +254,7 @@ class LKPE(Module):
         self.norm = ChannelLayerNorm(2 * channels // (factor * factor))
 
     def forward(self, x: Tensor) -> Tensor:
-        h = relu(self.bn(self.expand.forward_chw(x)))
+        h = relu(self.bn(self.expand(x)))
         h = self.dwconv(h)
         return self.norm(pixel_shuffle(h, self.factor))
 
@@ -278,7 +264,6 @@ class PatchExpand(Module):
     without the BN/ReLU/depthwise stage; ablation baseline)."""
 
     def __init__(self, rng: Rng, channels: int, factor: int = 2):
-        super().__init__()
         if (2 * channels) % (factor * factor):
             raise ValueError(f"PatchExpand: 2*{channels} channels not divisible by {factor}^2")
         self.factor = factor
@@ -286,7 +271,7 @@ class PatchExpand(Module):
         self.norm = ChannelLayerNorm(2 * channels // (factor * factor))
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.norm(pixel_shuffle(self.expand.forward_chw(x), self.factor))
+        return self.norm(pixel_shuffle(self.expand(x), self.factor))
 
 
 class TransposedConvUp(Module):
@@ -297,13 +282,12 @@ class TransposedConvUp(Module):
     """
 
     def __init__(self, rng: Rng, channels: int):
-        super().__init__()
         if channels % 2:
             raise ValueError("TransposedConvUp needs an even channel count")
         self.proj = Linear(rng, channels, 4 * (channels // 2))
 
     def forward(self, x: Tensor) -> Tensor:
-        return pixel_shuffle(self.proj.forward_chw(x), 2)
+        return pixel_shuffle(self.proj(x), 2)
 
 
 class UpsampleConv(Module):
@@ -311,7 +295,6 @@ class UpsampleConv(Module):
     channels."""
 
     def __init__(self, rng: Rng, channels: int):
-        super().__init__()
         if channels % 2:
             raise ValueError("UpsampleConv needs an even channel count")
         fan_in = channels * 9
@@ -341,10 +324,10 @@ def make_upsampler(kind: str, rng: Rng, channels: int, cfg: BlockConfig) -> Modu
 class FLKPE(Module):
     """Final 4x upsampling head: expand channels 16x, batch-norm, ReLU, 3x3
     depthwise conv, pixel-shuffle by 4, layer norm, 1x1 projection to class
-    logits.  [C,H,W] -> [K,4H,4W]."""
+    logits, transposed to the class-first layout of the losses.
+    [H,W,C] -> [K,4H,4W]."""
 
     def __init__(self, rng: Rng, channels: int, num_classes: int, dwconv_kernel: int = 3):
-        super().__init__()
         self.expand = Linear(rng.child(0), channels, 16 * channels)
         self.bn = BatchNorm2d(16 * channels)
         self.dwconv = DepthwiseConv2d(rng.child(1), 16 * channels, dwconv_kernel)
@@ -352,7 +335,7 @@ class FLKPE(Module):
         self.head = Linear(rng.child(2), channels, num_classes)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = relu(self.bn(self.expand.forward_chw(x)))
+        h = relu(self.bn(self.expand(x)))
         h = self.dwconv(h)
         h = self.norm(pixel_shuffle(h, 4))
-        return self.head.forward_chw(h)
+        return transpose(self.head(h), (2, 0, 1))

@@ -230,7 +230,6 @@ def _cmd_export_features(args) -> int:
     samples, _ = load_dataset(args.data)
     if not 0 <= args.index < len(samples):
         raise ValueError(f"--index {args.index} outside the dataset (n={len(samples)})")
-    model.eval()
     with _restored_forward(args.checkpoint):
         paths = export_stage_features(model, samples[args.index].image, args.out_dir)
     for p in paths:

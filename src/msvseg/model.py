@@ -4,6 +4,10 @@ Encoder: patch embedding then three patch-merging stages (widths C, 2C, 4C,
 8C at strides 4, 8, 16, 32).  Decoder: three upsample + block stages fused
 with encoder features by addition, then a 4x expanding head that emits
 per-class logits at full input resolution.
+
+The image enters as [3, H, W] and the logits leave as [K, H, W]; every
+activation in between, the stage features included, is channels-last
+[H, W, C].
 """
 
 from __future__ import annotations
@@ -89,7 +93,6 @@ class FeatureBundle:
 
 class VSSUNet(Module):
     def __init__(self, cfg: ModelConfig, rng: Rng):
-        super().__init__()
         cfg.validate()
         self.cfg = cfg
         widths = cfg.stage_channels()
@@ -129,15 +132,6 @@ class VSSUNet(Module):
             yield from up.named_parameters(f"{prefix}up{i + 1}.")
             yield from block.named_parameters(f"{prefix}dec{i + 1}.")
         yield from self.head.named_parameters(f"{prefix}head.")
-
-    def _children(self):
-        yield self.patch_embed
-        for stage in self.enc_stages:
-            yield from stage
-        yield from self.merges
-        yield from self.ups
-        yield from self.dec_blocks
-        yield self.head
 
     def forward_features(self, img: Tensor) -> tuple[Tensor, FeatureBundle]:
         c, h, w = img.data.shape
@@ -255,8 +249,8 @@ def write_pgm(path, gray: np.ndarray):
 
 
 def channel_mean_heatmap(feature: np.ndarray) -> np.ndarray:
-    """Average over channels, min-max normalized to [0, 255]."""
-    mean = feature.mean(axis=0)
+    """Average an [H, W, C] map over channels, min-max normalized to [0, 255]."""
+    mean = feature.mean(axis=-1)
     lo, hi = float(mean.min()), float(mean.max())
     if hi - lo < 1e-12:
         return np.full(mean.shape, 128, dtype=np.uint8)

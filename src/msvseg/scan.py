@@ -6,8 +6,8 @@ input injection Bbar = delta * B (Euler form), state
 h_t = Abar_t * h_{t-1} + Bbar_t * x_t and readout y_t = <C_t, h_t> + D * x_t.
 Step size delta, B and C are projected from the input sequence itself.
 
-2D feature maps are flattened along four paths, stacked as [4, L, C]: row
-order is the map reshaped to [C, L] and transposed, column order is the same
+2D feature maps [H, W, C] are flattened along four paths, stacked as
+[4, L, C]: row order is the map reshaped to [L, C], column order is the same
 after an H<->W swap, and the two reverse paths are flips of those.  Each path
 is scanned with its own parameters, then restored and summed.
 
@@ -66,7 +66,6 @@ class ScanParams(Module):
     """
 
     def __init__(self, rng: Rng, channels: int, n_state: int = 16, dt_rank: int | None = None):
-        super().__init__()
         if dt_rank is None:
             dt_rank = max(1, math.ceil(channels / 16))
         self.channels = channels
@@ -314,27 +313,27 @@ def selective_scan_chunked(x: Tensor, params: ScanParams, chunk: int) -> Tensor:
 # -- 2D cross scan --------------------------------------------------------------
 
 def _paths(fmap: np.ndarray) -> np.ndarray:
-    """[C, H, W] -> [4, H*W, C] in ScanPathId order."""
-    c = fmap.shape[0]
-    rows = fmap.reshape(c, -1).T
-    cols = fmap.transpose(0, 2, 1).reshape(c, -1).T
+    """[H, W, C] -> [4, H*W, C] in ScanPathId order."""
+    c = fmap.shape[2]
+    rows = fmap.reshape(-1, c)
+    cols = fmap.transpose(1, 0, 2).reshape(-1, c)
     return np.stack([rows, cols, rows[::-1], cols[::-1]])
 
 
 def _merge(seqs: np.ndarray, h: int, w: int) -> np.ndarray:
-    """[4, H*W, C] -> [C, H, W]: each path restored to the map, summed as
+    """[4, H*W, C] -> [H, W, C]: each path restored to the map, summed as
     r0 + r1 + r2 + r3 in that order."""
     c = seqs.shape[2]
-    out = np.empty((c, h, w), dtype=seqs.dtype)
-    np.add(seqs[0].T.reshape(c, h, w), seqs[1].T.reshape(c, w, h).transpose(0, 2, 1), out=out)
-    out += seqs[2, ::-1].T.reshape(c, h, w)
-    out += seqs[3, ::-1].T.reshape(c, w, h).transpose(0, 2, 1)
+    out = np.empty((h, w, c), dtype=seqs.dtype)
+    np.add(seqs[0].reshape(h, w, c), seqs[1].reshape(w, h, c).transpose(1, 0, 2), out=out)
+    out += seqs[2, ::-1].reshape(h, w, c)
+    out += seqs[3, ::-1].reshape(w, h, c).transpose(1, 0, 2)
     return out
 
 
 def cross_scan(fmap: Tensor) -> Tensor:
-    """Flatten a [C, H, W] map along the four paths, stacked as [4, H*W, C]."""
-    _, h, w = fmap.data.shape
+    """Flatten an [H, W, C] map along the four paths, stacked as [4, H*W, C]."""
+    h, w, _ = fmap.data.shape
 
     def backward(grad):
         return (_merge(grad, h, w),)
@@ -343,7 +342,7 @@ def cross_scan(fmap: Tensor) -> Tensor:
 
 
 def cross_merge(seqs: Tensor, h: int, w: int) -> Tensor:
-    """Restore stacked [4, L, C] paths to [C, H, W] each and sum them."""
+    """Restore stacked [4, L, C] paths to [H, W, C] each and sum them."""
     if seqs.data.ndim != 3 or seqs.data.shape[:2] != (4, h * w):
         raise ValueError(f"cross_merge: expected paths [4, {h}*{w}, C], got {seqs.data.shape}")
 
@@ -362,13 +361,12 @@ class SS2D(Module):
     """
 
     def __init__(self, rng: Rng, channels: int, n_state: int = 16, dt_rank: int | None = None):
-        super().__init__()
         self.channels = channels
         self.n_state = n_state
         self.paths = [ScanParams(rng.child(i), channels, n_state, dt_rank) for i in range(4)]
 
     def forward(self, fmap: Tensor, chunk: int | None = None) -> Tensor:
-        _, h, w = fmap.data.shape
+        h, w, _ = fmap.data.shape
         seqs = cross_scan(fmap)
         y = _scan_op(seqs, *_project_step_params(seqs, self.paths), chunk)
         return cross_merge(y, h, w)

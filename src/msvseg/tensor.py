@@ -4,6 +4,8 @@ numpy owns the buffers; every differentiable op records a closure that maps
 the output gradient back to its inputs.  ``Tensor.backward()`` replays the
 recorded graph in reverse topological order, exactly once per forward
 recording.  Buffers are row-major contiguous; reshapes and transposes copy.
+Feature maps are channels-last [H, W, C]: the convolutions and batch norm
+take that layout, and linear and layer norm act on the trailing axis.
 
 Training runs in float32, gradient checking in float64.
 """
@@ -491,32 +493,34 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-channel 2D cross-correlation with 'same' zero padding.
 
-    x: [C, H, W], kernel: [C, kh, kw] with odd kh, kw.
+    x: [H, W, C], kernel: [C, kh, kw] with odd kh, kw.
     """
-    c, h, w = x.data.shape
+    h, w, c = x.data.shape
     kc, kh, kw = kernel.data.shape
     if kc != c:
         raise ValueError(f"depthwise_conv2d: channel mismatch {kc} != {c}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("depthwise_conv2d: kernel extents must be odd")
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
+    # [kh, kw, C]: each tap's channel row is contiguous, so it broadcasts
+    # along the map's trailing axis faster than the strided kernel[:, i, j]
+    taps = np.ascontiguousarray(kernel.data.transpose(1, 2, 0))
+    xp = np.pad(x.data, ((ph, ph), (pw, pw), (0, 0)))
     out = np.zeros_like(x.data)
     for i in range(kh):
         for j in range(kw):
-            out += xp[:, i:i + h, j:j + w] * kernel.data[:, i, j][:, None, None]
+            out += xp[i:i + h, j:j + w] * taps[i, j]
 
     def backward(grad):
         gk = np.empty_like(kernel.data)
         for i in range(kh):
             for j in range(kw):
-                gk[:, i, j] = (xp[:, i:i + h, j:j + w] * grad).sum(axis=(1, 2))
-        gp = np.pad(grad, ((0, 0), (ph, ph), (pw, pw)))
+                gk[:, i, j] = np.einsum("hwc,hwc->c", xp[i:i + h, j:j + w], grad)
+        gp = np.pad(grad, ((ph, ph), (pw, pw), (0, 0)))
         gx = np.zeros_like(x.data)
         for i in range(kh):
             for j in range(kw):
-                gx += gp[:, kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w] \
-                    * kernel.data[:, i, j][:, None, None]
+                gx += gp[kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w] * taps[i, j]
         return (gx, gk)
 
     return record_op(out, (x, kernel), backward, "depthwise_conv2d")
@@ -525,50 +529,39 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Full 2D cross-correlation with 'same' zero padding.
 
-    x: [Cin, H, W], weight: [Cout, Cin, kh, kw] with odd kh, kw.
+    x: [H, W, Cin], weight: [Cout, Cin, kh, kw] with odd kh, kw.
     """
     cout, cin, kh, kw = weight.data.shape
-    if x.data.shape[0] != cin:
-        raise ValueError(f"conv2d: channel mismatch {x.data.shape[0]} != {cin}")
+    if x.data.shape[-1] != cin:
+        raise ValueError(f"conv2d: channel mismatch {x.data.shape[-1]} != {cin}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("conv2d: kernel extents must be odd")
-    c, h, w = x.data.shape
+    h, w, _ = x.data.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((cout, h, w), dtype=x.data.dtype)
+    xp = np.pad(x.data, ((ph, ph), (pw, pw), (0, 0)))
+    out = np.zeros((h, w, cout), dtype=x.data.dtype)
     for i in range(kh):
         for j in range(kw):
-            out += np.tensordot(weight.data[:, :, i, j], xp[:, i:i + h, j:j + w], axes=([1], [0]))
+            out += np.tensordot(xp[i:i + h, j:j + w], weight.data[:, :, i, j], axes=([2], [1]))
     if bias is not None:
-        out += bias.data[:, None, None]
+        out += bias.data
 
     def backward(grad):
         gw = np.empty_like(weight.data)
         for i in range(kh):
             for j in range(kw):
-                gw[:, :, i, j] = np.tensordot(grad, xp[:, i:i + h, j:j + w], axes=([1, 2], [1, 2]))
-        gp = np.pad(grad, ((0, 0), (ph, ph), (pw, pw)))
+                gw[:, :, i, j] = np.tensordot(grad, xp[i:i + h, j:j + w], axes=([0, 1], [0, 1]))
+        gp = np.pad(grad, ((ph, ph), (pw, pw), (0, 0)))
         gx = np.zeros_like(x.data)
         for i in range(kh):
             for j in range(kw):
-                gx += np.tensordot(weight.data[:, :, i, j],
-                                   gp[:, kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w],
-                                   axes=([0], [0]))
-        gb = grad.sum(axis=(1, 2)) if bias is not None else None
+                gx += np.tensordot(gp[kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w],
+                                   weight.data[:, :, i, j], axes=([2], [0]))
+        gb = grad.sum(axis=(0, 1)) if bias is not None else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return record_op(out, parents, backward, "conv2d")
-
-
-def channels_last(x: Tensor) -> Tensor:
-    """[C, H, W] -> [H, W, C]"""
-    return transpose(x, (1, 2, 0))
-
-
-def channels_first(x: Tensor) -> Tensor:
-    """[H, W, C] -> [C, H, W]"""
-    return transpose(x, (2, 0, 1))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -583,15 +576,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-channel normalization of one [C, H, W] map over its own (H, W)
+    """Per-channel normalization of one [H, W, C] map over its own (H, W)
     extent, then affine scale and shift.  A 1x1 map normalizes to exactly
     zero, so its output is beta."""
-    c = x.data.shape[0]
-    mu = tmean(x, axis=(1, 2), keepdims=True)
+    mu = tmean(x, axis=(0, 1), keepdims=True)
     xc = x - mu
-    var = tmean(mul(xc, xc), axis=(1, 2), keepdims=True)
+    var = tmean(mul(xc, xc), axis=(0, 1), keepdims=True)
     normed = div(xc, sqrt(add(var, eps)))
-    return add(mul(normed, reshape(gamma, (c, 1, 1))), reshape(beta, (c, 1, 1)))
+    return add(mul(normed, gamma), beta)
 
 
 def softmax_channels(x: Tensor) -> Tensor:
@@ -606,9 +598,6 @@ def softmax_channels(x: Tensor) -> Tensor:
 class Module:
     """Minimal parameter container: attributes that are Tensors with
     requires_grad, Modules, or lists of Modules are tracked automatically."""
-
-    def __init__(self):
-        self.training = True
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
@@ -631,27 +620,6 @@ class Module:
     def parameters(self):
         for _, p in self.named_parameters():
             yield p
-
-    def _children(self):
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield item
-
-    def train(self):
-        self.training = True
-        for child in self._children():
-            child.train()
-        return self
-
-    def eval(self):
-        self.training = False
-        for child in self._children():
-            child.eval()
-        return self
 
     def zero_grad(self):
         for p in self.parameters():

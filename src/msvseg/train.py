@@ -62,8 +62,7 @@ class TrainResult:
 
 
 def evaluate(model, samples: list[SegSample], *, alpha: float = 0.6,
-             with_hd95: bool = True, eval_mode: bool = True,
-             hd95_mode: str = "pooled") -> MetricsReport:
+             with_hd95: bool = True, hd95_mode: str = "pooled") -> MetricsReport:
     """Argmax predictions per sample, then DSC/HD95 averaged over samples and
     then over classes.  HD95 skips (sample, class) pairs where either
     boundary is empty; a class with no valid pair reports None."""
@@ -71,32 +70,25 @@ def evaluate(model, samples: list[SegSample], *, alpha: float = 0.6,
         raise ValueError("evaluate: empty sample list")
     num_classes = model.cfg.num_classes if hasattr(model, "cfg") else int(
         max(int(s.mask.max()) for s in samples) + 1)
-    was_training = getattr(model, "training", False)
-    if eval_mode and hasattr(model, "eval"):
-        model.eval()
-    try:
-        dsc_rows = []
-        hd_sums = np.zeros(num_classes)
-        hd_counts = np.zeros(num_classes, dtype=int)
-        loss_sum = dice_sum = ce_sum = 0.0
-        for s in samples:
-            with no_grad():
-                logits = model.forward(s.image)
-                d = dice_loss(softmax_channels(logits), s.mask).item()
-                c = ce_loss(logits, s.mask).item()
-            dice_sum += d
-            ce_sum += c
-            loss_sum += alpha * d + (1.0 - alpha) * c
-            pred = logits.data.argmax(axis=0)
-            dsc_rows.append(dsc_metric(pred, s.mask, num_classes))
-            if with_hd95:
-                for cls, value in enumerate(hd95_metric(pred, s.mask, num_classes, hd95_mode)):
-                    if value is not None:
-                        hd_sums[cls] += value
-                        hd_counts[cls] += 1
-    finally:
-        if eval_mode and was_training and hasattr(model, "train"):
-            model.train()
+    dsc_rows = []
+    hd_sums = np.zeros(num_classes)
+    hd_counts = np.zeros(num_classes, dtype=int)
+    loss_sum = dice_sum = ce_sum = 0.0
+    for s in samples:
+        with no_grad():
+            logits = model.forward(s.image)
+            d = dice_loss(softmax_channels(logits), s.mask).item()
+            c = ce_loss(logits, s.mask).item()
+        dice_sum += d
+        ce_sum += c
+        loss_sum += alpha * d + (1.0 - alpha) * c
+        pred = logits.data.argmax(axis=0)
+        dsc_rows.append(dsc_metric(pred, s.mask, num_classes))
+        if with_hd95:
+            for cls, value in enumerate(hd95_metric(pred, s.mask, num_classes, hd95_mode)):
+                if value is not None:
+                    hd_sums[cls] += value
+                    hd_counts[cls] += 1
 
     n = len(samples)
     per_class_dsc = np.mean(dsc_rows, axis=0)
@@ -150,7 +142,6 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
     do_augment = cfg.augment.any_enabled() or cfg.augment.target_size is not None
     stop = False
 
-    model.train()
     for epoch in range(cfg.max_epochs):
         if stop or step >= total_steps:
             break

@@ -7,8 +7,8 @@ import pytest
 
 
 def dwconv_bruteforce(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Six nested loops: per-channel same-padded cross-correlation."""
-    c, h, w = x.shape
+    """Six nested loops: per-channel same-padded cross-correlation of an [H, W, C] map."""
+    h, w, c = x.shape
     _, kh, kw = k.shape
     ph, pw = kh // 2, kw // 2
     out = np.zeros_like(x)
@@ -20,8 +20,8 @@ def dwconv_bruteforce(x: np.ndarray, k: np.ndarray) -> np.ndarray:
                     for dj in range(kw):
                         si, sj = i + di - ph, j + dj - pw
                         if 0 <= si < h and 0 <= sj < w:
-                            acc += x[ci, si, sj] * k[ci, di, dj]
-                out[ci, i, j] = acc
+                            acc += x[si, sj, ci] * k[ci, di, dj]
+                out[i, j, ci] = acc
     return out
 
 

@@ -79,7 +79,7 @@ class TestScanOracle:
             c = int(rng.integers(1, 6))
             h = int(rng.integers(1, 9))
             w = int(rng.integers(1, 9))
-            fmap = Tensor(rng.normal((c, h, w)), dtype=np.float64)
+            fmap = Tensor(rng.normal((h, w, c)), dtype=np.float64)
             merged = S.cross_merge(S.cross_scan(fmap), h, w)
             assert np.array_equal(merged.data, 4.0 * fmap.data)
         _ok("cross_merge o cross_scan = 4 x identity (exact)")
@@ -208,7 +208,7 @@ class TestShapeLadder:
         with no_grad():
             logits, bundle = model.forward_features(img)
         assert [f.data.shape for f in bundle.encoder] == [
-            (96, 56, 56), (192, 28, 28), (384, 14, 14), (768, 7, 7)]
+            (56, 56, 96), (28, 28, 192), (14, 14, 384), (7, 7, 768)]
         assert logits.data.shape == (9, 224, 224)
         _ok("shape ladder 96/192/384/768 and 9x224x224 head")
 

@@ -1,0 +1,74 @@
+"""Channels-last activation layout: equivalence with the channels-first
+model it replaced, and a guard against transpose pairs coming back."""
+
+import collections
+
+import numpy as np
+import pytest
+
+from msvseg import scan, tensor
+from msvseg.gradcheck import _f64_params
+from msvseg.losses import total_loss
+from msvseg.model import TOY_PRESET, ModelConfig, build_model
+from msvseg.tensor import Rng, Tensor
+
+# Recorded with the last channels-first implementation ([C, H, W] activations,
+# a transpose pair around every linear and layer norm) on the f64 micro model
+# of the gradient suite's model.micro_full: sum(logits * W) for a fixed random
+# W, and every parameter gradient of total_loss projected on a fixed random
+# direction.
+CHANNELS_FIRST_REFERENCE = {
+    "lkpe": (4.606414010844449, 0.03370343001876201),
+    "patch_expand": (0.09679259779830618, 0.006134762933778522),
+    "transposed_conv": (1.83077474064428, 0.1613082459918561),
+    "upsample_block": (5.458407788601114, 0.1112432330543526),
+}
+
+
+def _micro_probe(upsampler, seed=0):
+    cfg = ModelConfig(base_channels=8, stage_depths=(1, 1, 1, 1), num_classes=3,
+                      input_size=(32, 32), state_size=4, upsampler=upsampler)
+    model = build_model(cfg, Rng(seed + 5))
+    params = _f64_params(model, jitter_rng=Rng(seed + 8))
+    img = Tensor(Rng(seed + 6).random((3, 32, 32)), dtype=np.float64)
+    mask = Rng(seed + 7).integers(0, 3, (32, 32)).astype(np.int32)
+    logits = model.forward(img)
+    probe = float(np.sum(logits.data * Rng(90).normal(logits.data.shape)))
+    total_loss(logits, mask, 0.6).backward(leaves=params)
+    projection = sum(float(np.dot(p.grad.ravel(), Rng(91).child(i).normal(p.data.size)))
+                     for i, p in enumerate(params))
+    return probe, projection
+
+
+@pytest.mark.parametrize("upsampler", sorted(CHANNELS_FIRST_REFERENCE))
+def test_matches_channels_first_model(upsampler):
+    probe, projection = _micro_probe(upsampler)
+    ref_probe, ref_projection = CHANNELS_FIRST_REFERENCE[upsampler]
+    assert abs(probe - ref_probe) <= 1e-12 * abs(ref_probe)
+    assert abs(projection - ref_projection) <= 1e-12 * abs(ref_projection)
+
+
+def test_toy_forward_and_loss_record_ten_transposes():
+    # one at the image entry, one per space-to-depth (patch embed, three
+    # merges), one per pixel shuffle (three LKPE, the head), one for the logits
+    counts = collections.Counter()
+    originals = {module: module.record_op for module in (tensor, scan)}
+
+    def counting(record_op):
+        def counted(out_data, parents, backward_fn, name):
+            counts[name] += 1
+            return record_op(out_data, parents, backward_fn, name)
+        return counted
+
+    for module, record_op in originals.items():
+        module.record_op = counting(record_op)
+    try:
+        model = build_model(TOY_PRESET, Rng(0))
+        img = Tensor(Rng(1).random((3, 64, 64)).astype(np.float32))
+        mask = Rng(2).integers(0, 4, (64, 64)).astype(np.int32)
+        total_loss(model.forward(img), mask, TOY_PRESET.alpha)
+    finally:
+        for module, record_op in originals.items():
+            module.record_op = record_op
+    assert counts["selective_scan"] == 7  # the wrappers saw the whole forward
+    assert counts["transpose"] == 10

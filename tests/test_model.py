@@ -48,9 +48,9 @@ class TestForward:
         logits, bundle = toy_model.forward_features(img)
         assert logits.data.shape == (4, 64, 64)
         assert [f.data.shape for f in bundle.encoder] == [
-            (16, 16, 16), (32, 8, 8), (64, 4, 4), (128, 2, 2)]
+            (16, 16, 16), (8, 8, 32), (4, 4, 64), (2, 2, 128)]
         assert [f.data.shape for f in bundle.decoder] == [
-            (64, 4, 4), (32, 8, 8), (16, 16, 16)]
+            (4, 4, 64), (8, 8, 32), (16, 16, 16)]
 
     def test_repeat_forward_identical(self, toy_model):
         img = Tensor(Rng(2).random((3, 64, 64)).astype(np.float32))
@@ -156,13 +156,13 @@ class TestFeatureExport:
             assert head == b"P5"
 
     def test_constant_feature_uniform_gray(self):
-        gray = channel_mean_heatmap(np.full((5, 4, 4), 2.5))
+        gray = channel_mean_heatmap(np.full((4, 4, 5), 2.5))
         assert np.all(gray == 128)
 
     def test_channel_mean_matches_direct_average(self):
-        feat = Rng(5).normal((6, 5, 5))
+        feat = Rng(5).normal((5, 5, 6))
         gray = channel_mean_heatmap(feat)
-        mean = feat.mean(axis=0)
+        mean = feat.mean(axis=-1)
         expect = np.round((mean - mean.min()) / (mean.max() - mean.min()) * 255).astype(np.uint8)
         assert np.array_equal(gray, expect)
 

@@ -241,13 +241,13 @@ class TestStreamedScanRandomShapes:
 
 class TestCrossScan:
     def test_single_pixel(self):
-        seqs = cross_scan(Tensor(np.array([[[3.0]], [[4.0]]]), dtype=np.float64))
+        seqs = cross_scan(Tensor(np.array([[[3.0, 4.0]]]), dtype=np.float64))
         assert seqs.data.shape == (4, 1, 2)
         for s in seqs.data:
             assert np.array_equal(s, [[3.0, 4.0]])
 
     def test_2x2_enumeration(self):
-        fmap = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]), dtype=np.float64)
+        fmap = Tensor(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]), dtype=np.float64)
         seqs = [s.ravel().tolist() for s in cross_scan(fmap).data]
         assert seqs[ScanPathId.ROW_FWD] == [1, 2, 3, 4]
         assert seqs[ScanPathId.COL_FWD] == [1, 3, 2, 4]
@@ -255,18 +255,18 @@ class TestCrossScan:
         assert seqs[ScanPathId.COL_REV] == [4, 2, 3, 1]
 
     def test_reversed_paths_are_exact_reversals(self):
-        fmap = Tensor(Rng(14).normal((3, 4, 5)), dtype=np.float64)
+        fmap = Tensor(Rng(14).normal((4, 5, 3)), dtype=np.float64)
         seqs = cross_scan(fmap).data
         assert np.array_equal(seqs[2], seqs[0][::-1])
         assert np.array_equal(seqs[3], seqs[1][::-1])
 
     def test_merge_of_scan_is_four_x(self):
-        fmap = Tensor(Rng(15).normal((4, 6, 3)), dtype=np.float64)
+        fmap = Tensor(Rng(15).normal((6, 3, 4)), dtype=np.float64)
         merged = cross_merge(cross_scan(fmap), 6, 3)
         assert np.array_equal(merged.data, 4.0 * fmap.data)
 
     def test_zeroed_path_drops_only_its_contribution(self):
-        fmap = Tensor(Rng(16).normal((2, 3, 3)), dtype=np.float64)
+        fmap = Tensor(Rng(16).normal((3, 3, 2)), dtype=np.float64)
         seqs = cross_scan(fmap).data.copy()
         seqs[1] = 0.0
         merged = cross_merge(Tensor(seqs), 3, 3)
@@ -289,7 +289,7 @@ class TestCrossScan:
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
     @settings(max_examples=20, deadline=None)
     def test_scatter_gather_roundtrip(self, h, w):
-        fmap = Tensor(Rng(h * 31 + w).normal((2, h, w)), dtype=np.float64)
+        fmap = Tensor(Rng(h * 31 + w).normal((h, w, 2)), dtype=np.float64)
         seqs = cross_scan(fmap).data
         for path in range(4):
             only = np.zeros_like(seqs)
@@ -301,7 +301,7 @@ class TestCrossScan:
     def test_gradients_are_the_adjoint_layout_moves(self, hw):
         # backward of cross_scan is cross_merge and vice versa
         h, w = hw
-        fmap = Tensor(Rng(36).normal((3, h, w)), dtype=np.float64, requires_grad=True)
+        fmap = Tensor(Rng(36).normal((h, w, 3)), dtype=np.float64, requires_grad=True)
         seqs = cross_scan(fmap)
         g_seqs = Rng(37).normal(seqs.data.shape)
         assert np.array_equal(seqs._backward(g_seqs)[0], cross_merge(Tensor(g_seqs), h, w).data)
@@ -325,25 +325,25 @@ def _core_op(x, delta, a, b, c_out, skip):
 def _ss2d_oracle(ss, fmap):
     """Oracle: gather each path by its pixel order, project it with its own
     parameters, scan it with the full-history core, scatter it back and sum."""
-    c, h, w = fmap.data.shape
+    h, w, c = fmap.data.shape
     row = np.arange(h * w)
     col = (row % h) * w + row // h
     out = None
     for perm, p in zip((row, col, row[::-1], col[::-1]), ss.paths):
-        idx = perm[:, None] + np.arange(c)[None, :] * (h * w)  # seq[t, ch] = fmap[ch].flat[perm[t]]
+        idx = perm[:, None] * c + np.arange(c)[None, :]  # seq[t, ch] = fmap[..., ch].flat[perm[t]]
         seq = T.take_flat(fmap, idx, (h * w, c))
         delta = T.softplus(T.linear(T.linear(seq, p.w_dt_down), p.w_dt_up) + p.dt_bias)
         a = T.mul(T.exp(p.a_log), -1.0)
         y = _core_op(seq, delta, a, T.linear(seq, p.w_b), T.linear(seq, p.w_c), p.skip)
-        restored = T.take_flat(y, np.argsort(idx.ravel()).reshape(c, h, w), (c, h, w))
+        restored = T.take_flat(y, np.argsort(idx.ravel()).reshape(h, w, c), (h, w, c))
         out = restored if out is None else out + restored
     return out
 
 
 class TestSS2D:
-    @pytest.mark.parametrize("shape", [(3, 5, 4), (2, 9, 8), (1, 1, 6)])
+    @pytest.mark.parametrize("shape", [(5, 4, 3), (9, 8, 2), (1, 6, 1)])
     def test_matches_per_path_gather_oracle(self, shape):
-        ss = SS2D(Rng(40), channels=shape[0], n_state=4)
+        ss = SS2D(Rng(40), channels=shape[-1], n_state=4)
         for p in ss.paths:
             p.astype(np.float64)
         params = [t for _, t in ss.named_parameters()]
@@ -360,14 +360,14 @@ class TestSS2D:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     def test_zero_input_zero_output(self):
         ss = SS2D(Rng(18), channels=3, n_state=4)
-        y = ss(Tensor(np.zeros((3, 4, 4))))
-        assert np.array_equal(y.data, np.zeros((3, 4, 4)))
+        y = ss(Tensor(np.zeros((4, 4, 3))))
+        assert np.array_equal(y.data, np.zeros((4, 4, 3)))
 
     def test_single_pixel_is_sum_of_four_scans(self):
         ss = SS2D(Rng(19), channels=2, n_state=3)
         for p in ss.paths:
             p.astype(np.float64)
-        x = Tensor(Rng(20).normal((2, 1, 1)), dtype=np.float64)
+        x = Tensor(Rng(20).normal((1, 1, 2)), dtype=np.float64)
         y = ss(x)
         seq = Tensor(x.data.reshape(1, 2), dtype=np.float64)
         expected = sum(selective_scan_seq(seq, p).data for p in ss.paths)
@@ -377,18 +377,18 @@ class TestSS2D:
         # with shared parameters, the reverse path on x equals the forward
         # path on the flipped map, flipped back
         params = f64_params(21, channels=2, n_state=3)
-        fmap = Rng(22).normal((2, 3, 4))
+        fmap = Rng(22).normal((3, 4, 2))
         fwd_on_flipped = selective_scan_seq(
-            Tensor(fmap[:, ::-1, ::-1].reshape(2, -1).T.copy(), dtype=np.float64), params)
+            Tensor(fmap[::-1, ::-1].reshape(-1, 2).copy(), dtype=np.float64), params)
         rev_on_original = selective_scan_seq(
-            Tensor(fmap.reshape(2, -1).T[::-1].copy(), dtype=np.float64), params)
+            Tensor(fmap.reshape(-1, 2)[::-1].copy(), dtype=np.float64), params)
         assert np.max(np.abs(fwd_on_flipped.data - rev_on_original.data)) <= 1e-12
 
     def test_gradient_matches_fd(self):
         ss = SS2D(Rng(23), channels=4, n_state=4)
         for p in ss.paths:
             p.astype(np.float64)
-        f = Tensor(Rng(24).normal((4, 6, 5)), dtype=np.float64, requires_grad=True)
+        f = Tensor(Rng(24).normal((6, 5, 4)), dtype=np.float64, requires_grad=True)
         err = finite_diff_grad_check(lambda f: T.tsum(T.mul(ss(f), ss(f))), [f])
         assert err <= 1e-4
 

@@ -59,22 +59,22 @@ class TestLinear:
 
 class TestDepthwiseConv:
     def test_delta_kernel_is_identity(self):
-        x = randt(5, (3, 6, 7))
+        x = randt(5, (6, 7, 3))
         k = np.zeros((3, 3, 3))
         k[:, 1, 1] = 1.0
         y = T.depthwise_conv2d(x, Tensor(k, dtype=np.float64))
         assert np.array_equal(y.data, x.data)
 
     def test_all_ones_counting(self):
-        x = Tensor(np.ones((1, 3, 3)), dtype=np.float64)
+        x = Tensor(np.ones((3, 3, 1)), dtype=np.float64)
         k = Tensor(np.ones((1, 3, 3)), dtype=np.float64)
-        y = T.depthwise_conv2d(x, k).data[0]
+        y = T.depthwise_conv2d(x, k).data[..., 0]
         assert y[1, 1] == 9.0
         assert y[0, 0] == 4.0
         assert y[0, 1] == 6.0
 
     def test_matches_bruteforce(self):
-        x = Rng(6).normal((4, 8, 8))
+        x = Rng(6).normal((8, 8, 4))
         k = Rng(7).normal((4, 3, 3))
         y = T.depthwise_conv2d(Tensor(x, dtype=np.float64), Tensor(k, dtype=np.float64))
         assert np.array_equal(y.data, dwconv_bruteforce(x, k)) or \
@@ -82,11 +82,11 @@ class TestDepthwiseConv:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
-            T.depthwise_conv2d(randt(0, (2, 4, 4)), randt(1, (2, 2, 2)))
+            T.depthwise_conv2d(randt(0, (4, 4, 2)), randt(1, (2, 2, 2)))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            T.depthwise_conv2d(randt(0, (2, 4, 4)), randt(1, (3, 3, 3)))
+            T.depthwise_conv2d(randt(0, (4, 4, 2)), randt(1, (3, 3, 3)))
 
 
 class TestNorms:
@@ -109,22 +109,22 @@ class TestNorms:
         assert np.abs(y.data.var(axis=-1) - 1.0).max() < 1e-6
 
     def test_batch_norm_constant_channel_gives_beta(self):
-        x = Tensor(np.ones((3, 4, 4)) * np.arange(1, 4)[:, None, None], dtype=np.float64)
+        x = Tensor(np.ones((4, 4, 3)) * np.arange(1, 4), dtype=np.float64)
         beta = Tensor([0.5, -0.5, 2.0], dtype=np.float64)
         y = T.batch_norm2d(x, Tensor(np.ones(3), dtype=np.float64), beta)
         for c, expect in enumerate([0.5, -0.5, 2.0]):
-            assert np.allclose(y.data[c], expect)
+            assert np.allclose(y.data[..., c], expect)
 
     def test_batch_norm_train_statistics(self):
-        x = randt(9, (3, 8, 8), scale=2.5)
+        x = randt(9, (8, 8, 3), scale=2.5)
         y = T.batch_norm2d(x, Tensor(np.ones(3), dtype=np.float64),
                            Tensor(np.zeros(3), dtype=np.float64), eps=1e-12)
-        assert np.abs(y.data.mean(axis=(1, 2))).max() < 1e-6
-        assert np.abs(y.data.var(axis=(1, 2)) - 1.0).max() < 1e-6
+        assert np.abs(y.data.mean(axis=(0, 1))).max() < 1e-6
+        assert np.abs(y.data.var(axis=(0, 1)) - 1.0).max() < 1e-6
 
     def test_batch_norm_single_value_gives_beta(self):
         beta = Tensor([0.5, -0.5, 2.0], dtype=np.float64)
-        y = T.batch_norm2d(randt(0, (3, 1, 1)), Tensor(np.ones(3), dtype=np.float64), beta)
+        y = T.batch_norm2d(randt(0, (1, 1, 3)), Tensor(np.ones(3), dtype=np.float64), beta)
         assert np.array_equal(y.data.ravel(), beta.data)
 
 

@@ -33,7 +33,7 @@ class TestEvaluate:
     def test_perfect_predictor_scores_one(self, tiny_data):
         lookup = {s.image.data.tobytes(): s.mask for s in tiny_data}
         model = _OracleModel(lookup, 4)
-        report = evaluate(model, tiny_data, eval_mode=False)
+        report = evaluate(model, tiny_data)
         assert report.mean_dsc == pytest.approx(1.0)
         assert report.mean_hd95 == pytest.approx(0.0)
 
@@ -46,7 +46,7 @@ class TestEvaluate:
                 logits[0] = 10.0
                 return Tensor(logits, dtype=np.float64)
 
-        report = evaluate(Constant(), tiny_data, eval_mode=False)
+        report = evaluate(Constant(), tiny_data)
         assert report.per_class_dsc[1] == 0.0
         assert report.per_class_dsc[2] == 0.0
 
@@ -56,7 +56,7 @@ class TestEvaluate:
 
     def test_report_lines_parse(self, tiny_data):
         lookup = {s.image.data.tobytes(): s.mask for s in tiny_data}
-        report = evaluate(_OracleModel(lookup, 4), tiny_data, eval_mode=False)
+        report = evaluate(_OracleModel(lookup, 4), tiny_data)
         lines = report.lines()
         assert lines[0].startswith("mean_dsc=")
         keys = {line.split("=")[0] for line in lines}
@@ -125,12 +125,10 @@ class TestTrainLoop:
         cfg = TrainConfig(max_epochs=2, max_steps=2, batch_size=2, eval_every=2, seed=3)
         train_loop(model, tiny_data, cfg)
         report = evaluate(model, tiny_data, with_hd95=False)
-        model.eval()
         dumped = []
         for s in tiny_data:
             with no_grad():
                 dumped.append(model.forward(s.image).data.argmax(axis=0))
-        model.train()
         per_class = np.mean([dsc_set_oracle(p, s.mask, 4)
                              for p, s in zip(dumped, tiny_data)], axis=0)
         assert np.allclose(report.per_class_dsc, per_class, atol=1e-12)
