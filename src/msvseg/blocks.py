@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    Module, Rng, Tensor, batch_norm2d, constant, conv2d, depthwise_conv2d, gelu,
-    init_kaiming_uniform, init_trunc_normal, init_zeros, init_ones, layer_norm, linear,
-    mul, relu, reshape, silu, transpose,
+    Module, Rng, Tensor, constant, conv2d, depthwise_conv2d, gelu,
+    init_kaiming_uniform, init_trunc_normal, init_zeros, init_ones, linear,
+    mul, normalize, relu, reshape, silu, transpose,
 )
 from .scan import SS2D
 
@@ -76,7 +76,7 @@ class ChannelLayerNorm(Module):
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, self.eps)
+        return normalize(x, self.gamma, self.beta, axes=-1, eps=self.eps)
 
 
 class BatchNorm2d(Module):
@@ -93,7 +93,7 @@ class BatchNorm2d(Module):
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return batch_norm2d(x, self.gamma, self.beta, self.eps)
+        return normalize(x, self.gamma, self.beta, axes=(0, 1), eps=self.eps)
 
 
 # -- layout resamplers ----------------------------------------------------------------

@@ -45,7 +45,7 @@ def _parse_opt_tuple(s: str):
 _MODEL_FIELDS = {
     "base_channels": int, "stage_depths": _parse_int_tuple, "num_classes": int,
     "input_size": _parse_int_tuple, "kernel_set": _parse_int_tuple,
-    "decoder_block": str, "upsampler": str, "skip_fusion": str, "alpha": float,
+    "decoder_block": str, "upsampler": str, "alpha": float,
     "state_size": int, "ffn_expand": int, "dwconv_kernel": int,
     "dt_rank": _parse_opt_int,
 }

@@ -310,7 +310,18 @@ def load_dataset(in_dir) -> tuple[list[SegSample], int]:
         raise ValueError("manifest is missing num_classes")
     samples = []
     for sid in ids:
-        img = load_tensor(in_dir / f"{sid}.image.msvt").astype(np.float32)
-        mask = load_tensor(in_dir / f"{sid}.mask.msvt").astype(np.int32)
-        samples.append(SegSample(Tensor(img), mask, sid).validate(num_classes))
+        img = _load_f32(in_dir / f"{sid}.image.msvt", sid)
+        mask = _load_f32(in_dir / f"{sid}.mask.msvt", sid)
+        # checked before the int cast: NaN, inf or 2**40 would cast to garbage, 2.5 to
+        # a valid 2; NaN fails every comparison, so it is rejected here too
+        if not ((mask >= 0) & (mask < num_classes) & (mask == np.trunc(mask))).all():
+            raise ValueError(f"sample {sid}: mask values must be integer ids in [0, {num_classes})")
+        samples.append(SegSample(Tensor(img), mask.astype(np.int32), sid).validate(num_classes))
     return samples, num_classes
+
+
+def _load_f32(path: Path, sid: str) -> np.ndarray:
+    arr = load_tensor(path)
+    if arr.dtype != np.float32:
+        raise ValueError(f"sample {sid}: {path.name} holds {arr.dtype}, datasets store f32")
+    return arr

@@ -41,7 +41,6 @@ class ModelConfig:
     kernel_set: tuple[int, ...] = (1, 3, 5)
     decoder_block: str = "msvss"
     upsampler: str = "lkpe"
-    skip_fusion: str = "add"
     alpha: float = 0.6
     state_size: int = 8
     ffn_expand: int = 4
@@ -60,8 +59,6 @@ class ModelConfig:
             raise ValueError(f"decoder_block must be one of {sorted(_DECODER_BLOCKS)}")
         if self.upsampler not in _UPSAMPLER_KINDS:
             raise ValueError(f"upsampler must be one of {_UPSAMPLER_KINDS}")
-        if self.skip_fusion != "add":
-            raise ValueError("only additive skip fusion is supported")
         if any(k % 2 == 0 or k < 1 for k in self.kernel_set):
             raise ValueError(f"kernel_set entries must be odd, got {self.kernel_set}")
         if self.num_classes < 1:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import time
-from enum import IntEnum
 
 import numpy as np
 
@@ -42,17 +41,9 @@ from .tensor import (
 )
 
 __all__ = [
-    "ScanPathId", "ScanParams",
-    "selective_scan_seq", "selective_scan_chunked",
+    "ScanParams", "selective_scan_seq",
     "cross_scan", "cross_merge", "SS2D", "run_scan_benchmark",
 ]
-
-
-class ScanPathId(IntEnum):
-    ROW_FWD = 0
-    COL_FWD = 1
-    ROW_REV = 2
-    COL_REV = 3
 
 
 # -- parameters ---------------------------------------------------------------
@@ -298,22 +289,10 @@ def selective_scan_seq(x: Tensor, params: ScanParams) -> Tensor:
     return _scan_sequence(x, params, chunk=None)
 
 
-def selective_scan_chunked(x: Tensor, params: ScanParams, chunk: int) -> Tensor:
-    """Streamed scan with an explicit block length of ``chunk`` steps.
-
-    Every block length runs the same float ops per element in the same order,
-    so the output equals selective_scan_seq's bit for bit; only the state
-    kept for backward, [ceil(L/chunk), N, C], changes.
-    """
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
-    return _scan_sequence(x, params, chunk=chunk)
-
-
 # -- 2D cross scan --------------------------------------------------------------
 
 def _paths(fmap: np.ndarray) -> np.ndarray:
-    """[H, W, C] -> [4, H*W, C] in ScanPathId order."""
+    """[H, W, C] -> [4, H*W, C]: rows, columns, reversed rows, reversed columns."""
     c = fmap.shape[2]
     rows = fmap.reshape(-1, c)
     cols = fmap.transpose(1, 0, 2).reshape(-1, c)

@@ -4,8 +4,10 @@ numpy owns the buffers; every differentiable op records a closure that maps
 the output gradient back to its inputs.  ``Tensor.backward()`` replays the
 recorded graph in reverse topological order, exactly once per forward
 recording.  Buffers are row-major contiguous; reshapes and transposes copy.
-Feature maps are channels-last [H, W, C]: the convolutions and batch norm
-take that layout, and linear and layer norm act on the trailing axis.
+Feature maps are channels-last [H, W, C]: the convolutions take that layout,
+and linear acts on the trailing axis.  Layer norm and batch norm are one op,
+``normalize``, over the trailing axis or over (H, W); it is differentiated
+analytically rather than through a composition of primitives.
 
 Training runs in float32, gradient checking in float64.
 """
@@ -21,8 +23,8 @@ from scipy import special
 __all__ = [
     "Tensor", "NonFiniteError", "no_grad", "record_op", "constant",
     "linear", "depthwise_conv2d", "conv2d", "take_flat",
-    "layer_norm", "batch_norm2d", "softmax_channels",
-    "relu", "silu", "gelu", "sigmoid", "softplus", "exp", "log", "sqrt", "erf",
+    "normalize", "softmax_channels",
+    "relu", "silu", "gelu", "sigmoid", "softplus", "exp", "log",
     "tsum", "tmean", "reshape", "transpose",
     "Module", "Rng", "finite_diff_grad_check",
 ]
@@ -315,24 +317,6 @@ def log(a: Tensor) -> Tensor:
     return record_op(out, (a,), backward, "log")
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-
-    def backward(grad):
-        return (grad * 0.5 / out,)
-
-    return record_op(out, (a,), backward, "sqrt")
-
-
-def erf(a: Tensor) -> Tensor:
-    out = special.erf(a.data)
-
-    def backward(grad):
-        return (grad * (2.0 / math.sqrt(math.pi)) * np.exp(-a.data * a.data),)
-
-    return record_op(out, (a,), backward, "erf")
-
-
 def sigmoid(a: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
     out = np.where(a.data >= 0, out, 1.0 - out)
@@ -564,26 +548,37 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return record_op(out, parents, backward, "conv2d")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the trailing extent, then affine scale and shift."""
-    if x.data.shape[-1] == 0:
-        raise ValueError("layer_norm: empty channel extent")
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = x - mu
-    var = tmean(mul(xc, xc), axis=-1, keepdims=True)
-    normed = div(xc, sqrt(add(var, eps)))
-    return add(mul(normed, gamma), beta)
+def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float = 1e-5) -> Tensor:
+    """(x - mean) / sqrt(var + eps) over ``axes``, then scale by gamma and
+    shift by beta.  Layer norm reduces over the trailing channel axis, batch
+    norm over (H, W) of one [H, W, C] map; a map of one element along
+    ``axes`` normalizes to exactly zero, so its output is beta.
 
+    One recorded op.  The backward keeps only x_hat and sigma: with
+    g' = grad * gamma, dx = (g' - mean(g') - x_hat * mean(g' * x_hat)) / sigma
+    over ``axes`` (Ba et al. 2016; Ioffe & Szegedy 2015).
+    """
+    axes = (axes,) if isinstance(axes, int) else tuple(axes)
+    count = math.prod(x.data.shape[ax] for ax in axes)
+    if count == 0:
+        raise ValueError(f"normalize: empty extent along axes {axes} of {x.data.shape}")
+    # sums times 1/count in x's dtype, as tmean rounds: the forward values are
+    # bit-identical to the composition of primitives this op replaced
+    inv_count = np.asarray(1.0 / count, dtype=x.data.dtype)
+    xc = x.data - x.data.sum(axis=axes, keepdims=True) * inv_count
+    var = (xc * xc).sum(axis=axes, keepdims=True) * inv_count
+    sigma = np.sqrt(var + np.asarray(eps, dtype=var.dtype))
+    x_hat = xc / sigma
+    out = x_hat * gamma.data + beta.data
 
-def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-channel normalization of one [H, W, C] map over its own (H, W)
-    extent, then affine scale and shift.  A 1x1 map normalizes to exactly
-    zero, so its output is beta."""
-    mu = tmean(x, axis=(0, 1), keepdims=True)
-    xc = x - mu
-    var = tmean(mul(xc, xc), axis=(0, 1), keepdims=True)
-    normed = div(xc, sqrt(add(var, eps)))
-    return add(mul(normed, gamma), beta)
+    def backward(grad):
+        g = grad * gamma.data
+        gx = (g - g.mean(axis=axes, keepdims=True)
+              - x_hat * (g * x_hat).mean(axis=axes, keepdims=True)) / sigma
+        return (gx, _unbroadcast(grad * x_hat, gamma.data.shape),
+                _unbroadcast(grad, beta.data.shape))
+
+    return record_op(out, (x, gamma, beta), backward, "normalize")
 
 
 def softmax_channels(x: Tensor) -> Tensor:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 def dwconv_bruteforce(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -121,3 +122,13 @@ def ce_scalar_oracle(logits: np.ndarray, mask: np.ndarray) -> float:
 @pytest.fixture
 def tmp_out(tmp_path):
     return tmp_path
+
+
+def corrupt_bytes(raw: bytes, data) -> bytes:
+    """Truncate ``raw`` or overwrite a few of its bytes, as hypothesis draws."""
+    if data.draw(st.booleans(), label="truncate"):
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    buf = bytearray(raw)
+    for _ in range(data.draw(st.integers(1, 4), label="flips")):
+        buf[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    return bytes(buf)

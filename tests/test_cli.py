@@ -41,6 +41,9 @@ class TestExitCodes:
     def test_unknown_config_key_rejected(self, dataset_dir, tmp_path):
         assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
                     "--set", "train.warp_speed=9"]) == 1
+        # a deleted field, as an old config or checkpoint still names it
+        assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
+                    "--set", "model.skip_fusion=add"]) == 1
 
     def test_bad_override_format(self, dataset_dir, tmp_path):
         assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),

@@ -1,10 +1,17 @@
 """Synthetic data generator, augmentation, dataset directory format."""
 
+import shutil
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import corrupt_bytes
 from msvseg.data import (AugmentConfig, SegSample, augment, gen_synthetic_dataset,
                          load_dataset, save_dataset)
+from msvseg.serial import save_tensor
 from msvseg.tensor import Rng, Tensor
 
 
@@ -157,3 +164,45 @@ class TestDatasetIo:
             save_dataset([bad], tmp_path / "out", 4)
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "escaped.image.msvt").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.5, 2.0 ** 40],
+                             ids=["nan", "inf", "-inf", "2.5", "2**40"])
+    def test_bad_mask_record_rejected_on_load(self, dataset, tmp_path, value):
+        save_dataset(dataset[:1], tmp_path, 4)
+        sid = dataset[0].sample_id
+        mask = dataset[0].mask.astype(np.float32)
+        mask[3, 4] = value
+        save_tensor(tmp_path / f"{sid}.mask.msvt", mask)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"sample {sid}"):
+                load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("kind", ["image", "mask"])
+    def test_f64_record_rejected_on_load(self, dataset, tmp_path, kind):
+        save_dataset(dataset[:1], tmp_path, 4)
+        sid = dataset[0].sample_id
+        arr = dataset[0].image.data if kind == "image" else dataset[0].mask
+        save_tensor(tmp_path / f"{sid}.{kind}.msvt", arr.astype(np.float64))
+        with pytest.raises(ValueError, match=f"sample {sid}: {sid}.{kind}.msvt holds float64"):
+            load_dataset(tmp_path)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_dataset_raises_only_value_or_missing_file(self, data, tmp_path_factory):
+        src = tmp_path_factory.getbasetemp() / "small_dataset"
+        if not src.exists():
+            save_dataset(gen_synthetic_dataset(2, 3, 8, Rng(4)), src, 3)
+        path = tmp_path_factory.mktemp("corrupt")
+        shutil.copytree(src, path, dirs_exist_ok=True)
+        sid = data.draw(st.sampled_from(["s0000", "s0001"]), label="sample")
+        name = data.draw(st.sampled_from(["manifest.txt", f"{sid}.image.msvt",
+                                          f"{sid}.mask.msvt"]), label="file")
+        target = path / name
+        target.write_bytes(corrupt_bytes(target.read_bytes(), data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                load_dataset(path)
+            except (ValueError, FileNotFoundError):
+                pass

@@ -1,5 +1,6 @@
 """Channels-last activation layout: equivalence with the channels-first
-model it replaced, and a guard against transpose pairs coming back."""
+model it replaced, and a guard on the recorded graph: no transpose pairs or
+composed norms coming back."""
 
 import collections
 
@@ -72,3 +73,7 @@ def test_toy_forward_and_loss_record_ten_transposes():
             module.record_op = record_op
     assert counts["selective_scan"] == 7  # the wrappers saw the whole forward
     assert counts["transpose"] == 10
+    # 29 layer norms and 4 batch norms, each one fused op with no sqrt inside
+    assert counts["normalize"] == 33
+    assert counts["sqrt"] == 0
+    assert sum(counts.values()) == 309

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import scan_scalar_loop
 from msvseg import scan as S
 from msvseg import tensor as T
-from msvseg.scan import (SS2D, ScanParams, ScanPathId, cross_merge, cross_scan,
-                         run_scan_benchmark, selective_scan_chunked, selective_scan_seq)
+from msvseg.scan import (SS2D, ScanParams, cross_merge, cross_scan, run_scan_benchmark,
+                         selective_scan_seq)
 from msvseg.tensor import Rng, Tensor, finite_diff_grad_check, no_grad
 
 
@@ -122,19 +122,14 @@ class TestChunkedScan:
         p = f64_params(7, channels=3, n_state=4)
         x = Tensor(Rng(8).normal((40, 3)), dtype=np.float64)
         y_seq = selective_scan_seq(x, p)
-        y_chk = selective_scan_chunked(x, p, chunk)
+        y_chk = S._scan_sequence(x, p, chunk)
         assert np.max(np.abs(y_seq.data - y_chk.data)) <= 1e-12
 
     def test_chunk_one_is_exact(self):
         p = f64_params(9, channels=2, n_state=2)
         x = Tensor(Rng(10).normal((12, 2)), dtype=np.float64)
-        assert np.array_equal(selective_scan_chunked(x, p, 1).data,
+        assert np.array_equal(S._scan_sequence(x, p, 1).data,
                               selective_scan_seq(x, p).data)
-
-    def test_chunk_below_one_rejected(self):
-        p = f64_params(11, channels=2, n_state=2)
-        with pytest.raises(ValueError):
-            selective_scan_chunked(Tensor(np.zeros((4, 2)), dtype=np.float64), p, 0)
 
     @given(st.integers(min_value=1, max_value=96), st.integers(min_value=2, max_value=96))
     @settings(max_examples=30, deadline=None)
@@ -217,8 +212,8 @@ class TestStreamedScan:
         x = Tensor(Rng(35).normal((9, 2)), dtype=np.float64, requires_grad=True)
         params = [t for _, t in p.named_parameters()]
         err = finite_diff_grad_check(
-            lambda *args: T.tsum(T.mul(selective_scan_chunked(args[0], p, 2),
-                                       selective_scan_chunked(args[0], p, 2))),
+            lambda *args: T.tsum(T.mul(S._scan_sequence(args[0], p, 2),
+                                       S._scan_sequence(args[0], p, 2))),
             [x] + params)
         assert err <= 1e-4
 
@@ -249,10 +244,10 @@ class TestCrossScan:
     def test_2x2_enumeration(self):
         fmap = Tensor(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]), dtype=np.float64)
         seqs = [s.ravel().tolist() for s in cross_scan(fmap).data]
-        assert seqs[ScanPathId.ROW_FWD] == [1, 2, 3, 4]
-        assert seqs[ScanPathId.COL_FWD] == [1, 3, 2, 4]
-        assert seqs[ScanPathId.ROW_REV] == [4, 3, 2, 1]
-        assert seqs[ScanPathId.COL_REV] == [4, 2, 3, 1]
+        assert seqs[0] == [1, 2, 3, 4]  # rows
+        assert seqs[1] == [1, 3, 2, 4]  # columns
+        assert seqs[2] == [4, 3, 2, 1]  # reversed rows
+        assert seqs[3] == [4, 2, 3, 1]  # reversed columns
 
     def test_reversed_paths_are_exact_reversals(self):
         fmap = Tensor(Rng(14).normal((4, 5, 3)), dtype=np.float64)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corrupt_bytes
 from msvseg.serial import (checkpoint_bytes, load_checkpoint, load_tensor,
                            read_tensor_record, save_checkpoint, save_tensor,
                            tensor_record_bytes)
@@ -84,16 +85,6 @@ _CHECKPOINT = checkpoint_bytes("model.base_channels=16\n",
                                 ("enc.bias", np.zeros(4, dtype=np.float64))])
 
 
-def _corrupt(raw: bytes, data) -> bytes:
-    """Truncate ``raw`` or overwrite a few of its bytes, as hypothesis draws."""
-    if data.draw(st.booleans(), label="truncate"):
-        return raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
-    buf = bytearray(raw)
-    for _ in range(data.draw(st.integers(1, 4), label="flips")):
-        buf[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
-    return bytes(buf)
-
-
 class TestMalformedInput:
     def test_truncated_header_is_value_error(self):
         with pytest.raises(ValueError, match="truncated"):
@@ -115,7 +106,7 @@ class TestMalformedInput:
     @settings(max_examples=200, deadline=None)
     def test_corrupted_record_only_raises_value_error(self, data):
         try:
-            read_tensor_record(_corrupt(_RECORD, data))
+            read_tensor_record(corrupt_bytes(_RECORD, data))
         except ValueError:
             pass
 
@@ -123,7 +114,7 @@ class TestMalformedInput:
     @settings(max_examples=200, deadline=None)
     def test_corrupted_checkpoint_only_raises_value_error(self, data, tmp_path_factory):
         path = tmp_path_factory.mktemp("ckpt") / "c.msvc"
-        path.write_bytes(_corrupt(_CHECKPOINT, data))
+        path.write_bytes(corrupt_bytes(_CHECKPOINT, data))
         try:
             load_checkpoint(path)
         except ValueError:

@@ -92,40 +92,96 @@ class TestDepthwiseConv:
 class TestNorms:
     def test_layer_norm_constant_rows_are_zero(self):
         x = Tensor(np.full((4, 6), 3.7), dtype=np.float64)
-        y = T.layer_norm(x, Tensor(np.ones(6), dtype=np.float64), Tensor(np.zeros(6), dtype=np.float64))
+        y = T.normalize(x, Tensor(np.ones(6), dtype=np.float64), Tensor(np.zeros(6), dtype=np.float64), -1)
         assert np.allclose(y.data, 0.0)
 
     def test_layer_norm_already_normalized(self):
         x = Tensor([[1.0, -1.0]], dtype=np.float64)
-        y = T.layer_norm(x, Tensor(np.ones(2), dtype=np.float64),
-                         Tensor(np.zeros(2), dtype=np.float64), eps=1e-12)
+        y = T.normalize(x, Tensor(np.ones(2), dtype=np.float64),
+                        Tensor(np.zeros(2), dtype=np.float64), -1, eps=1e-12)
         assert np.allclose(y.data, [[1.0, -1.0]], atol=1e-6)
 
     def test_layer_norm_statistics(self):
         x = randt(8, (10, 16), scale=3.0)
-        y = T.layer_norm(x, Tensor(np.ones(16), dtype=np.float64),
-                         Tensor(np.zeros(16), dtype=np.float64), eps=1e-12)
+        y = T.normalize(x, Tensor(np.ones(16), dtype=np.float64),
+                        Tensor(np.zeros(16), dtype=np.float64), -1, eps=1e-12)
         assert np.abs(y.data.mean(axis=-1)).max() < 1e-6
         assert np.abs(y.data.var(axis=-1) - 1.0).max() < 1e-6
 
     def test_batch_norm_constant_channel_gives_beta(self):
         x = Tensor(np.ones((4, 4, 3)) * np.arange(1, 4), dtype=np.float64)
         beta = Tensor([0.5, -0.5, 2.0], dtype=np.float64)
-        y = T.batch_norm2d(x, Tensor(np.ones(3), dtype=np.float64), beta)
+        y = T.normalize(x, Tensor(np.ones(3), dtype=np.float64), beta, (0, 1))
         for c, expect in enumerate([0.5, -0.5, 2.0]):
             assert np.allclose(y.data[..., c], expect)
 
     def test_batch_norm_train_statistics(self):
         x = randt(9, (8, 8, 3), scale=2.5)
-        y = T.batch_norm2d(x, Tensor(np.ones(3), dtype=np.float64),
-                           Tensor(np.zeros(3), dtype=np.float64), eps=1e-12)
+        y = T.normalize(x, Tensor(np.ones(3), dtype=np.float64),
+                        Tensor(np.zeros(3), dtype=np.float64), (0, 1), eps=1e-12)
         assert np.abs(y.data.mean(axis=(0, 1))).max() < 1e-6
         assert np.abs(y.data.var(axis=(0, 1)) - 1.0).max() < 1e-6
 
     def test_batch_norm_single_value_gives_beta(self):
         beta = Tensor([0.5, -0.5, 2.0], dtype=np.float64)
-        y = T.batch_norm2d(randt(0, (1, 1, 3)), Tensor(np.ones(3), dtype=np.float64), beta)
+        y = T.normalize(randt(0, (1, 1, 3)), Tensor(np.ones(3), dtype=np.float64), beta, (0, 1))
         assert np.array_equal(y.data.ravel(), beta.data)
+
+
+def _sqrt(a):
+    out = np.sqrt(a.data)
+    return T.record_op(out, (a,), lambda grad: (grad * 0.5 / out,), "sqrt")
+
+
+def _composed_norm(x, gamma, beta, axes, eps=1e-5):
+    """The 12-op composition that normalize replaced (2 sum, 5 mul, 3 add,
+    sqrt, div), differentiated op by op: the oracle for the fused op."""
+    mu = T.tmean(x, axis=axes, keepdims=True)
+    xc = x - mu
+    var = T.tmean(T.mul(xc, xc), axis=axes, keepdims=True)
+    normed = T.div(xc, _sqrt(T.add(var, eps)))
+    return T.add(T.mul(normed, gamma), beta)
+
+
+_NORM_CASES = {
+    "layer_rows": (-1, lambda: Rng(40).normal((5, 6)) * 2.0 + 0.5),
+    "batch_map": ((0, 1), lambda: Rng(41).normal((8, 8, 3)) * 1.5 - 0.3),
+    "layer_map": (-1, lambda: Rng(42).normal((8, 8, 3))),
+    "layer_constant_rows": (-1, lambda: np.full((4, 6), 3.7)),
+    "batch_constant_channels": ((0, 1), lambda: np.ones((4, 4, 3)) * np.arange(1, 4)),
+    "batch_1x1": ((0, 1), lambda: Rng(43).normal((1, 1, 3))),
+}
+
+
+class TestNormalizeMatchesComposition:
+    """f64: the fused op against the composed oracle, in values and in the
+    gradients of x, gamma and beta, within 1e-12 relative."""
+
+    @staticmethod
+    def _run(fn, data, axes):
+        c = data.shape[-1]
+        x = Tensor(data, dtype=np.float64, requires_grad=True)
+        gamma = Tensor(Rng(44).normal(c), dtype=np.float64, requires_grad=True)
+        beta = Tensor(Rng(45).normal(c), dtype=np.float64, requires_grad=True)
+        y = fn(x, gamma, beta, axes)
+        out = y.data.copy()
+        T.tsum(T.mul(y, T.constant(Rng(46).normal(data.shape), like=y))).backward()
+        return out, x.grad, gamma.grad, beta.grad
+
+    @pytest.mark.parametrize("case", sorted(_NORM_CASES))
+    def test_values_and_gradients(self, case):
+        axes, make = _NORM_CASES[case]
+        fused = self._run(T.normalize, make(), axes)
+        composed = self._run(_composed_norm, make(), axes)
+        for name, got, ref in zip(("y", "dx", "dgamma", "dbeta"), fused, composed):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    @pytest.mark.parametrize("shape,axes", [((3, 0), -1), ((0, 4, 2), (0, 1)), ((4, 0, 2), (0, 1))])
+    def test_empty_reduced_extent_rejected(self, shape, axes):
+        with pytest.raises(ValueError, match="empty extent"):
+            T.normalize(Tensor(np.zeros(shape)), Tensor(np.ones(shape[-1])),
+                        Tensor(np.zeros(shape[-1])), axes)
 
 
 class TestActivations:
