@@ -1,10 +1,12 @@
 """Network building blocks: scan blocks, multi-scale FFN, patch resamplers.
 
-Feature maps are channels-last [H, W, C], so linear projections and layer
-norms act on the trailing extent of the map as it is.  Pixel shuffles and
-nearest-neighbour upsampling are reshapes and transposes of the map.  Only
-the model's boundary speaks the image layout: PatchEmbed takes a [3, H, W]
-image and FLKPE emits [K, H, W] logits.
+Feature maps are channels-last [..., H, W, C]: any leading shape is a batch
+of maps, carried through every block unchanged, and a single map has the
+leading shape ().  Linear projections and layer norms act on the trailing
+extent of the map as it is; batch norm normalizes each map over its own
+(H, W).  Pixel shuffles and nearest-neighbour upsampling are reshapes and
+transposes of the map.  Only the model's boundary speaks the image layout:
+PatchEmbed takes [..., 3, H, W] images and FLKPE emits [..., K, H, W] logits.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class DepthwiseConv2d(Module):
 
 
 class ChannelLayerNorm(Module):
-    """Layer normalization over the channel extent of an [H, W, C] map."""
+    """Layer normalization over the channel extent of [..., H, W, C] maps."""
 
     def __init__(self, channels: int, eps: float = 1e-5):
         self.gamma = init_ones((channels,))
@@ -80,11 +82,12 @@ class ChannelLayerNorm(Module):
 
 
 class BatchNorm2d(Module):
-    """Per-channel batch normalization of an [H, W, C] map (batch of one).
+    """Per-channel normalization of [..., H, W, C] maps over (H, W).
 
     Training and evaluation alike normalize each map with its own statistics
-    over (H, W), so the layer keeps no running buffers and checkpoints stay
-    parameters-only.
+    over (H, W), never across the leading batch axes, so a map's output does
+    not depend on the other maps of its batch, the layer keeps no running
+    buffers and checkpoints stay parameters-only.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5):
@@ -93,35 +96,42 @@ class BatchNorm2d(Module):
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return normalize(x, self.gamma, self.beta, axes=(0, 1), eps=self.eps)
+        return normalize(x, self.gamma, self.beta, axes=(-3, -2), eps=self.eps)
 
 
 # -- layout resamplers ----------------------------------------------------------------
 
+def _moved(x: Tensor, cell_axes) -> Tensor:
+    """Transpose the trailing axes of ``x`` by ``cell_axes`` (numbered from
+    the first trailing axis), keeping its leading axes in place."""
+    lead = x.data.ndim - len(cell_axes)
+    return transpose(x, tuple(range(lead)) + tuple(lead + a for a in cell_axes))
+
+
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
-    """[H, W, C] -> [rH, rW, C/r^2]; channel group g of output channel c lands
-    at spatial offset (g // r, g % r) inside the r x r cell."""
-    h, w, c = x.data.shape
+    """[..., H, W, C] -> [..., rH, rW, C/r^2]; channel group g of output
+    channel c lands at spatial offset (g // r, g % r) inside the r x r cell."""
+    *lead, h, w, c = x.data.shape
     if c % (r * r) != 0:
         raise ValueError(f"pixel_shuffle: {c} channels not divisible by r^2={r * r}")
-    cells = transpose(reshape(x, (h, w, c // (r * r), r, r)), (0, 3, 1, 4, 2))
-    return reshape(cells, (h * r, w * r, c // (r * r)))
+    cells = _moved(reshape(x, (*lead, h, w, c // (r * r), r, r)), (0, 3, 1, 4, 2))
+    return reshape(cells, (*lead, h * r, w * r, c // (r * r)))
 
 
 def space_to_depth(x: Tensor, r: int) -> Tensor:
-    """[H, W, C] -> [H/r, W/r, C*r^2], exact inverse of pixel_shuffle."""
-    h, w, c = x.data.shape
+    """[..., H, W, C] -> [..., H/r, W/r, C*r^2], exact inverse of pixel_shuffle."""
+    *lead, h, w, c = x.data.shape
     if h % r != 0 or w % r != 0:
         raise ValueError(f"space_to_depth: spatial extents {h}x{w} not divisible by {r}")
-    cells = transpose(reshape(x, (h // r, r, w // r, r, c)), (0, 2, 4, 1, 3))
-    return reshape(cells, (h // r, w // r, c * r * r))
+    cells = _moved(reshape(x, (*lead, h // r, r, w // r, r, c)), (0, 2, 4, 1, 3))
+    return reshape(cells, (*lead, h // r, w // r, c * r * r))
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:
-    """[H, W, C] -> [2H, 2W, C], each pixel repeated over a 2 x 2 cell."""
-    h, w, c = x.data.shape
-    cells = mul(reshape(x, (h, 1, w, 1, c)), constant(np.ones((2, 1, 2, 1)), like=x))
-    return reshape(cells, (2 * h, 2 * w, c))
+    """[..., H, W, C] -> [..., 2H, 2W, C], each pixel repeated over a 2 x 2 cell."""
+    *lead, h, w, c = x.data.shape
+    cells = mul(reshape(x, (*lead, h, 1, w, 1, c)), constant(np.ones((2, 1, 2, 1)), like=x))
+    return reshape(cells, (*lead, 2 * h, 2 * w, c))
 
 
 # -- scan blocks ----------------------------------------------------------------
@@ -208,8 +218,8 @@ class VSSBlock(_ResidualPair):
 # -- encoder resamplers -----------------------------------------------------------
 
 class PatchEmbed(Module):
-    """Non-overlapping 4x4 patch projection of a [Cin, H, W] image to an
-    [H/4, W/4, C] map, then layer norm.  The image enters channels-last
+    """Non-overlapping 4x4 patch projection of [..., Cin, H, W] images to
+    [..., H/4, W/4, C] maps, then layer norm.  The images enter channels-last
     through one transpose."""
 
     def __init__(self, rng: Rng, in_channels: int, out_channels: int):
@@ -217,10 +227,10 @@ class PatchEmbed(Module):
         self.norm = ChannelLayerNorm(out_channels)
 
     def forward(self, img: Tensor) -> Tensor:
-        c, h, w = img.data.shape
+        h, w = img.data.shape[-2:]
         if h % 4 or w % 4:
             raise ValueError(f"patch_embed: spatial extents {h}x{w} not divisible by 4")
-        return self.norm(self.proj(space_to_depth(transpose(img, (1, 2, 0)), 4)))
+        return self.norm(self.proj(space_to_depth(_moved(img, (1, 2, 0)), 4)))
 
 
 class PatchMerge(Module):
@@ -231,7 +241,7 @@ class PatchMerge(Module):
         self.proj = Linear(rng, 4 * channels, 2 * channels, bias=False)
 
     def forward(self, x: Tensor) -> Tensor:
-        h, w, _ = x.data.shape
+        h, w = x.data.shape[-3:-1]
         if h % 2 or w % 2:
             raise ValueError(f"patch_merge: spatial extents {h}x{w} must be even")
         return self.proj(self.norm(space_to_depth(x, 2)))
@@ -242,7 +252,7 @@ class PatchMerge(Module):
 class LKPE(Module):
     """Large-kernel patch expanding: double channels, batch-norm, ReLU,
     depthwise conv, pixel-shuffle, layer norm.  At the default factor 2:
-    [H,W,C] -> [2H,2W,C/2]."""
+    [...,H,W,C] -> [...,2H,2W,C/2]."""
 
     def __init__(self, rng: Rng, channels: int, dwconv_kernel: int = 3, factor: int = 2):
         if (2 * channels) % (factor * factor):
@@ -325,7 +335,7 @@ class FLKPE(Module):
     """Final 4x upsampling head: expand channels 16x, batch-norm, ReLU, 3x3
     depthwise conv, pixel-shuffle by 4, layer norm, 1x1 projection to class
     logits, transposed to the class-first layout of the losses.
-    [H,W,C] -> [K,4H,4W]."""
+    [...,H,W,C] -> [...,K,4H,4W]."""
 
     def __init__(self, rng: Rng, channels: int, num_classes: int, dwconv_kernel: int = 3):
         self.expand = Linear(rng.child(0), channels, 16 * channels)
@@ -338,4 +348,4 @@ class FLKPE(Module):
         h = relu(self.bn(self.expand(x)))
         h = self.dwconv(h)
         h = self.norm(pixel_shuffle(h, 4))
-        return transpose(self.head(h), (2, 0, 1))
+        return _moved(self.head(h), (2, 0, 1))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import (
-    BlockConfig, FLKPE, LKPE, MSVSSBlock, MultiScaleFFN, PatchEmbed, PatchExpand,
+    BatchNorm2d, BlockConfig, FLKPE, LKPE, MSVSSBlock, MultiScaleFFN, PatchEmbed, PatchExpand,
     PatchMerge, SS2DBlock, TransposedConvUp, UpsampleConv, VSSBlock,
 )
 from .losses import ce_loss, dice_loss, total_loss
@@ -99,11 +99,23 @@ def _op_cases(seed: int):
     bb = _t(r.child(12), (3,))
     yield "op.batch_norm2d", OP_TOL, (lambda xb, gb, bb: _square_sum(T.normalize(xb, gb, bb, (0, 1)))), [xb, gb, bb]
 
+    # a leading batch of two maps: each map is convolved and normalized on its own
+    cb = _t(r.child(32), (2, 4, 5, 3))
+    yield "op.depthwise_conv2d_batched", TIGHT_TOL, (lambda cb, k: _square_sum(T.depthwise_conv2d(cb, k))), [cb, k]
+    bn = BatchNorm2d(3)
+    bn_inputs = [_t(r.child(33), (2, 4, 4, 3))] + _f64_params(bn, jitter_rng=r.child(34))
+    yield "op.batch_norm2d_batched", OP_TOL, (lambda xb, *_: _square_sum(bn(xb))), bn_inputs
+
     for name, fn in (("silu", T.silu), ("gelu", T.gelu), ("relu", T.relu),
                      ("sigmoid", T.sigmoid), ("softplus", T.softplus)):
         # crc32, not hash(): str hashes are salted per process (PYTHONHASHSEED)
         xa = _t(r.child(20 + zlib.crc32(name.encode()) % 100), (3, 5), away_from_zero=True)
         yield f"op.{name}", TIGHT_TOL, (lambda xa, fn=fn: _square_sum(fn(xa))), [xa]
+
+    xs1 = _t(r.child(30), (4, 3))
+    xs2 = _t(r.child(31), (3,))
+    yield "op.sub", TIGHT_TOL, (lambda xs1, xs2: _square_sum(xs1 - xs2) + _square_sum(xs2 - xs1)), [xs1, xs2]
+    yield "op.neg", TIGHT_TOL, (lambda xs1, xs2: _square_sum(-xs1 * xs2)), [xs1, xs2]
 
     xp = _t(r.child(13), (4, 3), positive=True)
     yield "op.log", TIGHT_TOL, (lambda xp: _square_sum(T.log(xp))), [xp]
@@ -136,12 +148,20 @@ def _op_cases(seed: int):
 
     yield "op.ss2d", OP_TOL, ss2d_fn, ss_inputs
 
+    fb = _t(r.child(35), (2, 3, 4, 3))
+    yield "op.ss2d_batched", OP_TOL, (lambda fb, *_: _square_sum(ss(fb))), [fb] + ss_inputs[1:]
+
     # losses
     mask = Rng(seed + 4).integers(0, 3, (5, 5)).astype(np.int32)
     lg = _t(r.child(22), (3, 5, 5))
     yield "op.dice_loss", LOSS_TOL, (lambda lg: dice_loss(T.softmax_channels(lg), mask)), [lg]
     yield "op.ce_loss", LOSS_TOL, (lambda lg: ce_loss(lg, mask)), [lg]
     yield "op.total_loss", LOSS_TOL, (lambda lg: total_loss(lg, mask, 0.6)), [lg]
+
+    masks = Rng(seed + 9).integers(0, 3, (2, 4, 4)).astype(np.int32)
+    lb = _t(r.child(36), (2, 3, 4, 4))
+    yield "op.dice_loss_batched", LOSS_TOL, (lambda lb: dice_loss(T.softmax_channels(lb), masks)), [lb]
+    yield "op.ce_loss_batched", LOSS_TOL, (lambda lb: ce_loss(lb, masks)), [lb]
 
 
 # -- block-level checks -------------------------------------------------------------

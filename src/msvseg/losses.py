@@ -1,6 +1,13 @@
-"""Segmentation training losses on class logits."""
+"""Segmentation training losses on class logits.
+
+Logits are [..., K, H, W] and masks [..., H, W]: any leading shape is a
+batch of images, all of one size, and a single image has the leading
+shape ().
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -11,40 +18,45 @@ __all__ = ["one_hot", "dice_loss", "ce_loss", "total_loss", "DICE_SMOOTHING"]
 DICE_SMOOTHING = 1e-5
 
 
-def one_hot(mask: np.ndarray, num_classes: int, dtype=np.float64) -> np.ndarray:
-    """[H, W] integer ids -> [K, H, W] one-hot planes."""
+def _check_ids(mask: np.ndarray, num_classes: int):
     if mask.min() < 0 or mask.max() >= num_classes:
         raise ValueError(f"mask ids must lie in [0, {num_classes})")
-    planes = np.zeros((num_classes,) + mask.shape, dtype=dtype)
-    k_idx = np.asarray(mask, dtype=np.intp)
-    h_idx, w_idx = np.indices(mask.shape)
-    planes[k_idx, h_idx, w_idx] = 1.0
-    return planes
+
+
+def one_hot(mask: np.ndarray, num_classes: int, dtype=np.float64) -> np.ndarray:
+    """[..., H, W] integer ids -> [..., K, H, W] one-hot planes."""
+    mask = np.asarray(mask)
+    _check_ids(mask, num_classes)
+    classes = np.arange(num_classes).reshape(num_classes, 1, 1)
+    return (mask[..., None, :, :] == classes).astype(dtype)
 
 
 def dice_loss(probs: Tensor, mask: np.ndarray, eps: float = DICE_SMOOTHING) -> Tensor:
-    """1 - mean over classes of the smoothed overlap ratio
-    (2 * sum(p*g) + eps) / (sum(p) + sum(g) + eps) against a one-hot mask."""
-    k = probs.data.shape[0]
+    """1 - mean over images and classes of the smoothed overlap ratio
+    (2 * sum(p*g) + eps) / (sum(p) + sum(g) + eps) of each image and class
+    against a one-hot mask, the sums running over (H, W)."""
+    k = probs.data.shape[-3]
     target = constant(one_hot(mask, k, dtype=probs.data.dtype), like=probs)
-    inter = tsum(probs * target, axis=(1, 2))
-    denom = tsum(probs, axis=(1, 2)) + constant(target.data.sum(axis=(1, 2)), like=probs)
+    inter = tsum(probs * target, axis=(-2, -1))
+    denom = tsum(probs, axis=(-2, -1)) + constant(target.data.sum(axis=(-2, -1)), like=probs)
     dice = (inter * 2.0 + eps) / (denom + eps)
     return 1.0 - tmean(dice)
 
 
 def ce_loss(logits: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over pixels of -log softmax at the true class (max-stabilized)."""
-    k, h, w = logits.data.shape
-    if mask.shape != (h, w):
-        raise ValueError(f"mask shape {mask.shape} does not match logits {h}x{w}")
-    if mask.min() < 0 or mask.max() >= k:
-        raise ValueError(f"mask ids must lie in [0, {k})")
-    shift = logits.data.max(axis=0, keepdims=True)
+    """Mean over all pixels of -log softmax at the true class (max-stabilized)."""
+    *lead, k, h, w = logits.data.shape
+    mask = np.asarray(mask)
+    if mask.shape != (*lead, h, w):
+        raise ValueError(f"mask shape {mask.shape} does not match logits {logits.data.shape}")
+    _check_ids(mask, k)
+    shift = logits.data.max(axis=-3, keepdims=True)
     z = logits - constant(shift, like=logits)
-    lse = log(tsum(exp(z), axis=0))
-    flat = np.asarray(mask, dtype=np.intp) * (h * w) + np.arange(h * w).reshape(h, w)
-    picked = take_flat(z, flat, (h, w))
+    lse = log(tsum(exp(z), axis=-3))
+    # flat index of z[b, mask[b, i, j], i, j] over the images b of the batch
+    images = np.arange(math.prod(lead)).reshape(-1, 1)
+    flat = (images * k + mask.reshape(-1, h * w)) * (h * w) + np.arange(h * w)
+    picked = take_flat(z, flat, mask.shape)
     return tmean(lse - picked)
 
 

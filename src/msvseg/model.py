@@ -5,9 +5,11 @@ Encoder: patch embedding then three patch-merging stages (widths C, 2C, 4C,
 with encoder features by addition, then a 4x expanding head that emits
 per-class logits at full input resolution.
 
-The image enters as [3, H, W] and the logits leave as [K, H, W]; every
+Images enter as [..., 3, H, W] and logits leave as [..., K, H, W]; every
 activation in between, the stage features included, is channels-last
-[H, W, C].
+[..., H, W, C].  The leading axes are a batch carried through every layer
+unchanged: a training mini-batch [B, 3, H, W] is one forward pass and one
+recorded graph, and a single [3, H, W] image is the leading shape ().
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ TINY224_PRESET = ModelConfig(base_channels=96, stage_depths=(2, 2, 4, 2),
 
 @dataclass
 class FeatureBundle:
-    """Stage outputs of one forward pass (encoder f1e..f4e, decoder f1d..f3d)."""
+    """Stage outputs of one forward pass (encoder f1e..f4e, decoder f1d..f3d),
+    each [..., H, W, C] with the input's leading axes."""
     encoder: list[Tensor] = field(default_factory=list)
     decoder: list[Tensor] = field(default_factory=list)
 
@@ -131,7 +134,9 @@ class VSSUNet(Module):
         yield from self.head.named_parameters(f"{prefix}head.")
 
     def forward_features(self, img: Tensor) -> tuple[Tensor, FeatureBundle]:
-        c, h, w = img.data.shape
+        if img.data.ndim < 3:
+            raise ValueError(f"expected [..., 3, H, W] images, got {img.data.shape}")
+        c, h, w = img.data.shape[-3:]
         if c != 3:
             raise ValueError(f"expected a 3-channel image, got {c}")
         if h % 32 or w % 32:
@@ -209,9 +214,9 @@ def _upsampler_macs(kind: str, length: int, channels: int, cfg: ModelConfig) -> 
 
 
 def count_flops(model: VSSUNet, input_size: tuple[int, int] | None = None) -> int:
-    """FLOPs of one forward pass, with 1 multiply-add = 2 FLOPs and the scan
-    recurrence counted as L*N*C multiply-adds per path.  Norms, activations
-    and residual additions are not counted."""
+    """FLOPs of the forward pass of one image, with 1 multiply-add = 2 FLOPs
+    and the scan recurrence counted as L*N*C multiply-adds per path.  Norms,
+    activations and residual additions are not counted."""
     cfg = model.cfg
     h, w = input_size or cfg.input_size
     widths = cfg.stage_channels()

@@ -6,10 +6,12 @@ input injection Bbar = delta * B (Euler form), state
 h_t = Abar_t * h_{t-1} + Bbar_t * x_t and readout y_t = <C_t, h_t> + D * x_t.
 Step size delta, B and C are projected from the input sequence itself.
 
-2D feature maps [H, W, C] are flattened along four paths, stacked as
-[4, L, C]: row order is the map reshaped to [L, C], column order is the same
-after an H<->W swap, and the two reverse paths are flips of those.  Each path
-is scanned with its own parameters, then restored and summed.
+2D feature maps [..., H, W, C] are flattened along four paths, stacked as
+[4, ..., L, C]: row order is the map reshaped to [L, C], column order is the
+same after an H<->W swap, and the two reverse paths are flips of those.  Each
+path is scanned with its own parameters, then restored and summed.  The
+scan op folds the leading batch axes into its row axis: [4, B, L, C] runs as
+P = 4B rows, path p's parameters repeated for each of its B maps.
 
 The autodiff op streams the recurrence in blocks of SCAN_BLOCK time steps in
 a state-major layout, [P, T, N, C] with C contiguous.  Forward writes one
@@ -36,7 +38,7 @@ import time
 import numpy as np
 
 from .tensor import (
-    Module, Rng, Tensor, exp, linear, mul, record_op, reshape, softplus, stack,
+    Module, Rng, Tensor, exp, linear, record_op, reshape, softplus, stack,
     init_trunc_normal, init_ones,
 )
 
@@ -85,7 +87,13 @@ class ScanParams(Module):
 
 # -- fused recurrence ----------------------------------------------------------
 
-SCAN_BLOCK = 64  # time steps per block of the streamed op; 16-128 measured flat at L=3136, C=192
+# Time steps per block of the streamed op.  Forward plus backward, float32,
+# one BLAS thread of a 2-vCPU Xeon, median of alternating runs (block 32 / 64):
+#   seven toy scans at batch 8 (P = 32, L = 4..256)    146 / 168 ms
+#   L = 3136, C = 96, P = 4                           345 / 357 ms
+#   L = 3136, C = 192, P = 4                          515 / 530 ms
+# At P = 4 the toy scans measure flat from 16 to 128.
+SCAN_BLOCK = 32
 
 
 def _scan_forward_core(x, delta, a, b, c_out, skip, chunk=None):
@@ -195,16 +203,32 @@ def _block_states(abar, bx, h0):
 
 def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
              skip: Tensor, chunk: int | None = None) -> Tensor:
-    """Autodiff-recorded scan over stacked paths ([P, L, C] layout).
+    """Autodiff-recorded scan over stacked paths.
 
-    Streams the recurrence in blocks of ``chunk`` steps (SCAN_BLOCK when None)
-    and keeps only the state entering each block for backward.
+    x, delta: [Q, ..., L, C]; b, c_out: [Q, ..., L, N]; a: [Q, C, N] and
+    skip: [Q, C] are shared by the B sequences of each path q.  The
+    sequences run as P = Q*B rows, with A and D repeated per sequence and
+    their gradients summed back.  Streams the recurrence in blocks of
+    ``chunk`` steps (SCAN_BLOCK when None) and keeps only the state entering
+    each block for backward.
     """
     block = chunk or SCAN_BLOCK
-    xd, dd, ad, bd, cd, sd = (t.data for t in (x, delta, a, b, c_out, skip))
+    q, *_, l, c = x.data.shape
+    n = a.data.shape[-1]
+    p = x.data.size // (l * c)
+    reps = p // q
+
+    def rows_of(t):
+        # [Q, ..., L, K] -> [P, L, K], a view of the contiguous buffer
+        return t.data.reshape(p, l, -1)
+
+    def per_row(t):
+        # [Q, ...] -> [P, ...]: path q's row repeated for each of its sequences
+        return np.repeat(t.data, reps, axis=0)
+
+    xd, dd, bd, cd = map(rows_of, (x, delta, b, c_out))
+    ad, sd = per_row(a), per_row(skip)
     dtype = np.result_type(xd, dd, ad, bd, cd, sd)
-    p, l, c = xd.shape
-    n = ad.shape[-1]
     spans = [slice(t0, min(t0 + block, l)) for t0 in range(0, l, block)]
     rows = min(block, l)
     a_t = np.ascontiguousarray(ad.transpose(0, 2, 1))
@@ -223,7 +247,9 @@ def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
 
     def backward(grad):
         # reads inputs through their tensors so the closure holds only carries
-        xd, dd, ad, bd, cd, sd = (t.data for t in (x, delta, a, b, c_out, skip))
+        xd, dd, bd, cd = map(rows_of, (x, delta, b, c_out))
+        ad, sd = per_row(a), per_row(skip)
+        grad = grad.reshape(p, l, c)
         a_t = np.ascontiguousarray(ad.transpose(0, 2, 1))
         abuf, hbuf, gbuf = (np.empty((p, rows, n, c), dtype=dtype) for _ in range(3))
         g_a = np.zeros((p, n, c), dtype=dtype)
@@ -258,23 +284,27 @@ def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
         g_delta = gabar_a + gbx_b * xd
         g_x = grad * sd[:, None, :] + gbx_b * dd
         g_skip = (grad * xd).sum(axis=1)
-        return g_x, g_delta, np.ascontiguousarray(g_a.transpose(0, 2, 1)), g_b, g_c, g_skip
+        g_a = g_a.reshape(q, reps, n, c).sum(axis=1).transpose(0, 2, 1)
+        g_skip = g_skip.reshape(q, reps, c).sum(axis=1)
+        return (g_x.reshape(x.data.shape), g_delta.reshape(delta.data.shape),
+                np.ascontiguousarray(g_a), g_b.reshape(b.data.shape),
+                g_c.reshape(c_out.data.shape), g_skip)
 
-    return record_op(y, (x, delta, a, b, c_out, skip), backward, "selective_scan")
+    return record_op(y.reshape(x.data.shape), (x, delta, a, b, c_out, skip), backward,
+                     "selective_scan")
 
 
 def _project_step_params(x: Tensor, paths):
-    """Step inputs of stacked sequences x [P, L, C], path p projected with the
-    ScanParams paths[p]: delta [P, L, C] (softplus), A [P, C, N], B and C
-    [P, L, N] and skip [P, C]."""
+    """Step inputs of stacked sequences x [P, ..., L, C], path p projected
+    with the ScanParams paths[p]: delta [P, ..., L, C] (softplus), A [P, C, N],
+    B and C [P, ..., L, N] and skip [P, C]."""
     a_log, skip, w_b, w_c, w_dt_down, w_dt_up, dt_bias = (
         stack([getattr(p, name) for p in paths])
         for name in ("a_log", "skip", "w_b", "w_c", "w_dt_down", "w_dt_up", "dt_bias"))
     delta = softplus(linear(linear(x, w_dt_down), w_dt_up, dt_bias))
     b = linear(x, w_b)
     c_out = linear(x, w_c)
-    a = mul(exp(a_log), -1.0)
-    return delta, a, b, c_out, skip
+    return delta, -exp(a_log), b, c_out, skip
 
 
 def _scan_sequence(x: Tensor, params: ScanParams, chunk: int | None) -> Tensor:
@@ -292,27 +322,30 @@ def selective_scan_seq(x: Tensor, params: ScanParams) -> Tensor:
 # -- 2D cross scan --------------------------------------------------------------
 
 def _paths(fmap: np.ndarray) -> np.ndarray:
-    """[H, W, C] -> [4, H*W, C]: rows, columns, reversed rows, reversed columns."""
-    c = fmap.shape[2]
-    rows = fmap.reshape(-1, c)
-    cols = fmap.transpose(1, 0, 2).reshape(-1, c)
-    return np.stack([rows, cols, rows[::-1], cols[::-1]])
+    """[..., H, W, C] -> [4, ..., H*W, C]: rows, columns, reversed rows,
+    reversed columns."""
+    *lead, _, _, c = fmap.shape
+    rows = fmap.reshape(*lead, -1, c)
+    cols = fmap.swapaxes(-3, -2).reshape(*lead, -1, c)
+    return np.stack([rows, cols, rows[..., ::-1, :], cols[..., ::-1, :]])
 
 
 def _merge(seqs: np.ndarray, h: int, w: int) -> np.ndarray:
-    """[4, H*W, C] -> [H, W, C]: each path restored to the map, summed as
-    r0 + r1 + r2 + r3 in that order."""
-    c = seqs.shape[2]
-    out = np.empty((h, w, c), dtype=seqs.dtype)
-    np.add(seqs[0].reshape(h, w, c), seqs[1].reshape(w, h, c).transpose(1, 0, 2), out=out)
-    out += seqs[2, ::-1].reshape(h, w, c)
-    out += seqs[3, ::-1].reshape(w, h, c).transpose(1, 0, 2)
+    """[4, ..., H*W, C] -> [..., H, W, C]: each path restored to the map,
+    summed as r0 + r1 + r2 + r3 in that order."""
+    *lead, _, c = seqs.shape[1:]
+    rows, cols = (*lead, h, w, c), (*lead, w, h, c)
+    out = np.empty(rows, dtype=seqs.dtype)
+    np.add(seqs[0].reshape(rows), seqs[1].reshape(cols).swapaxes(-3, -2), out=out)
+    out += seqs[2][..., ::-1, :].reshape(rows)
+    out += seqs[3][..., ::-1, :].reshape(cols).swapaxes(-3, -2)
     return out
 
 
 def cross_scan(fmap: Tensor) -> Tensor:
-    """Flatten an [H, W, C] map along the four paths, stacked as [4, H*W, C]."""
-    h, w, _ = fmap.data.shape
+    """Flatten [..., H, W, C] maps along the four paths, stacked as
+    [4, ..., H*W, C]."""
+    h, w = fmap.data.shape[-3:-1]
 
     def backward(grad):
         return (_merge(grad, h, w),)
@@ -321,9 +354,10 @@ def cross_scan(fmap: Tensor) -> Tensor:
 
 
 def cross_merge(seqs: Tensor, h: int, w: int) -> Tensor:
-    """Restore stacked [4, L, C] paths to [H, W, C] each and sum them."""
-    if seqs.data.ndim != 3 or seqs.data.shape[:2] != (4, h * w):
-        raise ValueError(f"cross_merge: expected paths [4, {h}*{w}, C], got {seqs.data.shape}")
+    """Restore stacked [4, ..., L, C] paths to [..., H, W, C] each and sum them."""
+    shape = seqs.data.shape
+    if len(shape) < 3 or shape[0] != 4 or shape[-2] != h * w:
+        raise ValueError(f"cross_merge: expected paths [4, ..., {h}*{w}, C], got {shape}")
 
     def backward(grad):
         return (_paths(grad),)
@@ -332,7 +366,7 @@ def cross_merge(seqs: Tensor, h: int, w: int) -> Tensor:
 
 
 class SS2D(Module):
-    """Four-direction selective scan over a 2D feature map.
+    """Four-direction selective scan over [..., H, W, C] feature maps.
 
     Each path owns an independent ScanParams; the four restored outputs are
     summed.  The paths are projected and scanned stacked, so the time loop
@@ -345,7 +379,7 @@ class SS2D(Module):
         self.paths = [ScanParams(rng.child(i), channels, n_state, dt_rank) for i in range(4)]
 
     def forward(self, fmap: Tensor, chunk: int | None = None) -> Tensor:
-        h, w, _ = fmap.data.shape
+        h, w = fmap.data.shape[-3:-1]
         seqs = cross_scan(fmap)
         y = _scan_op(seqs, *_project_step_params(seqs, self.paths), chunk)
         return cross_merge(y, h, w)

@@ -4,10 +4,12 @@ numpy owns the buffers; every differentiable op records a closure that maps
 the output gradient back to its inputs.  ``Tensor.backward()`` replays the
 recorded graph in reverse topological order, exactly once per forward
 recording.  Buffers are row-major contiguous; reshapes and transposes copy.
-Feature maps are channels-last [H, W, C]: the convolutions take that layout,
-and linear acts on the trailing axis.  Layer norm and batch norm are one op,
-``normalize``, over the trailing axis or over (H, W); it is differentiated
-analytically rather than through a composition of primitives.
+Feature maps are channels-last [..., H, W, C], any leading shape being a
+batch of maps (a single map has the leading shape ()): the convolutions pad
+and slide over H and W only, and linear acts on the trailing axis.  Layer
+norm and batch norm are one op, ``normalize``, over the trailing axis or
+over (H, W) of each map; it is differentiated analytically rather than
+through a composition of primitives.
 
 Training runs in float32, gradient checking in float64.
 """
@@ -175,10 +177,10 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(_coerce(other, self), -1.0))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return add(_coerce(other, self), mul(self, -1.0))
+        return sub(_coerce(other, self), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -192,7 +194,7 @@ class Tensor:
         return div(_coerce(other, self), self)
 
     def __neg__(self):
-        return mul(self, -1.0)
+        return neg(self)
 
     def __pow__(self, exponent):
         return tpow(self, exponent)
@@ -265,6 +267,23 @@ def add(a: Tensor, b) -> Tensor:
         return _unbroadcast(grad, a.data.shape), _unbroadcast(grad, b.data.shape)
 
     return record_op(out, (a, b), backward, "add")
+
+
+def sub(a: Tensor, b) -> Tensor:
+    b = _coerce(b, a)
+    out = a.data - b.data
+
+    def backward(grad):
+        return _unbroadcast(grad, a.data.shape), _unbroadcast(-grad, b.data.shape)
+
+    return record_op(out, (a, b), backward, "sub")
+
+
+def neg(a: Tensor) -> Tensor:
+    def backward(grad):
+        return (-grad,)
+
+    return record_op(-a.data, (a,), backward, "neg")
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -448,14 +467,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """y[..., j] = sum_i x[..., i] * W[i, j] + b[j].
 
     A weight [P, K, M] with a leading path axis maps a stacked input
-    [P, L, K] path by path, with bias [P, M]: y[p] = x[p] @ W[p] + b[p].
+    [P, ..., K] path by path, with bias [P, M]: y[p] = x[p] @ W[p] + b[p].
     """
     paths = weight.data.shape[:-2]
     k, m = weight.data.shape[-2:]
     if x.data.shape[-1] != k:
         raise ValueError(f"linear: trailing extent {x.data.shape[-1]} != weight rows {k}")
-    if paths and (x.data.ndim != 3 or x.data.shape[0] != paths[0]):
-        raise ValueError(f"linear: weight {weight.data.shape} needs input [{paths[0]}, L, {k}], "
+    if paths and (x.data.ndim < 2 or x.data.shape[0] != paths[0]):
+        raise ValueError(f"linear: weight {weight.data.shape} needs input [{paths[0]}, ..., {k}], "
                          f"got {x.data.shape}")
     x3 = x.data.reshape(paths + (-1, k))
     out3 = x3 @ weight.data
@@ -474,12 +493,22 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return record_op(np.ascontiguousarray(out), parents, backward, "linear")
 
 
+def _maps(x: np.ndarray, name: str) -> np.ndarray:
+    """View [..., H, W, C] maps as one [B, H, W, C] stack (B = 1 for a
+    single map)."""
+    if x.ndim < 3:
+        raise ValueError(f"{name}: expected [..., H, W, C] maps, got {x.shape}")
+    return x.reshape((-1,) + x.shape[-3:])
+
+
 def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-channel 2D cross-correlation with 'same' zero padding.
 
-    x: [H, W, C], kernel: [C, kh, kw] with odd kh, kw.
+    x: [..., H, W, C], kernel: [C, kh, kw] with odd kh, kw.  Only H and W
+    are padded; every leading index is a separate map.
     """
-    h, w, c = x.data.shape
+    x4 = _maps(x.data, "depthwise_conv2d")
+    _, h, w, c = x4.shape
     kc, kh, kw = kernel.data.shape
     if kc != c:
         raise ValueError(f"depthwise_conv2d: channel mismatch {kc} != {c}")
@@ -489,70 +518,80 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     # [kh, kw, C]: each tap's channel row is contiguous, so it broadcasts
     # along the map's trailing axis faster than the strided kernel[:, i, j]
     taps = np.ascontiguousarray(kernel.data.transpose(1, 2, 0))
-    xp = np.pad(x.data, ((ph, ph), (pw, pw), (0, 0)))
-    out = np.zeros_like(x.data)
+    pad = ((0, 0), (ph, ph), (pw, pw), (0, 0))
+    xp = np.pad(x4, pad)
+    out = np.zeros_like(x4)
     for i in range(kh):
         for j in range(kw):
-            out += xp[i:i + h, j:j + w] * taps[i, j]
+            out += xp[:, i:i + h, j:j + w] * taps[i, j]
 
     def backward(grad):
+        g4 = grad.reshape(x4.shape)
         gk = np.empty_like(kernel.data)
         for i in range(kh):
             for j in range(kw):
-                gk[:, i, j] = np.einsum("hwc,hwc->c", xp[i:i + h, j:j + w], grad)
-        gp = np.pad(grad, ((ph, ph), (pw, pw), (0, 0)))
-        gx = np.zeros_like(x.data)
+                gk[:, i, j] = np.einsum("bhwc,bhwc->c", xp[:, i:i + h, j:j + w], g4)
+        gp = np.pad(g4, pad)
+        gx = np.zeros_like(x4)
         for i in range(kh):
             for j in range(kw):
-                gx += gp[kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w] * taps[i, j]
-        return (gx, gk)
+                gx += gp[:, kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w] * taps[i, j]
+        return (gx.reshape(x.data.shape), gk)
 
-    return record_op(out, (x, kernel), backward, "depthwise_conv2d")
+    return record_op(out.reshape(x.data.shape), (x, kernel), backward, "depthwise_conv2d")
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Full 2D cross-correlation with 'same' zero padding.
 
-    x: [H, W, Cin], weight: [Cout, Cin, kh, kw] with odd kh, kw.
+    x: [..., H, W, Cin], weight: [Cout, Cin, kh, kw] with odd kh, kw.  Only
+    H and W are padded; every leading index is a separate map.
     """
     cout, cin, kh, kw = weight.data.shape
-    if x.data.shape[-1] != cin:
-        raise ValueError(f"conv2d: channel mismatch {x.data.shape[-1]} != {cin}")
+    x4 = _maps(x.data, "conv2d")
+    if x4.shape[-1] != cin:
+        raise ValueError(f"conv2d: channel mismatch {x4.shape[-1]} != {cin}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("conv2d: kernel extents must be odd")
-    h, w, _ = x.data.shape
+    bsz, h, w, _ = x4.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((ph, ph), (pw, pw), (0, 0)))
-    out = np.zeros((h, w, cout), dtype=x.data.dtype)
+    pad = ((0, 0), (ph, ph), (pw, pw), (0, 0))
+    xp = np.pad(x4, pad)
+    out = np.zeros((bsz, h, w, cout), dtype=x.data.dtype)
     for i in range(kh):
         for j in range(kw):
-            out += np.tensordot(xp[i:i + h, j:j + w], weight.data[:, :, i, j], axes=([2], [1]))
+            out += np.tensordot(xp[:, i:i + h, j:j + w], weight.data[:, :, i, j], axes=([3], [1]))
     if bias is not None:
         out += bias.data
+    out_shape = x.data.shape[:-1] + (cout,)
 
     def backward(grad):
+        g4 = grad.reshape((bsz, h, w, cout))
         gw = np.empty_like(weight.data)
         for i in range(kh):
             for j in range(kw):
-                gw[:, :, i, j] = np.tensordot(grad, xp[i:i + h, j:j + w], axes=([0, 1], [0, 1]))
-        gp = np.pad(grad, ((ph, ph), (pw, pw), (0, 0)))
-        gx = np.zeros_like(x.data)
+                gw[:, :, i, j] = np.tensordot(g4, xp[:, i:i + h, j:j + w],
+                                              axes=([0, 1, 2], [0, 1, 2]))
+        gp = np.pad(g4, pad)
+        gx = np.zeros_like(x4)
         for i in range(kh):
             for j in range(kw):
-                gx += np.tensordot(gp[kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w],
-                                   weight.data[:, :, i, j], axes=([2], [0]))
-        gb = grad.sum(axis=(0, 1)) if bias is not None else None
+                gx += np.tensordot(gp[:, kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w],
+                                   weight.data[:, :, i, j], axes=([3], [0]))
+        gb = g4.sum(axis=(0, 1, 2)) if bias is not None else None
+        gx = gx.reshape(x.data.shape)
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return record_op(out, parents, backward, "conv2d")
+    return record_op(out.reshape(out_shape), parents, backward, "conv2d")
 
 
 def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float = 1e-5) -> Tensor:
     """(x - mean) / sqrt(var + eps) over ``axes``, then scale by gamma and
     shift by beta.  Layer norm reduces over the trailing channel axis, batch
-    norm over (H, W) of one [H, W, C] map; a map of one element along
-    ``axes`` normalizes to exactly zero, so its output is beta.
+    norm over (H, W), axes (-3, -2), of each [..., H, W, C] map; a map of
+    one element along ``axes`` normalizes to exactly zero, so its output is
+    beta.
 
     One recorded op.  The backward keeps only x_hat and sigma: with
     g' = grad * gamma, dx = (g' - mean(g') - x_hat * mean(g' * x_hat)) / sigma
@@ -582,10 +621,13 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float = 1e-5) -
 
 
 def softmax_channels(x: Tensor) -> Tensor:
-    """Probabilities over the leading class extent, stabilized by max-subtraction."""
-    shift = x.data.max(axis=0, keepdims=True)
+    """Probabilities over the class extent of [..., K, H, W] logits (axis -3),
+    stabilized by max-subtraction.  An input of rank below three is [K, ...]
+    with its class axis first."""
+    axis = -min(3, x.data.ndim)
+    shift = x.data.max(axis=axis, keepdims=True)
     e = exp(x - constant(shift, like=x))
-    return div(e, tsum(e, axis=0, keepdims=True))
+    return div(e, tsum(e, axis=axis, keepdims=True))
 
 
 # -- module / parameter plumbing -------------------------------------------------

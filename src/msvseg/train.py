@@ -1,9 +1,11 @@
 """Training and evaluation loops at desk scale.
 
-One optimizer step = one shuffled mini-batch, per-sample forward passes, the
+One optimizer step = one shuffled mini-batch, augmented per sample and
+stacked into [B, 3, H, W] images, one forward pass over the whole batch, the
 combined dice + cross-entropy loss averaged over the batch, one backward, an
 AdamW update at the cosine-annealed learning rate.  The loop checkpoints the
-best mean-DSC parameters and logs CSV rows at every evaluation.
+best mean-DSC parameters and logs CSV rows at every evaluation.  Evaluation
+runs one image per forward pass.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .data import AugmentConfig, SegSample, augment
 from .losses import ce_loss, dice_loss
 from .metrics import MetricsReport, dsc_metric, hd95_metric
 from .optim import AdamW, cosine_lr
-from .tensor import NonFiniteError, Rng, no_grad, softmax_channels
+from .tensor import NonFiniteError, Rng, Tensor, no_grad, softmax_channels
 
 CSV_HEADER = "epoch,step,lr,loss,dice_loss,ce_loss,mean_dsc,mean_hd95"
 
@@ -68,8 +70,7 @@ def evaluate(model, samples: list[SegSample], *, alpha: float = 0.6,
     boundary is empty; a class with no valid pair reports None."""
     if not samples:
         raise ValueError("evaluate: empty sample list")
-    num_classes = model.cfg.num_classes if hasattr(model, "cfg") else int(
-        max(int(s.mask.max()) for s in samples) + 1)
+    num_classes = model.cfg.num_classes
     dsc_rows = []
     hd_sums = np.zeros(num_classes)
     hd_counts = np.zeros(num_classes, dtype=int)
@@ -113,6 +114,18 @@ def restore_state(model, state: dict[str, np.ndarray]):
         p.data[...] = state[name]
 
 
+def _check_one_shape(samples: list[SegSample]):
+    """A mini-batch is one stacked array, so without a resize target every
+    training image must have the same shape."""
+    first = samples[0]
+    for sample in samples[1:]:
+        if sample.image.data.shape != first.image.data.shape:
+            raise ValueError(
+                f"train_loop: training images differ in shape: sample {first.sample_id} is "
+                f"{first.image.data.shape} but sample {sample.sample_id} is "
+                f"{sample.image.data.shape}; set augment.target_size to resize them")
+
+
 def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
                eval_samples: list[SegSample] | None = None,
                progress=None) -> TrainResult:
@@ -121,6 +134,8 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
     cfg.validate()
     if not samples:
         raise ValueError("train_loop: empty dataset")
+    if cfg.augment.target_size is None:
+        _check_one_shape(samples)
     eval_samples = eval_samples or samples
     rng = Rng(cfg.seed)
     shuffle_rng = rng.child(1)
@@ -149,26 +164,23 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
         for start in range(0, n, cfg.batch_size):
             if step >= total_steps:
                 break
-            batch = order[start:start + cfg.batch_size]
+            batch = [int(i) for i in order[start:start + cfg.batch_size]]
+            picked = [samples[i] for i in batch]
+            if do_augment:
+                picked = [augment(sample, augment_rng.child(epoch * n + i), cfg.augment)
+                          for sample, i in zip(picked, batch)]
+            images = Tensor(np.stack([sample.image.data for sample in picked]))
+            masks = np.stack([sample.mask for sample in picked])
             model.zero_grad()
-            loss_tensor = None
-            batch_dice = batch_ce = 0.0
-            for idx in batch:
-                sample = samples[int(idx)]
-                if do_augment:
-                    sample = augment(sample, augment_rng.child(epoch * n + int(idx)), cfg.augment)
-                try:
-                    logits = model.forward(sample.image)
-                    d = dice_loss(softmax_channels(logits), sample.mask)
-                    c = ce_loss(logits, sample.mask)
-                except NonFiniteError as exc:
-                    raise RuntimeError(
-                        f"training diverged at step {step} on sample {sample.sample_id}: {exc}") from exc
-                term = alpha * d + (1.0 - alpha) * c
-                batch_dice += d.item()
-                batch_ce += c.item()
-                loss_tensor = term if loss_tensor is None else loss_tensor + term
-            loss_tensor = loss_tensor * (1.0 / len(batch))
+            try:
+                logits = model.forward(images)
+                d = dice_loss(softmax_channels(logits), masks)
+                c = ce_loss(logits, masks)
+            except NonFiniteError as exc:
+                ids = ", ".join(sample.sample_id for sample in picked)
+                raise RuntimeError(
+                    f"training diverged at step {step} on the batch of samples {ids}: {exc}") from exc
+            loss_tensor = alpha * d + (1.0 - alpha) * c
             loss_value = loss_tensor.item()
             if not math.isfinite(loss_value):
                 raise RuntimeError(f"training diverged at step {step}: loss={loss_value}")
@@ -178,8 +190,8 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
             step += 1
 
             run_loss += loss_value
-            run_dice += batch_dice / len(batch)
-            run_ce += batch_ce / len(batch)
+            run_dice += d.item()
+            run_ce += c.item()
             run_count += 1
 
             if step % cfg.eval_every == 0 or step == total_steps:

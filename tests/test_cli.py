@@ -74,6 +74,22 @@ class TestExitCodes:
         assert code == 2
 
 
+    def test_mixed_size_dataset_is_invalid_input(self, tmp_path, capsys):
+        from msvseg.data import gen_synthetic_dataset, save_dataset
+        from msvseg.tensor import Rng
+
+        big = gen_synthetic_dataset(1, 4, 64, Rng(1))
+        small = gen_synthetic_dataset(1, 4, 32, Rng(2))
+        small[0].sample_id = "small"
+        save_dataset(big + small, tmp_path / "data", 4)
+        code = run(["train", "--data", str(tmp_path / "data"), "--out-dir", str(tmp_path / "out"),
+                    "--quiet", "--set", "train.max_steps=1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "s0000 is (3, 64, 64)" in err and "small is (3, 32, 32)" in err
+        assert not (tmp_path / "out" / "checkpoint.msvc").exists()
+
+
 class TestConfigFile:
     def test_shipped_overfit_config_parses(self, dataset_dir, tmp_path):
         from pathlib import Path

@@ -49,9 +49,9 @@ def test_matches_channels_first_model(upsampler):
     assert abs(projection - ref_projection) <= 1e-12 * abs(ref_projection)
 
 
-def test_toy_forward_and_loss_record_ten_transposes():
-    # one at the image entry, one per space-to-depth (patch embed, three
-    # merges), one per pixel shuffle (three LKPE, the head), one for the logits
+def _toy_op_counts(lead=()):
+    """Recorded ops, by name, of one toy forward plus loss over images of
+    leading shape ``lead``."""
     counts = collections.Counter()
     originals = {module: module.record_op for module in (tensor, scan)}
 
@@ -65,15 +65,34 @@ def test_toy_forward_and_loss_record_ten_transposes():
         module.record_op = counting(record_op)
     try:
         model = build_model(TOY_PRESET, Rng(0))
-        img = Tensor(Rng(1).random((3, 64, 64)).astype(np.float32))
-        mask = Rng(2).integers(0, 4, (64, 64)).astype(np.int32)
+        img = Tensor(Rng(1).random(lead + (3, 64, 64)).astype(np.float32))
+        mask = Rng(2).integers(0, 4, lead + (64, 64)).astype(np.int32)
         total_loss(model.forward(img), mask, TOY_PRESET.alpha)
     finally:
         for module, record_op in originals.items():
             module.record_op = record_op
+    return counts
+
+
+def test_toy_forward_and_loss_record_ten_transposes():
+    # one at the image entry, one per space-to-depth (patch embed, three
+    # merges), one per pixel shuffle (three LKPE, the head), one for the logits
+    counts = _toy_op_counts()
     assert counts["selective_scan"] == 7  # the wrappers saw the whole forward
     assert counts["transpose"] == 10
     # 29 layer norms and 4 batch norms, each one fused op with no sqrt inside
     assert counts["normalize"] == 33
     assert counts["sqrt"] == 0
-    assert sum(counts.values()) == 309
+    # each subtraction is one op: softmax shift, CE shift, lse - picked, 1 - dice
+    assert counts["sub"] == 4
+    assert counts["neg"] == 7  # A = -exp(A_log), once per scan
+    assert sum(counts.values()) == 305
+
+
+def test_toy_batch_of_eight_records_the_graph_of_one_image():
+    counts = _toy_op_counts((8,))
+    assert counts == _toy_op_counts()
+    assert counts["transpose"] == 10
+    assert counts["normalize"] == 33
+    assert counts["selective_scan"] == 7
+    assert sum(counts.values()) == 305

@@ -184,7 +184,9 @@ class TestStreamedScan:
             assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
         return y.data
 
-    @pytest.mark.parametrize("length", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    # around the first and the second block boundary, and several blocks plus a partial one
+    @pytest.mark.parametrize("length", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                        2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 6 * BLOCK + 5])
     @pytest.mark.parametrize("p", [1, 4])
     @pytest.mark.parametrize("c,n", [(1, 1), (3, 4), (5, 16)])
     def test_matches_full_history_core(self, length, p, c, n):

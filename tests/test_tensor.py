@@ -209,6 +209,21 @@ class TestActivations:
         assert err <= 1e-6
 
 
+class TestSubNeg:
+    def test_one_op_each_and_bit_equal_to_adding_the_negation(self):
+        a, b = randt(50, (4, 3)), randt(51, (3,))
+        for got, want in ((a - b, a.data + -b.data), (2.0 - b, 2.0 + -b.data),
+                          (b - 2.0, b.data + -2.0), (-a, a.data * -1.0)):
+            assert np.array_equal(got.data, want)
+            assert got._op in ("sub", "neg") and all(p._op == "" for p in got._prev)
+
+    def test_gradients_with_broadcasting(self):
+        a, b = randt(52, (4, 3)), randt(53, (3,))
+        T.tsum(T.mul(a - b, -b)).backward()
+        assert np.allclose(a.grad, np.broadcast_to(-b.data, (4, 3)))
+        assert np.allclose(b.grad, (2.0 * b.data - a.data).sum(axis=0))
+
+
 class TestSoftmax:
     def test_single_class_is_ones(self):
         p = T.softmax_channels(Tensor(Rng(12).normal((1, 3, 3)), dtype=np.float64))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from msvseg.data import gen_synthetic_dataset
+from msvseg.data import AugmentConfig, gen_synthetic_dataset
 from msvseg.losses import ce_loss, dice_loss, one_hot
 from msvseg.model import ModelConfig, build_model
 from msvseg.optim import AdamW
@@ -104,14 +104,32 @@ class TestTrainLoop:
         model = build_model(ModelConfig(), Rng(2))
         for p in model.parameters():
             p.data *= 1e4    # blow up activations so the loss goes non-finite
-        cfg = TrainConfig(max_epochs=1, max_steps=1, batch_size=1, seed=0)
+        cfg = TrainConfig(max_epochs=1, max_steps=1, batch_size=2, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError, match="diverged"):
+            with pytest.raises(RuntimeError, match="diverged at step 0 on the batch of samples "
+                                                   r"s000[01], s000[01]: op '"):
                 train_loop(model, tiny_data, cfg)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_loop(build_model(ModelConfig(), Rng(0)), [], TrainConfig())
+
+    def test_mixed_sizes_rejected_before_the_first_step(self, tiny_data):
+        small = gen_synthetic_dataset(1, 4, 32, Rng(4))[0]
+        small.sample_id = "small"
+        model = build_model(ModelConfig(), Rng(0))
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(ValueError, match=r"s0000 is \(3, 64, 64\).*small is \(3, 32, 32\)"):
+            train_loop(model, tiny_data + [small], TrainConfig(max_steps=1))
+        assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
+
+    def test_mixed_sizes_train_with_a_resize_target(self, tiny_data):
+        small = gen_synthetic_dataset(1, 4, 32, Rng(4))[0]
+        cfg = TrainConfig(max_steps=1, batch_size=3, eval_every=1,
+                          augment=AugmentConfig(target_size=(32, 32)))
+        result = train_loop(build_model(ModelConfig(), Rng(0)), tiny_data + [small], cfg,
+                            eval_samples=[small])
+        assert result.steps_run == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
