@@ -18,7 +18,7 @@ import numpy as np
 from .tensor import (
     Module, Rng, Tensor, constant, conv2d, depthwise_conv2d, gelu,
     init_kaiming_uniform, init_trunc_normal, init_zeros, init_ones, linear,
-    mul, normalize, relu, reshape, silu, transpose,
+    merge_kernels, mul, normalize, relu, reshape, silu, transpose,
 )
 from .scan import SS2D
 
@@ -158,7 +158,14 @@ class SS2DBlock(Module):
 class MultiScaleFFN(Module):
     """Four-fold channel expansion, GELU, parallel depthwise convolutions of
     the configured kernel sizes summed with the expanded features, then
-    reduction back to the input width."""
+    reduction back to the input width.
+
+    The parallel branches and the identity run as one depthwise convolution:
+    their kernels, zero-padded to the largest size and centred, plus 1 at the
+    centre tap, are summed into one kernel by one recorded op (structural
+    re-parameterisation, Ding et al. 2021).  Each branch keeps its own
+    parameter, so checkpoints keep the per-branch kernels.
+    """
 
     def __init__(self, rng: Rng, cfg: BlockConfig):
         c, hidden = cfg.channels, cfg.channels * cfg.ffn_expand
@@ -169,10 +176,8 @@ class MultiScaleFFN(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         h = gelu(self.expand(x))
-        s = h
-        for branch in self.branches:
-            s = s + branch(h)
-        return self.reduce(s)
+        kernel = merge_kernels([branch.kernel for branch in self.branches])
+        return self.reduce(depthwise_conv2d(h, kernel))
 
 
 class MLPFFN(Module):

@@ -21,7 +21,7 @@ from .data import gen_synthetic_dataset, load_dataset, save_dataset
 from .gradcheck import run_gradient_suite
 from .model import (ModelConfig, build_model, count_flops, count_params,
                     export_stage_features)
-from .scan import run_scan_benchmark
+from .scan import SCAN_BLOCK, run_scan_benchmark
 from .serial import load_checkpoint, save_checkpoint
 from .tensor import NonFiniteError, Rng
 from .train import TrainConfig, evaluate, train_loop
@@ -84,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", default="256,1024,4096")
     p.add_argument("--state-size", type=int, default=16)
     p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--chunk", type=int, default=64, help="block length of the streamed scan")
+    p.add_argument("--chunk", type=int, default=SCAN_BLOCK,
+                   help="block length of the streamed scan (default: the model's)")
 
     p = sub.add_parser("export-features", help="write decoder heatmaps for one sample")
     _add_common(p)

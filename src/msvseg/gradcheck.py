@@ -84,6 +84,8 @@ def _op_cases(seed: int):
     c = _t(r.child(3), (6, 6, 3))
     k = _t(r.child(4), (3, 3, 3))
     yield "op.depthwise_conv2d", TIGHT_TOL, (lambda c, k: _square_sum(T.depthwise_conv2d(c, k))), [c, k]
+    k1 = _t(r.child(35), (3, 1, 1))
+    yield "op.merge_kernels", TIGHT_TOL, (lambda k1, k: _square_sum(T.merge_kernels([k1, k]))), [k1, k]
 
     w4 = _t(r.child(5), (4, 3, 3, 3), scale=0.5)
     b4 = _t(r.child(6), (4,))

@@ -13,13 +13,16 @@ path is scanned with its own parameters, then restored and summed.  The
 scan op folds the leading batch axes into its row axis: [4, B, L, C] runs as
 P = 4B rows, path p's parameters repeated for each of its B maps.
 
-The autodiff op streams the recurrence in blocks of SCAN_BLOCK time steps in
-a state-major layout, [P, T, N, C] with C contiguous.  Forward writes one
-block's Abar and Bbar*x into two such buffers (allocated once per call),
-runs the recurrence in place on [P, N, C] rows and reads out
-y_t = <C_t, h_t> as a batched [1, N] @ [N, C] matmul.  It keeps only the
-state entering each block, [P, ceil(L/T), N, C], instead of the full history
-h and Abar, 2 x [P, L, C, N].  Backward walks the blocks in reverse,
+The autodiff op streams the recurrence in blocks of SCAN_BLOCK time steps
+in time-major buffers, [T, P, N, C] with C contiguous, so each step of the
+recurrence reads and writes one contiguous [P, N, C] row.  Forward writes
+one block's Abar and Bbar*x into two such buffers (allocated once per
+call), runs the recurrence in place row by row and reads out
+y_t = <C_t, h_t> as a batched [1, N] @ [N, C] matmul.  The op's inputs and
+outputs stay [P, L, ·]; each block reads and writes them through [T, P, ·]
+views, so no whole-sequence transpose is made.  It keeps only the state
+entering each block, [ceil(L/T), P, N, C], instead of the full history h
+and Abar, 2 x [P, L, C, N].  Backward walks the blocks in reverse,
 recomputes each block's Abar, Bbar*x and h from its saved state with the
 forward's own functions (so bit-identical to the forward's states), runs the
 reverse recurrence over that block, and takes its sums over N or C as batched
@@ -174,29 +177,32 @@ def _scan_backward_core(grad_y, x, delta, a, b, c_out, skip, h, abar):
 
 def _block_terms(x, delta, a_t, b, s, abar, bx):
     """Write Abar and Bbar*x of the time steps in slice ``s`` into the
-    ``[P, T, N, C]`` buffers ``abar`` and ``bx``; ``a_t`` is A as [P, N, C].
+    time-major ``[T, P, N, C]`` buffers ``abar`` and ``bx``; x, delta and b
+    are [P, L, ·] and ``a_t`` is A as [P, N, C].
 
-    Returns the views of the block's rows and d*x, [P, T, C].
+    Returns the views of the block's rows and d*x, [T, P, C].
     """
     rows = s.stop - s.start
-    abar, bx = abar[:, :rows], bx[:, :rows]
-    np.multiply(delta[:, s, None, :], a_t[:, None], out=abar)
+    abar, bx = abar[:rows], bx[:rows]
+    d = delta[:, s].swapaxes(0, 1)
+    np.multiply(d[:, :, None, :], a_t, out=abar)
     np.exp(abar, out=abar)
-    dx = delta[:, s] * x[:, s]
-    np.multiply(b[:, s, :, None], dx[:, :, None, :], out=bx)
+    dx = np.multiply(d, x[:, s].swapaxes(0, 1), order="C")
+    np.multiply(b[:, s, :, None].swapaxes(0, 1), dx[:, :, None, :], out=bx)
     return abar, bx, dx
 
 
 def _block_states(abar, bx, h0):
     """Overwrite ``bx`` with the block's states h, starting from state ``h0``.
 
-    Each step computes bx_t + abar_t * h_{t-1} on one [P, N, C] row in place.
+    Each step computes bx_t + abar_t * h_{t-1} on one contiguous [P, N, C]
+    row in place.
     """
     tmp = np.empty_like(h0)
     prev = h0
-    for t in range(bx.shape[1]):
-        np.multiply(prev, abar[:, t], out=tmp)
-        prev = bx[:, t]
+    for t in range(bx.shape[0]):
+        np.multiply(prev, abar[t], out=tmp)
+        prev = bx[t]
         prev += tmp
     return bx
 
@@ -210,7 +216,8 @@ def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
     sequences run as P = Q*B rows, with A and D repeated per sequence and
     their gradients summed back.  Streams the recurrence in blocks of
     ``chunk`` steps (SCAN_BLOCK when None) and keeps only the state entering
-    each block for backward.
+    each block for backward.  Inputs and outputs stay [P, L, ·]; each block
+    reads and writes them through [T, P, ·] views.
     """
     block = chunk or SCAN_BLOCK
     q, *_, l, c = x.data.shape
@@ -232,18 +239,18 @@ def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
     spans = [slice(t0, min(t0 + block, l)) for t0 in range(0, l, block)]
     rows = min(block, l)
     a_t = np.ascontiguousarray(ad.transpose(0, 2, 1))
-    abuf, hbuf = (np.empty((p, rows, n, c), dtype=dtype) for _ in range(2))
-    carries = np.empty((p, len(spans), n, c), dtype=dtype)
-    carries[:, 0] = 0.0
+    abuf, hbuf = (np.empty((rows, p, n, c), dtype=dtype) for _ in range(2))
+    carries = np.empty((len(spans), p, n, c), dtype=dtype)
+    carries[0] = 0.0
     y = np.empty((p, l, c), dtype=dtype)
     for j, s in enumerate(spans):
         abar, h, _ = _block_terms(xd, dd, a_t, bd, s, abuf, hbuf)
-        _block_states(abar, h, carries[:, j])
+        _block_states(abar, h, carries[j])
         # readout y_t = <C_t, h_t> as a batched [1, N] @ [N, C] matmul
-        np.matmul(cd[:, s, None, :], h, out=y[:, s, None, :])
+        np.matmul(cd[:, s, None, :].swapaxes(0, 1), h, out=y[:, s, None, :].swapaxes(0, 1))
         y[:, s] += sd[:, None, :] * xd[:, s]
         if j + 1 < len(spans):
-            carries[:, j + 1] = h[:, -1]
+            carries[j + 1] = h[-1]
 
     def backward(grad):
         # reads inputs through their tensors so the closure holds only carries
@@ -251,7 +258,7 @@ def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
         ad, sd = per_row(a), per_row(skip)
         grad = grad.reshape(p, l, c)
         a_t = np.ascontiguousarray(ad.transpose(0, 2, 1))
-        abuf, hbuf, gbuf = (np.empty((p, rows, n, c), dtype=dtype) for _ in range(3))
+        abuf, hbuf, gbuf = (np.empty((rows, p, n, c), dtype=dtype) for _ in range(3))
         g_a = np.zeros((p, n, c), dtype=dtype)
         g_b = np.empty((p, l, n), dtype=dtype)
         g_c = np.empty((p, l, n), dtype=dtype)
@@ -259,28 +266,28 @@ def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
         gabar_a = np.empty((p, l, c), dtype=dtype)   # sum_n g_abar * a
         gh_carry = np.zeros((p, n, c), dtype=dtype)  # state gradient entering from the next block
         for j in range(len(spans) - 1, -1, -1):
-            s, h0 = spans[j], carries[:, j]
+            s, h0 = spans[j], carries[j]
             abar, h, dx = _block_terms(xd, dd, a_t, bd, s, abuf, hbuf)
             _block_states(abar, h, h0)
-            gy = grad[:, s]
+            gy = grad[:, s].swapaxes(0, 1)
             # the sums over N or C run as batched matmuls: [N, C] @ [C, 1], [1, N] @ [N, C]
-            np.matmul(h, gy[..., None], out=g_c[:, s, :, None])
-            # after the loop g_bx[:, t] holds the total state gradient at step t
-            g_bx = gbuf[:, :h.shape[1]]
-            np.multiply(cd[:, s, :, None], gy[:, :, None, :], out=g_bx)
-            for t in range(h.shape[1] - 1, -1, -1):
-                gh = g_bx[:, t]
+            np.matmul(h, gy[..., None], out=g_c[:, s, :, None].swapaxes(0, 1))
+            # after the loop g_bx[t] holds the total state gradient at step t
+            g_bx = gbuf[:len(h)]
+            np.multiply(cd[:, s, :, None].swapaxes(0, 1), gy[:, :, None, :], out=g_bx)
+            for t in range(len(h) - 1, -1, -1):
+                gh = g_bx[t]
                 gh += gh_carry
-                np.multiply(gh, abar[:, t], out=gh_carry)
+                np.multiply(gh, abar[t], out=gh_carry)
             # dL/d(delta * a) summands g_bx_t * h_{t-1} * abar_t, formed in abar's buffer
             g_abar = abar
-            g_abar[:, 1:] *= h[:, :-1]
-            g_abar[:, 0] *= h0
+            g_abar[1:] *= h[:-1]
+            g_abar[0] *= h0
             g_abar *= g_bx
-            g_a += np.einsum("ptnc,ptc->pnc", g_abar, dd[:, s])
-            gabar_a[:, s] = np.einsum("ptnc,pnc->ptc", g_abar, a_t)
-            np.matmul(bd[:, s, None, :], g_bx, out=gbx_b[:, s, None, :])
-            np.matmul(g_bx, dx[..., None], out=g_b[:, s, :, None])
+            g_a += np.einsum("tpnc,ptc->pnc", g_abar, dd[:, s])
+            np.einsum("tpnc,pnc->ptc", g_abar, a_t, out=gabar_a[:, s])
+            np.matmul(bd[:, s, None, :].swapaxes(0, 1), g_bx, out=gbx_b[:, s, None, :].swapaxes(0, 1))
+            np.matmul(g_bx, dx[..., None], out=g_b[:, s, :, None].swapaxes(0, 1))
         g_delta = gabar_a + gbx_b * xd
         g_x = grad * sd[:, None, :] + gbx_b * dd
         g_skip = (grad * xd).sum(axis=1)
@@ -388,7 +395,7 @@ class SS2D(Module):
 # -- benchmark -------------------------------------------------------------------
 
 def run_scan_benchmark(lengths=(256, 1024, 4096), n_state: int = 16, channels: int = 8,
-                       chunk: int = 64, path_count: int = 4, seed: int = 0,
+                       chunk: int = SCAN_BLOCK, path_count: int = 4, seed: int = 0,
                        tol: float = 1e-12) -> list[dict]:
     """Time the streamed scan op against the sequential reference in float32.
 

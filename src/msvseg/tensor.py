@@ -20,11 +20,12 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 __all__ = [
     "Tensor", "NonFiniteError", "no_grad", "record_op", "constant",
-    "linear", "depthwise_conv2d", "conv2d", "take_flat",
+    "linear", "depthwise_conv2d", "merge_kernels", "conv2d", "take_flat",
     "normalize", "softmax_channels",
     "relu", "silu", "gelu", "sigmoid", "softplus", "exp", "log",
     "tsum", "tmean", "reshape", "transpose",
@@ -158,8 +159,11 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g.astype(parent.data.dtype, copy=False)
+                    # an owned copy: add hands one array to both parents and
+                    # reshape a view of its child's gradient
+                    parent.grad = np.array(g, dtype=parent.data.dtype)
+                else:
+                    parent.grad += g.astype(parent.data.dtype, copy=False)
             node._backward = None
             node._prev = ()
             node._released = True
@@ -349,10 +353,11 @@ def sigmoid(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     # log(1 + e^x), stable for large |x|
     out = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
-    sig = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
-    sig = np.where(a.data >= 0, sig, 1.0 - sig)
 
     def backward(grad):
+        # d/dx softplus = sigmoid(x), formed only when a gradient is asked for
+        sig = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
+        sig = np.where(a.data >= 0, sig, 1.0 - sig)
         return (grad * sig,)
 
     return record_op(out, (a,), backward, "softplus")
@@ -501,44 +506,71 @@ def _maps(x: np.ndarray, name: str) -> np.ndarray:
     return x.reshape((-1,) + x.shape[-3:])
 
 
+def _windows(x4: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Zero-pad [B, H, W, C] maps by (kh // 2, kw // 2) over H and W and view
+    every output pixel's kh x kw neighbourhood: [B, H, W, C, kh, kw], no copy
+    beyond the padding."""
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x4, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    return sliding_window_view(xp, (kh, kw), axis=(1, 2))
+
+
 def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """Per-channel 2D cross-correlation with 'same' zero padding.
 
     x: [..., H, W, C], kernel: [C, kh, kw] with odd kh, kw.  Only H and W
-    are padded; every leading index is a separate map.
+    are padded; every leading index is a separate map.  The output, the
+    input gradient and the kernel gradient are one einsum each over the
+    sliding windows of the padded maps, one pass with no per-tap
+    temporaries.  The kernel enters as [kh, kw, C], so each tap's channel
+    row is contiguous, as is the maps' trailing axis.
     """
     x4 = _maps(x.data, "depthwise_conv2d")
-    _, h, w, c = x4.shape
+    c = x4.shape[-1]
     kc, kh, kw = kernel.data.shape
     if kc != c:
         raise ValueError(f"depthwise_conv2d: channel mismatch {kc} != {c}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("depthwise_conv2d: kernel extents must be odd")
-    ph, pw = kh // 2, kw // 2
-    # [kh, kw, C]: each tap's channel row is contiguous, so it broadcasts
-    # along the map's trailing axis faster than the strided kernel[:, i, j]
     taps = np.ascontiguousarray(kernel.data.transpose(1, 2, 0))
-    pad = ((0, 0), (ph, ph), (pw, pw), (0, 0))
-    xp = np.pad(x4, pad)
-    out = np.zeros_like(x4)
-    for i in range(kh):
-        for j in range(kw):
-            out += xp[:, i:i + h, j:j + w] * taps[i, j]
+    out = np.einsum("bhwcij,ijc->bhwc", _windows(x4, kh, kw), taps)
 
     def backward(grad):
         g4 = grad.reshape(x4.shape)
-        gk = np.empty_like(kernel.data)
-        for i in range(kh):
-            for j in range(kw):
-                gk[:, i, j] = np.einsum("bhwc,bhwc->c", xp[:, i:i + h, j:j + w], g4)
-        gp = np.pad(g4, pad)
-        gx = np.zeros_like(x4)
-        for i in range(kh):
-            for j in range(kw):
-                gx += gp[:, kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w] * taps[i, j]
+        # x is padded again rather than kept padded by the closure
+        gk = np.einsum("bhwcij,bhwc->cij", _windows(x4, kh, kw), g4)
+        # the input gradient correlates grad with the kernel flipped in H and W
+        gx = np.einsum("bhwcij,ijc->bhwc", _windows(g4, kh, kw), taps[::-1, ::-1])
         return (gx.reshape(x.data.shape), gk)
 
     return record_op(out.reshape(x.data.shape), (x, kernel), backward, "depthwise_conv2d")
+
+
+def merge_kernels(kernels) -> Tensor:
+    """One depthwise kernel for x + sum_i conv(x, k_i): the [C, k, k] kernels
+    of odd sizes k, each zero-padded to the largest size K and centred, are
+    summed into one [C, K, K] kernel with 1 added at the centre tap for x
+    itself.  Backward hands each kernel the centre crop of its size."""
+    kernels = tuple(kernels)
+    c = kernels[0].data.shape[0]
+    size = max(k.data.shape[-1] for k in kernels)
+    mid = size // 2
+    out = np.zeros((c, size, size), dtype=np.result_type(*(k.data for k in kernels)))
+    out[:, mid, mid] = 1.0
+    crops = []
+    for k in kernels:
+        kc, kh, kw = k.data.shape
+        if kc != c or kh != kw or kh % 2 == 0:
+            raise ValueError(f"merge_kernels: expected odd square [{c}, k, k] kernels, got {k.data.shape}")
+        taps = slice(mid - kh // 2, mid + kh // 2 + 1)
+        crop = (slice(None), taps, taps)
+        out[crop] += k.data
+        crops.append(crop)
+
+    def backward(grad):
+        return tuple(grad[crop] for crop in crops)
+
+    return record_op(out, kernels, backward, "merge_kernels")
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

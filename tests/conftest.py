@@ -26,6 +26,36 @@ def dwconv_bruteforce(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
+def dwconv_per_tap(x: np.ndarray, k: np.ndarray, grad: np.ndarray):
+    """Per-tap depthwise convolution of [..., H, W, C] maps with a [C, kh, kw]
+    kernel, 'same' zero padding: one shifted multiply-add per tap, as the
+    engine computed it before its single-pass einsum form.  Returns the
+    output and, for the output gradient ``grad``, the input and kernel
+    gradients."""
+    x4 = x.reshape((-1,) + x.shape[-3:])
+    _, h, w, _ = x4.shape
+    _, kh, kw = k.shape
+    ph, pw = kh // 2, kw // 2
+    taps = k.transpose(1, 2, 0)
+    pad = ((0, 0), (ph, ph), (pw, pw), (0, 0))
+    xp = np.pad(x4, pad)
+    out = np.zeros_like(x4)
+    for i in range(kh):
+        for j in range(kw):
+            out += xp[:, i:i + h, j:j + w] * taps[i, j]
+    g4 = grad.reshape(x4.shape)
+    gk = np.empty_like(k)
+    for i in range(kh):
+        for j in range(kw):
+            gk[:, i, j] = np.einsum("bhwc,bhwc->c", xp[:, i:i + h, j:j + w], g4)
+    gp = np.pad(g4, pad)
+    gx = np.zeros_like(x4)
+    for i in range(kh):
+        for j in range(kw):
+            gx += gp[:, kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w] * taps[i, j]
+    return out.reshape(x.shape), gx.reshape(x.shape), gk
+
+
 def scan_scalar_loop(x, delta, a, b, c_out, skip):
     """Pure per-timestep, per-channel, per-state scalar evaluation."""
     l, c = x.shape

@@ -11,6 +11,7 @@ from msvseg.blocks import (BatchNorm2d, BlockConfig, FLKPE, LKPE, MSVSSBlock,
                            SS2DBlock, TransposedConvUp, UpsampleConv, VSSBlock,
                            make_upsampler, pixel_shuffle, space_to_depth,
                            upsample_nearest2x)
+from msvseg.gradcheck import _f64_params
 from msvseg.tensor import Rng, Tensor
 
 
@@ -121,6 +122,31 @@ class TestMultiScaleFFN:
         inner = T.gelu(ffn.expand(x))
         expected = ffn.reduce(inner)
         assert np.allclose(got.data, expected.data, atol=1e-6)
+
+    @pytest.mark.parametrize("kernel_set", [(1,), (3,), (1, 3, 5), (3, 7)])
+    def test_merged_kernel_matches_per_branch_sum(self, kernel_set):
+        # oracle: h plus one depthwise conv per branch, as separate ops
+        def per_branch(ffn, x):
+            h = T.gelu(ffn.expand(x))
+            s = h
+            for branch in ffn.branches:
+                s = s + branch(h)
+            return ffn.reduce(s)
+
+        ffn = MultiScaleFFN(Rng(12), cfg(3, kernel_set=kernel_set))
+        params = _f64_params(ffn, jitter_rng=Rng(13))
+        x = Tensor(Rng(14).normal((2, 6, 5, 3)), dtype=np.float64, requires_grad=True)
+        w = T.constant(Rng(15).normal((2, 6, 5, 3)))
+        results = []
+        for forward in (lambda: ffn(x), lambda: per_branch(ffn, x)):
+            for t in [x] + params:
+                t.grad = None
+            y = forward()
+            T.tsum(T.mul(y, w)).backward()
+            results.append([y.data] + [t.grad.copy() for t in [x] + params])
+        for got, ref in zip(*results):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_empty_kernel_set_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ import shutil
 import numpy as np
 import pytest
 
-from msvseg.cli import main
+from msvseg.cli import _build_parser, main
+from msvseg.scan import SCAN_BLOCK
 from msvseg.serial import load_checkpoint, load_tensor, save_checkpoint, save_tensor
 
 
@@ -224,6 +225,10 @@ class TestArtifacts:
         lines = (tmp_path / "bench_scan.csv").read_text().splitlines()
         assert lines[0] == "path_count,L,N,C,variant,wall_ns,checksum"
         assert len(lines) == 5
+
+    def test_bench_scan_chunk_defaults_to_the_model_block(self):
+        # by default the benchmark times the block length the model streams
+        assert _build_parser().parse_args(["bench-scan"]).chunk == SCAN_BLOCK
 
     def test_count_prints_reference_for_tiny224(self, capsys):
         assert run(["count", "--preset", "tiny224"]) == 0

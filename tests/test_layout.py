@@ -86,7 +86,12 @@ def test_toy_forward_and_loss_record_ten_transposes():
     # each subtraction is one op: softmax shift, CE shift, lse - picked, 1 - dice
     assert counts["sub"] == 4
     assert counts["neg"] == 7  # A = -exp(A_log), once per scan
-    assert sum(counts.values()) == 305
+    # each of the three decoder MS-FFNs merges its branch kernels and the
+    # identity into one kernel: one depthwise conv, no branch adds
+    assert counts["merge_kernels"] == 3
+    assert counts["depthwise_conv2d"] == 14
+    assert counts["add"] == 21
+    assert sum(counts.values()) == 293
 
 
 def test_toy_batch_of_eight_records_the_graph_of_one_image():
@@ -95,4 +100,5 @@ def test_toy_batch_of_eight_records_the_graph_of_one_image():
     assert counts["transpose"] == 10
     assert counts["normalize"] == 33
     assert counts["selective_scan"] == 7
-    assert sum(counts.values()) == 305
+    assert counts["merge_kernels"] == 3
+    assert sum(counts.values()) == 293

@@ -72,13 +72,14 @@ class TestDiscretize:
         x, delta, a, b, _, _ = _raw_scan_inputs(3, 1, 9, 3, 4)
         abar_ref, bbar_ref = discretize(*(Tensor(v[0], dtype=np.float64) for v in (delta, a, b)))
         n, c = a.shape[2], a.shape[1]
-        abuf, bxbuf = np.empty((1, 9, n, c)), np.empty((1, 9, n, c))
+        # time-major buffers [T, P, N, C]
+        abuf, bxbuf = np.empty((9, 1, n, c)), np.empty((9, 1, n, c))
         abar, bx, _ = S._block_terms(x, delta, np.ascontiguousarray(a.transpose(0, 2, 1)), b,
                                      slice(0, 9), abuf, bxbuf)
-        assert np.array_equal(abar[0].transpose(0, 2, 1), abar_ref.data)
+        assert np.array_equal(abar[:, 0].transpose(0, 2, 1), abar_ref.data)
         # the op forms delta * x first, then multiplies by B
         expected_bx = bbar_ref.data * x[0][:, :, None]
-        assert np.max(np.abs(bx[0].transpose(0, 2, 1) - expected_bx)) <= 1e-15 * np.abs(expected_bx).max()
+        assert np.max(np.abs(bx[:, 0].transpose(0, 2, 1) - expected_bx)) <= 1e-15 * np.abs(expected_bx).max()
 
 
 class TestSequentialScan:
@@ -218,6 +219,17 @@ class TestStreamedScan:
                                        S._scan_sequence(args[0], p, 2))),
             [x] + params)
         assert err <= 1e-4
+
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_inputs_left_unchanged(self, p):
+        # at P = 1 the [L, P, ·] view of an input is the input itself
+        arrays = _raw_scan_inputs(40 + p, p, 3 * BLOCK + 5, 3, 4)
+        tensors = [Tensor(v, dtype=np.float64, requires_grad=True) for v in arrays]
+        y = S._scan_op(*tensors)
+        y._backward(Rng(42).normal(y.data.shape))
+        for t, original in zip(tensors, arrays):
+            assert np.array_equal(t.data, original)
 
 
 class TestStreamedScanRandomShapes:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dwconv_bruteforce
+from conftest import dwconv_bruteforce, dwconv_per_tap
 from msvseg import tensor as T
 from msvseg.tensor import Rng, Tensor, finite_diff_grad_check
 
@@ -87,6 +87,59 @@ class TestDepthwiseConv:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
             T.depthwise_conv2d(randt(0, (4, 4, 2)), randt(1, (3, 3, 3)))
+
+
+def _assert_close(got, ref, rtol=1e-12):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+class TestDepthwiseConvMatchesPerTap:
+    """The single-pass einsum convolution against the per-tap loop it
+    replaced: output, input gradient and kernel gradient in float64."""
+
+    @staticmethod
+    def _check(x, k, seed):
+        grad = Rng(seed).normal(x.shape)
+        xt, kt = (Tensor(v, dtype=np.float64, requires_grad=True) for v in (x, k))
+        y = T.depthwise_conv2d(xt, kt)
+        gx, gk = y._backward(grad)
+        for got, ref in zip((y.data, gx, gk), dwconv_per_tap(x, k, grad)):
+            _assert_close(got, ref)
+
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (5, 5), (3, 5)])
+    def test_values_and_gradients(self, lead, kh, kw):
+        seed = 10 * kh + kw + len(lead)
+        x = Rng(seed).normal(lead + (6, 7, 4))
+        k = Rng(seed + 1).normal((4, kh, kw))
+        self._check(x, k, seed + 2)
+
+    def test_map_smaller_than_kernel(self):
+        self._check(Rng(60).normal((2, 2, 3)), Rng(61).normal((3, 5, 5)), 62)
+
+
+class TestMergeKernels:
+    def test_centred_sum_plus_identity(self):
+        k1, k3 = randt(63, (2, 1, 1)), randt(64, (2, 3, 3))
+        merged = T.merge_kernels([k1, k3]).data
+        expected = np.zeros((2, 3, 3))
+        expected[:, 1, 1] = 1.0 + k1.data[:, 0, 0]
+        expected += k3.data
+        assert np.array_equal(merged, expected)
+
+    def test_backward_gives_each_kernel_its_centre_crop(self):
+        k1, k5 = randt(65, (2, 1, 1)), randt(66, (2, 5, 5))
+        grad = Rng(67).normal((2, 5, 5))
+        g1, g5 = T.merge_kernels([k1, k5])._backward(grad)
+        assert np.array_equal(g1, grad[:, 2:3, 2:3])
+        assert np.array_equal(g5, grad)
+
+    def test_mismatched_kernels_rejected(self):
+        with pytest.raises(ValueError):
+            T.merge_kernels([randt(68, (2, 3, 3)), randt(69, (3, 3, 3))])
+        with pytest.raises(ValueError):
+            T.merge_kernels([randt(70, (2, 2, 2))])
 
 
 class TestNorms:
@@ -280,6 +333,31 @@ class TestBackward:
         loss = T.tsum(x)
         loss.backward(leaves=[x, z])
         assert np.array_equal(z.grad, np.zeros(3))
+
+    def test_add_gives_each_parent_its_own_gradient(self):
+        # add hands one gradient array to both parents
+        a, b = randt(71, (3, 4)), randt(72, (3, 4))
+        w = Rng(73).normal((3, 4))
+        T.tsum(T.mul(a + b, T.constant(w))).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        assert np.array_equal(a.grad, w) and np.array_equal(b.grad, w)
+        a.grad += 1.0
+        assert np.array_equal(b.grad, w)
+
+    def test_reshape_chain_gradients_are_owned(self):
+        # reshape hands its parent a view of its own gradient
+        x = randt(74, (2, 6))
+        y = T.reshape(x, (3, 4))
+        z = T.reshape(y, (12,))
+        w = Rng(75).normal(12)
+        T.tsum(T.mul(z, T.constant(w))).backward()
+        grads = (x.grad, y.grad, z.grad)
+        for i, g in enumerate(grads):
+            assert all(not np.shares_memory(g, other) for other in grads[i + 1:])
+        assert np.array_equal(x.grad, w.reshape(2, 6))
+        assert np.array_equal(y.grad, w.reshape(3, 4))
+        z.grad += 1.0
+        assert np.array_equal(x.grad, w.reshape(2, 6))
 
     def test_accumulation_over_reuse(self):
         x = Tensor([2.0], dtype=np.float64, requires_grad=True)
