@@ -3,7 +3,10 @@
 numpy owns the buffers; every differentiable op records a closure that maps
 the output gradient back to its inputs.  ``Tensor.backward()`` replays the
 recorded graph in reverse topological order, exactly once per forward
-recording.  Buffers are row-major contiguous; reshapes and transposes copy.
+recording, and releases it as it walks: a node that the caller does not hold
+is freed, with its data, saved arrays and gradient, once its parents have
+their gradients.  Buffers are row-major contiguous; reshapes and transposes
+copy.
 Feature maps are channels-last [..., H, W, C], any leading shape being a
 batch of maps (a single map has the leading shape ()): the convolutions pad
 and slide over H and W only, and linear acts on the trailing axis.  Layer
@@ -11,12 +14,17 @@ norm and batch norm are one op, ``normalize``, over the trailing axis or
 over (H, W) of each map; it is differentiated analytically rather than
 through a composition of primitives.
 
-Training runs in float32, gradient checking in float64.
+Training runs in float32, gradient checking in float64.  On glibc, importing
+the engine sets the heap to keep freed memory mapped (``_keep_freed_heap``):
+a training step frees and reallocates the same activation sizes every step,
+and by default glibc returns them to the kernel and faults them in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -31,6 +39,35 @@ __all__ = [
     "tsum", "tmean", "reshape", "transpose",
     "Module", "Rng", "finite_diff_grad_check",
 ]
+
+
+def _keep_freed_heap():
+    """Let glibc keep the memory a training step frees for the next step.
+
+    By default glibc serves blocks above a dynamic threshold with their own
+    mmap and unmaps them on free, and trims the top of the heap back to the
+    kernel, so every step faults its activation pages in again.  The mmap
+    threshold goes to the ceiling that the dynamic threshold climbs to
+    (4 MiB times sizeof(long): 32 MiB on 64-bit) and the trim threshold to
+    1 GiB, which keeps those pages mapped for reuse.  Setting either value
+    turns the dynamic threshold off, hence both.  Anywhere but glibc this
+    does nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (AttributeError, OSError, ValueError):
+        # no os.confstr, a libc without that name or without mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long))
+    mallopt(m_trim_threshold, 1 << 30)
+
+
+_keep_freed_heap()
 
 
 class NonFiniteError(ArithmeticError):
@@ -123,9 +160,13 @@ class Tensor:
     def backward(self, leaves=None):
         """Accumulate gradients of this scalar into every reachable input.
 
-        One pass per recording: the graph is released afterwards and a second
-        pass raises.  ``leaves`` (optional) are tensors that should end up
-        with an explicit zero gradient even when unreachable from this node.
+        One pass per recording: the graph is released as it is walked and a
+        second pass raises.  Each node is dropped once its closure has run, so
+        an intermediate node that the caller does not hold is freed, with its
+        data and gradient, as soon as its parents have their gradients; nodes
+        the caller holds keep ``.grad``.  ``leaves`` (optional) are tensors
+        that should end up with an explicit zero gradient even when
+        unreachable from this node.
         """
         if self.data.size != 1:
             raise ValueError("backward target must be a scalar")
@@ -151,7 +192,10 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            # popped, so that once its consumers have run nothing but the
+            # caller refers to a node: its data and gradient go with it
+            node = topo.pop()
             if node._backward is None:
                 continue
             grads = node._backward(node.grad)
@@ -268,7 +312,8 @@ def add(a: Tensor, b) -> Tensor:
     out = a.data + b.data
 
     def backward(grad):
-        return _unbroadcast(grad, a.data.shape), _unbroadcast(grad, b.data.shape)
+        return (_unbroadcast(grad, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(grad, b.data.shape) if b.requires_grad else None)
 
     return record_op(out, (a, b), backward, "add")
 
@@ -278,7 +323,8 @@ def sub(a: Tensor, b) -> Tensor:
     out = a.data - b.data
 
     def backward(grad):
-        return _unbroadcast(grad, a.data.shape), _unbroadcast(-grad, b.data.shape)
+        return (_unbroadcast(grad, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-grad, b.data.shape) if b.requires_grad else None)
 
     return record_op(out, (a, b), backward, "sub")
 
@@ -295,8 +341,8 @@ def mul(a: Tensor, b) -> Tensor:
     out = a.data * b.data
 
     def backward(grad):
-        return (_unbroadcast(grad * b.data, a.data.shape),
-                _unbroadcast(grad * a.data, b.data.shape))
+        return (_unbroadcast(grad * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(grad * a.data, b.data.shape) if b.requires_grad else None)
 
     return record_op(out, (a, b), backward, "mul")
 
@@ -489,9 +535,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def backward(grad):
         g3 = grad.reshape(paths + (-1, m))
-        gx = (g3 @ weight.data.swapaxes(-1, -2)).reshape(x.data.shape)
-        gw = x3.swapaxes(-1, -2) @ g3
-        gb = g3.sum(axis=-2) if bias is not None else None
+        gx = (g3 @ weight.data.swapaxes(-1, -2)).reshape(x.data.shape) if x.requires_grad else None
+        gw = x3.swapaxes(-1, -2) @ g3 if weight.requires_grad else None
+        gb = g3.sum(axis=-2) if bias is not None and bias.requires_grad else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)

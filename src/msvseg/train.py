@@ -150,7 +150,8 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
 
     alpha = model.cfg.alpha
     history: list[dict] = []
-    best_dsc, best_step, best_state = -1.0, 0, _snapshot(model)
+    # DSC lies in [0, 1], so the first evaluation always takes the snapshot
+    best_dsc, best_step, best_state = -1.0, 0, None
     run_loss = run_dice = run_ce = 0.0
     run_count = 0
     step = 0

@@ -1,5 +1,12 @@
 """Tensor engine: op examples, gradient oracles, graph semantics."""
 
+import json
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -365,6 +372,59 @@ class TestBackward:
         T.tsum(y).backward()
         assert np.allclose(x.grad, [7.0])
 
+    def test_node_nobody_holds_is_freed_before_its_parent_runs(self):
+        x = randt(76, (3,))
+        a = T.mul(x, 2.0)
+        y = T.exp(a)
+        loss = T.tsum(y)
+        y_ref = weakref.ref(y)
+        del y
+        seen = []
+        inner = a._backward
+
+        def probe(grad):
+            seen.append(y_ref() is None)
+            return inner(grad)
+
+        a._backward = probe
+        loss.backward()
+        assert seen == [True]
+        assert np.allclose(x.grad, 2.0 * np.exp(2.0 * x.data))
+
+
+def _linear_bias(x, w):
+    return T.linear(x, w, Tensor(Rng(77).normal((3,)), dtype=np.float64))
+
+
+class TestConstantParents:
+    """An op hands no gradient to a parent that does not require one, and the
+    other parent's gradient is the one it gets when both require one."""
+
+    @pytest.mark.parametrize("op,shapes", [
+        (T.add, ((4, 3), (3,))),
+        (T.sub, ((4, 3), (4, 1))),
+        (T.mul, ((4, 3), (4, 3))),
+        (T.linear, ((2, 4, 5), (5, 3))),
+        (_linear_bias, ((4, 5), (5, 3))),
+    ])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_constant_operand_gets_none(self, op, shapes, constant):
+        values = [Rng(80 + i).normal(shape) for i, shape in enumerate(shapes)]
+        both = [Tensor(v, dtype=np.float64, requires_grad=True) for v in values]
+        grad = Rng(79).normal(op(*both).data.shape)
+        want = op(*both)._backward(grad)[1 - constant]
+        one = [Tensor(v, dtype=np.float64, requires_grad=i != constant)
+               for i, v in enumerate(values)]
+        got = op(*one)._backward(grad)
+        assert got[constant] is None
+        assert np.array_equal(got[1 - constant], want)
+
+    def test_constant_bias_gets_none(self):
+        x, w = randt(83, (4, 5)), randt(84, (5, 3))
+        b = Tensor(Rng(85).normal((3,)), dtype=np.float64)
+        gx, gw, gb = T.linear(x, w, b)._backward(Rng(86).normal((4, 3)))
+        assert gb is None and gx is not None and gw is not None
+
 
 class TestFiniteDiffHarness:
     def test_identity_sum_error_zero(self):
@@ -436,3 +496,75 @@ class TestDtypePolicy:
         x = randt(29, (2, 3, 4))
         y = T.transpose(x, (2, 0, 1))
         assert y.data.flags["C_CONTIGUOUS"]
+
+
+# runs five toy training steps and prints the page faults of each step
+_FAULTS_SCRIPT = """
+import json, resource
+from msvseg import data, train
+from msvseg.model import ModelConfig, build_model
+from msvseg.optim import AdamW
+from msvseg.tensor import Rng
+
+faults = []
+inner = AdamW.step
+
+def step(opt, lr=None):
+    inner(opt, lr)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+AdamW.step = step
+cfg = ModelConfig()
+samples = data.gen_synthetic_dataset(8, cfg.num_classes, 64, Rng(0))
+train.train_loop(build_model(cfg, Rng(0)), samples,
+                 train.TrainConfig(batch_size=8, max_steps=5, eval_every=6),
+                 eval_samples=samples[:1])
+print(json.dumps([b - a for a, b in zip(faults, faults[1:])]))
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(not _glibc(), reason="the heap policy applies to glibc only")
+    def test_steady_training_steps_fault_few_pages(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        per_step = json.loads(done.stdout.strip().splitlines()[-1])
+        assert len(per_step) == 4
+        # steps 3 to 5; without the policy each faults about 22,000 pages
+        assert max(per_step[1:]) < 1000, per_step
+
+    @pytest.mark.skipif(not _glibc(), reason="the heap policy applies to glibc only")
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: Libc())
+        T._keep_freed_heap()
+        # M_MMAP_THRESHOLD at glibc's ceiling for its dynamic threshold, M_TRIM_THRESHOLD 1 GiB
+        ceiling = 4 * 1024 * 1024 * T.ctypes.sizeof(T.ctypes.c_long)
+        assert sorted(calls) == [(-3, ceiling), (-1, 1 << 30)]
+
+    @pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                             ids=["no_libc", "no_mallopt"])
+    def test_quiet_without_mallopt(self, monkeypatch, cdll):
+        monkeypatch.setattr(T.ctypes, "CDLL", cdll)
+        assert T._keep_freed_heap() is None

@@ -159,3 +159,21 @@ class TestTrainLoop:
         result = train_loop(model, tiny_data, cfg)
         best_from_rows = max(row["mean_dsc"] for row in result.history)
         assert result.best_dsc == pytest.approx(best_from_rows)
+
+    def test_one_evaluation_takes_one_snapshot(self, tiny_data, monkeypatch):
+        from msvseg import train
+        calls = []
+        inner = train._snapshot
+
+        def counting(model):
+            calls.append(1)
+            return inner(model)
+
+        monkeypatch.setattr(train, "_snapshot", counting)
+        model = build_model(ModelConfig(), Rng(8))
+        cfg = TrainConfig(max_epochs=2, max_steps=2, batch_size=2, eval_every=2, seed=3)
+        result = train_loop(model, tiny_data, cfg)
+        assert len(calls) == 1 and len(result.history) == 1
+        # the one evaluation ran after the last step
+        for name, p in model.named_parameters():
+            assert np.array_equal(result.best_state[name], p.data)
