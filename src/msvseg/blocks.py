@@ -38,7 +38,6 @@ class BlockConfig:
     ffn_expand: int = 4
     kernel_set: tuple[int, ...] = (1, 3, 5)
     dwconv_kernel: int = 3
-    pixel_shuffle_factor: int = 2
     state_size: int = 16
     dt_rank: int | None = None
 
@@ -256,37 +255,35 @@ class PatchMerge(Module):
 
 class LKPE(Module):
     """Large-kernel patch expanding: double channels, batch-norm, ReLU,
-    depthwise conv, pixel-shuffle, layer norm.  At the default factor 2:
+    depthwise conv, 2x pixel-shuffle, layer norm:
     [...,H,W,C] -> [...,2H,2W,C/2]."""
 
-    def __init__(self, rng: Rng, channels: int, dwconv_kernel: int = 3, factor: int = 2):
-        if (2 * channels) % (factor * factor):
-            raise ValueError(f"LKPE: 2*{channels} channels not divisible by {factor}^2")
-        self.factor = factor
+    def __init__(self, rng: Rng, channels: int, dwconv_kernel: int = 3):
+        if channels % 2:
+            raise ValueError("LKPE needs an even channel count")
         self.expand = Linear(rng.child(0), channels, 2 * channels)
         self.bn = BatchNorm2d(2 * channels)
         self.dwconv = DepthwiseConv2d(rng.child(1), 2 * channels, dwconv_kernel)
-        self.norm = ChannelLayerNorm(2 * channels // (factor * factor))
+        self.norm = ChannelLayerNorm(channels // 2)
 
     def forward(self, x: Tensor) -> Tensor:
         h = relu(self.bn(self.expand(x)))
         h = self.dwconv(h)
-        return self.norm(pixel_shuffle(h, self.factor))
+        return self.norm(pixel_shuffle(h, 2))
 
 
 class PatchExpand(Module):
     """Channel-doubling projection then pixel-shuffle and layer norm (LKPE
     without the BN/ReLU/depthwise stage; ablation baseline)."""
 
-    def __init__(self, rng: Rng, channels: int, factor: int = 2):
-        if (2 * channels) % (factor * factor):
-            raise ValueError(f"PatchExpand: 2*{channels} channels not divisible by {factor}^2")
-        self.factor = factor
+    def __init__(self, rng: Rng, channels: int):
+        if channels % 2:
+            raise ValueError("PatchExpand needs an even channel count")
         self.expand = Linear(rng, channels, 2 * channels, bias=False)
-        self.norm = ChannelLayerNorm(2 * channels // (factor * factor))
+        self.norm = ChannelLayerNorm(channels // 2)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.norm(pixel_shuffle(self.expand(x), self.factor))
+        return self.norm(pixel_shuffle(self.expand(x), 2))
 
 
 class TransposedConvUp(Module):
@@ -321,8 +318,8 @@ class UpsampleConv(Module):
 
 
 _UPSAMPLERS = {
-    "lkpe": lambda rng, c, cfg: LKPE(rng, c, cfg.dwconv_kernel, cfg.pixel_shuffle_factor),
-    "patch_expand": lambda rng, c, cfg: PatchExpand(rng, c, cfg.pixel_shuffle_factor),
+    "lkpe": lambda rng, c, cfg: LKPE(rng, c, cfg.dwconv_kernel),
+    "patch_expand": lambda rng, c, cfg: PatchExpand(rng, c),
     "transposed_conv": lambda rng, c, cfg: TransposedConvUp(rng, c),
     "upsample_block": lambda rng, c, cfg: UpsampleConv(rng, c),
 }

@@ -22,7 +22,7 @@ import numpy as np
 
 from .tensor import Module, Rng, Tensor, no_grad
 from .blocks import (
-    BlockConfig, FLKPE, MSVSSBlock, PatchEmbed, PatchMerge, VSSBlock, make_upsampler,
+    _UPSAMPLERS, BlockConfig, FLKPE, MSVSSBlock, PatchEmbed, PatchMerge, VSSBlock, make_upsampler,
 )
 
 __all__ = ["ModelConfig", "FeatureBundle", "VSSUNet", "build_model",
@@ -30,7 +30,6 @@ __all__ = ["ModelConfig", "FeatureBundle", "VSSUNet", "build_model",
            "TOY_PRESET", "TINY224_PRESET"]
 
 _DECODER_BLOCKS = {"vss": VSSBlock, "msvss": MSVSSBlock}
-_UPSAMPLER_KINDS = ("patch_expand", "lkpe", "transposed_conv", "upsample_block")
 
 
 @dataclass
@@ -59,8 +58,8 @@ class ModelConfig:
             raise ValueError(f"stage_depths must be four positive ints, got {self.stage_depths}")
         if self.decoder_block not in _DECODER_BLOCKS:
             raise ValueError(f"decoder_block must be one of {sorted(_DECODER_BLOCKS)}")
-        if self.upsampler not in _UPSAMPLER_KINDS:
-            raise ValueError(f"upsampler must be one of {_UPSAMPLER_KINDS}")
+        if self.upsampler not in _UPSAMPLERS:
+            raise ValueError(f"upsampler must be one of {sorted(_UPSAMPLERS)}")
         if any(k % 2 == 0 or k < 1 for k in self.kernel_set):
             raise ValueError(f"kernel_set entries must be odd, got {self.kernel_set}")
         if self.num_classes < 1:

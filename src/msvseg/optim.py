@@ -26,10 +26,6 @@ class AdamW:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
     def step(self, lr: float | None = None):
         lr = self.lr if lr is None else lr
         b1, b2 = self.betas

@@ -385,10 +385,10 @@ class SS2D(Module):
         self.n_state = n_state
         self.paths = [ScanParams(rng.child(i), channels, n_state, dt_rank) for i in range(4)]
 
-    def forward(self, fmap: Tensor, chunk: int | None = None) -> Tensor:
+    def forward(self, fmap: Tensor) -> Tensor:
         h, w = fmap.data.shape[-3:-1]
         seqs = cross_scan(fmap)
-        y = _scan_op(seqs, *_project_step_params(seqs, self.paths), chunk)
+        y = _scan_op(seqs, *_project_step_params(seqs, self.paths))
         return cross_merge(y, h, w)
 
 

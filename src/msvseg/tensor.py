@@ -5,8 +5,10 @@ the output gradient back to its inputs.  ``Tensor.backward()`` replays the
 recorded graph in reverse topological order, exactly once per forward
 recording, and releases it as it walks: a node that the caller does not hold
 is freed, with its data, saved arrays and gradient, once its parents have
-their gradients.  Buffers are row-major contiguous; reshapes and transposes
-copy.
+their gradients.  Every gradient, a parameter's included, starts as None and
+takes an owned copy of the first contribution it receives; a tensor that the
+walk never reaches keeps None.  Buffers are row-major contiguous; reshapes
+and transposes copy.
 Feature maps are channels-last [..., H, W, C], any leading shape being a
 batch of maps (a single map has the leading shape ()): the convolutions pad
 and slide over H and W only, and linear acts on the trailing axis.  Layer
@@ -35,7 +37,7 @@ __all__ = [
     "Tensor", "NonFiniteError", "no_grad", "record_op", "constant",
     "linear", "depthwise_conv2d", "merge_kernels", "conv2d", "take_flat",
     "normalize", "softmax_channels",
-    "relu", "silu", "gelu", "sigmoid", "softplus", "exp", "log",
+    "relu", "silu", "gelu", "softplus", "exp", "log",
     "tsum", "tmean", "reshape", "transpose",
     "Module", "Rng", "finite_diff_grad_check",
 ]
@@ -146,27 +148,19 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
-
     # -- backward ------------------------------------------------------------
 
-    def backward(self, leaves=None):
+    def backward(self):
         """Accumulate gradients of this scalar into every reachable input.
 
         One pass per recording: the graph is released as it is walked and a
         second pass raises.  Each node is dropped once its closure has run, so
         an intermediate node that the caller does not hold is freed, with its
         data and gradient, as soon as its parents have their gradients; nodes
-        the caller holds keep ``.grad``.  ``leaves`` (optional) are tensors
-        that should end up with an explicit zero gradient even when
-        unreachable from this node.
+        the caller holds keep ``.grad``.  A gradient that is None, as every
+        parameter's is after ``Module.zero_grad``, becomes an owned copy of its
+        first contribution, and later ones add into it; a tensor this node
+        does not reach keeps the gradient it had.
         """
         if self.data.size != 1:
             raise ValueError("backward target must be a scalar")
@@ -212,11 +206,6 @@ class Tensor:
             node._prev = ()
             node._released = True
 
-        if leaves is not None:
-            for leaf in leaves:
-                if leaf.requires_grad and leaf.grad is None:
-                    leaf.grad = np.zeros_like(leaf.data)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -243,9 +232,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, exponent):
-        return tpow(self, exponent)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis, keepdims)
@@ -359,15 +345,6 @@ def div(a: Tensor, b) -> Tensor:
     return record_op(out, (a, b), backward, "div")
 
 
-def tpow(a: Tensor, exponent: float) -> Tensor:
-    out = a.data ** exponent
-
-    def backward(grad):
-        return (grad * exponent * a.data ** (exponent - 1),)
-
-    return record_op(out, (a,), backward, "pow")
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
 
@@ -386,14 +363,10 @@ def log(a: Tensor) -> Tensor:
     return record_op(out, (a,), backward, "log")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
-    out = np.where(a.data >= 0, out, 1.0 - out)
-
-    def backward(grad):
-        return (grad * out * (1.0 - out),)
-
-    return record_op(out, (a,), backward, "sigmoid")
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) from e^-|x|, which cannot overflow."""
+    s = 1.0 / (1.0 + np.exp(-np.abs(x)))
+    return np.where(x >= 0, s, 1.0 - s)
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -402,9 +375,7 @@ def softplus(a: Tensor) -> Tensor:
 
     def backward(grad):
         # d/dx softplus = sigmoid(x), formed only when a gradient is asked for
-        sig = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
-        sig = np.where(a.data >= 0, sig, 1.0 - sig)
-        return (grad * sig,)
+        return (grad * _sigmoid(a.data),)
 
     return record_op(out, (a,), backward, "softplus")
 
@@ -419,8 +390,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-np.abs(a.data)))
-    sig = np.where(a.data >= 0, sig, 1.0 - sig)
+    sig = _sigmoid(a.data)
     out = a.data * sig
 
     def backward(grad):
@@ -737,11 +707,9 @@ class Module:
             yield p
 
     def zero_grad(self):
+        """Drop every parameter's gradient; the next backward starts it afresh."""
         for p in self.parameters():
-            p.zero_grad()
-
-    def num_params(self) -> int:
-        return sum(p.size for p in self.parameters())
+            p.grad = None
 
 
 # -- deterministic random streams -------------------------------------------------
@@ -835,8 +803,9 @@ def finite_diff_grad_check(fn, inputs, step: float = 1e-5, max_coords: int | Non
         raise ValueError("finite_diff_grad_check: fn must return a scalar Tensor")
     for t in inputs:
         t.grad = None
-    loss.backward(leaves=inputs)
-    analytic = [t.grad.copy() for t in inputs]
+    loss.backward()
+    # an input the loss does not depend on is never reached: its gradient is zero
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad for t in inputs]
 
     def central_diff(flat, i, h):
         orig = flat[i]

@@ -64,7 +64,7 @@ class TrainResult:
 
 
 def evaluate(model, samples: list[SegSample], *, alpha: float = 0.6,
-             with_hd95: bool = True, hd95_mode: str = "pooled") -> MetricsReport:
+             with_hd95: bool = True) -> MetricsReport:
     """Argmax predictions per sample, then DSC/HD95 averaged over samples and
     then over classes.  HD95 skips (sample, class) pairs where either
     boundary is empty; a class with no valid pair reports None."""
@@ -86,7 +86,7 @@ def evaluate(model, samples: list[SegSample], *, alpha: float = 0.6,
         pred = logits.data.argmax(axis=0)
         dsc_rows.append(dsc_metric(pred, s.mask, num_classes))
         if with_hd95:
-            for cls, value in enumerate(hd95_metric(pred, s.mask, num_classes, hd95_mode)):
+            for cls, value in enumerate(hd95_metric(pred, s.mask, num_classes)):
                 if value is not None:
                     hd_sums[cls] += value
                     hd_counts[cls] += 1
@@ -107,11 +107,6 @@ def evaluate(model, samples: list[SegSample], *, alpha: float = 0.6,
 
 def _snapshot(model) -> dict[str, np.ndarray]:
     return {name: p.data.copy() for name, p in model.named_parameters()}
-
-
-def restore_state(model, state: dict[str, np.ndarray]):
-    for name, p in model.named_parameters():
-        p.data[...] = state[name]
 
 
 def _check_one_shape(samples: list[SegSample]):

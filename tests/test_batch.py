@@ -112,7 +112,7 @@ def test_batch_matches_per_sample_loop(upsampler):
 
     logits = model.forward(Tensor(images, dtype=np.float64))
     loss = total_loss(logits, masks, 0.6)
-    loss.backward(leaves=params)
+    loss.backward()
     batched = _grads(params)
 
     total = None
@@ -123,7 +123,7 @@ def test_batch_matches_per_sample_loop(upsampler):
         total = term if total is None else total + term
     mean = total * (1.0 / len(images))
     assert abs(loss.item() - mean.item()) <= 1e-12 * abs(mean.item())
-    mean.backward(leaves=params)
+    mean.backward()
     looped = _grads(params)
 
     # biases right before a per-map batch norm have a true gradient of 0, so

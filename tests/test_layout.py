@@ -35,7 +35,7 @@ def _micro_probe(upsampler, seed=0):
     mask = Rng(seed + 7).integers(0, 3, (32, 32)).astype(np.int32)
     logits = model.forward(img)
     probe = float(np.sum(logits.data * Rng(90).normal(logits.data.shape)))
-    total_loss(logits, mask, 0.6).backward(leaves=params)
+    total_loss(logits, mask, 0.6).backward()
     projection = sum(float(np.dot(p.grad.ravel(), Rng(91).child(i).normal(p.data.size)))
                      for i, p in enumerate(params))
     return probe, projection

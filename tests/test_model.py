@@ -1,12 +1,16 @@
 """Model assembly: shapes, determinism, accounting, feature export."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from msvseg.model import (ModelConfig, TINY224_PRESET, build_model, channel_mean_heatmap,
-                          count_flops, count_params, export_stage_features, write_pgm)
+from msvseg.losses import ce_loss, dice_loss
+from msvseg.model import (ModelConfig, TINY224_PRESET, TOY_PRESET, build_model,
+                          channel_mean_heatmap, count_flops, count_params,
+                          export_stage_features, write_pgm)
 from msvseg.serial import checkpoint_bytes, load_checkpoint
-from msvseg.tensor import Rng, Tensor
+from msvseg.tensor import Rng, Tensor, softmax_channels
 
 
 def micro_cfg(**kw):
@@ -87,6 +91,35 @@ class TestGradientFlow:
         logits = model.forward(img)
         model.zero_grad()
         (logits * logits).sum().backward()
+        for name, p in model.named_parameters():
+            assert p.grad is not None, name
+            assert np.isfinite(p.grad).all(), name
+
+    def test_zero_grad_unsets_every_gradient(self):
+        model = build_model(micro_cfg(), Rng(19))
+        logits = model.forward(Tensor(Rng(20).random((3, 32, 32)).astype(np.float32)))
+        (logits * logits).sum().backward()
+        model.zero_grad()
+        for name, p in model.named_parameters():
+            assert p.grad is None, name
+
+    # the model configs of the benchmark's toy_train, wide224_train and
+    # tiny224_infer workloads, at 64x64: its step clock reads every
+    # parameter's gradient after one training loss's backward
+    @pytest.mark.parametrize("cfg", [
+        TOY_PRESET,
+        replace(TINY224_PRESET, base_channels=48, stage_depths=(1, 1, 1, 1), input_size=(64, 64)),
+        replace(TINY224_PRESET, input_size=(64, 64)),
+    ], ids=["toy", "wide224", "tiny224"])
+    def test_training_loss_reaches_every_parameter(self, cfg):
+        model = build_model(cfg, Rng(21))
+        images = Tensor(Rng(22).random((2, 3, 64, 64)).astype(np.float32))
+        masks = Rng(23).integers(0, cfg.num_classes, (2, 64, 64)).astype(np.int32)
+        model.zero_grad()
+        logits = model.forward(images)
+        loss = (cfg.alpha * dice_loss(softmax_channels(logits), masks)
+                + (1.0 - cfg.alpha) * ce_loss(logits, masks))
+        loss.backward()
         for name, p in model.named_parameters():
             assert p.grad is not None, name
             assert np.isfinite(p.grad).all(), name

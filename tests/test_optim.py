@@ -11,7 +11,7 @@ from msvseg.tensor import Rng, Tensor
 
 def param(values):
     t = Tensor(np.asarray(values, dtype=np.float64), dtype=np.float64, requires_grad=True)
-    t.zero_grad()
+    t.grad = np.zeros_like(t.data)
     return t
 
 

@@ -335,11 +335,12 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             T.tsum(mid).backward()
 
-    def test_unreachable_leaf_gets_zero(self):
+    def test_unreachable_leaf_keeps_no_gradient(self):
         x, z = randt(19, (3,)), randt(20, (3,))
         loss = T.tsum(x)
-        loss.backward(leaves=[x, z])
-        assert np.array_equal(z.grad, np.zeros(3))
+        loss.backward()
+        assert np.array_equal(x.grad, np.ones(3))
+        assert z.grad is None
 
     def test_add_gives_each_parent_its_own_gradient(self):
         # add hands one gradient array to both parents
@@ -439,6 +440,13 @@ class TestFiniteDiffHarness:
     def test_non_scalar_fn_rejected(self):
         with pytest.raises(ValueError):
             finite_diff_grad_check(lambda x: x, [randt(24, (3,))])
+
+    def test_ignored_input_has_zero_error(self):
+        # z is never reached, so its gradient stays None and reads as zero
+        err = finite_diff_grad_check(lambda x, z: T.tsum(x), [randt(25, (4,)), randt(26, (3,))])
+        assert err < 1e-10
+        err = finite_diff_grad_check(lambda z: T.constant(np.ones(())), [randt(27, (3,))])
+        assert err == 0.0
 
 
 class TestNanPolicy:

@@ -92,6 +92,32 @@ class TestTrainLoop:
             opt.step()
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
+    def test_unset_gradients_match_zero_filled(self, tiny_data):
+        # a step that zero-fills every gradient before backward, against one
+        # that starts every gradient unset: 0 + g == g, so the parameters agree
+        images = Tensor(np.stack([s.image.data for s in tiny_data]))
+        masks = np.stack([s.mask for s in tiny_data])
+
+        def two_steps(reset):
+            model = build_model(ModelConfig(), Rng(42))
+            opt = AdamW(model.parameters(), lr=3e-3, weight_decay=1e-4)
+            for _ in range(2):
+                reset(model)
+                logits = model.forward(images)
+                loss = 0.6 * dice_loss(softmax_channels(logits), masks) + 0.4 * ce_loss(logits, masks)
+                loss.backward()
+                opt.step()
+            return list(model.named_parameters())
+
+        def zero_fill(model):
+            for p in model.parameters():
+                p.grad = np.zeros_like(p.data)
+
+        filled = two_steps(zero_fill)
+        unset = two_steps(lambda model: model.zero_grad())
+        for (name, a), (_, b) in zip(filled, unset):
+            assert np.array_equal(a.data, b.data), name
+
     def test_determinism_same_seed(self, tiny_data):
         cfg = TrainConfig(max_epochs=3, max_steps=3, batch_size=2, eval_every=3, seed=11)
         r1 = train_loop(build_model(ModelConfig(), Rng(5)), tiny_data, cfg)
