@@ -6,7 +6,8 @@ over a textured background so the task is learnable but not trivial, and is
 fully determined by the seed.
 
 Dataset directory: a ``manifest.txt`` of key=value lines (version,
-num_classes, one ``sample=<id>`` line per sample) next to per-sample
+num_classes, one ``sample=<id>`` line per distinct sample; blank lines and
+``#`` comments are skipped, any other line is an error) next to per-sample
 ``<id>.image.msvt`` / ``<id>.mask.msvt`` tensor records (masks are stored as
 f32 records holding integer ids).  Sample ids match
 ``[A-Za-z0-9_-][A-Za-z0-9_.-]*``, so they cannot name a file outside the
@@ -293,19 +294,26 @@ def load_dataset(in_dir) -> tuple[list[SegSample], int]:
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.txt under {in_dir}")
     num_classes = None
-    ids = []
-    for line in manifest.read_text().splitlines():
+    ids: dict[str, int] = {}  # sample id -> manifest line, in manifest order
+    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"manifest line {lineno}: expected key=value, got {line!r}")
         if key == "num_classes":
             num_classes = int(value)
         elif key == "sample":
-            ids.append(_checked_id(value))
+            if value in ids:
+                raise ValueError(f"manifest line {lineno}: sample {value!r} is already "
+                                 f"listed on line {ids[value]}")
+            ids[_checked_id(value)] = lineno
         elif key == "version":
             if int(value) != 1:
                 raise ValueError(f"unsupported dataset version {value}")
+        else:
+            raise ValueError(f"manifest line {lineno}: unknown key {key!r}")
     if num_classes is None:
         raise ValueError("manifest is missing num_classes")
     samples = []

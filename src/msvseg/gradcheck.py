@@ -132,9 +132,9 @@ def _op_cases(seed: int):
     yield "op.softmax_channels", OP_TOL, softmax_fn, [xs]
 
     # scan primitives
-    params = ScanParams(Rng(seed + 2), channels=3, n_state=4).astype(np.float64)
+    params = ScanParams([Rng(seed + 2)], channels=3, n_state=4)
     xq = _t(r.child(19), (6, 3))
-    scan_inputs = [xq] + [p for _, p in params.named_parameters()]
+    scan_inputs = [xq] + _f64_params(params)
 
     def scan_fn(*args):
         return _square_sum(selective_scan_seq(args[0], params))

@@ -7,26 +7,20 @@ shape ().
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .tensor import Tensor, constant, exp, log, softmax_channels, take_flat, tmean, tsum
+from .tensor import Tensor, constant, exp, log, softmax_channels, tmean, tsum
 
 __all__ = ["one_hot", "dice_loss", "ce_loss", "total_loss", "DICE_SMOOTHING"]
 
 DICE_SMOOTHING = 1e-5
 
 
-def _check_ids(mask: np.ndarray, num_classes: int):
-    if mask.min() < 0 or mask.max() >= num_classes:
-        raise ValueError(f"mask ids must lie in [0, {num_classes})")
-
-
 def one_hot(mask: np.ndarray, num_classes: int, dtype=np.float64) -> np.ndarray:
     """[..., H, W] integer ids -> [..., K, H, W] one-hot planes."""
     mask = np.asarray(mask)
-    _check_ids(mask, num_classes)
+    if mask.min() < 0 or mask.max() >= num_classes:
+        raise ValueError(f"mask ids must lie in [0, {num_classes})")
     classes = np.arange(num_classes).reshape(num_classes, 1, 1)
     return (mask[..., None, :, :] == classes).astype(dtype)
 
@@ -49,14 +43,11 @@ def ce_loss(logits: Tensor, mask: np.ndarray) -> Tensor:
     mask = np.asarray(mask)
     if mask.shape != (*lead, h, w):
         raise ValueError(f"mask shape {mask.shape} does not match logits {logits.data.shape}")
-    _check_ids(mask, k)
+    target = constant(one_hot(mask, k, dtype=logits.data.dtype), like=logits)
     shift = logits.data.max(axis=-3, keepdims=True)
     z = logits - constant(shift, like=logits)
     lse = log(tsum(exp(z), axis=-3))
-    # flat index of z[b, mask[b, i, j], i, j] over the images b of the batch
-    images = np.arange(math.prod(lead)).reshape(-1, 1)
-    flat = (images * k + mask.reshape(-1, h * w)) * (h * w) + np.arange(h * w)
-    picked = take_flat(z, flat, mask.shape)
+    picked = tsum(z * target, axis=-3)  # z at the true class of each pixel
     return tmean(lse - picked)
 
 

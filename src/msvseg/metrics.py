@@ -70,18 +70,14 @@ def _percentile95(values: np.ndarray) -> float:
     return float(np.percentile(values, 95, method="linear"))
 
 
-def hd95_metric(pred: np.ndarray, true: np.ndarray, num_classes: int,
-                mode: str = "pooled") -> list[float | None]:
+def hd95_metric(pred: np.ndarray, true: np.ndarray, num_classes: int) -> list[float | None]:
     """Per-class 95th-percentile boundary distance in pixels.
 
     Directed nearest-boundary Euclidean distances are computed both ways (via
-    exact distance transforms).  mode="pooled" takes the percentile of the
-    pooled bidirectional set; mode="max_of_directions" takes the max of the
-    two directed percentiles.  A class is skipped (None) when either mask has
-    no boundary pixels.
+    exact distance transforms) and the percentile is taken of the pooled
+    bidirectional set, as MedPy's ``hd95`` does.  A class is skipped (None)
+    when either mask has no boundary pixels.
     """
-    if mode not in ("pooled", "max_of_directions"):
-        raise ValueError(f"unknown hd95 mode '{mode}'")
     out: list[float | None] = []
     for cls in range(num_classes):
         bp = boundary_pixels(pred == cls)
@@ -91,10 +87,5 @@ def hd95_metric(pred: np.ndarray, true: np.ndarray, num_classes: int,
             continue
         dist_to_true = ndimage.distance_transform_edt(~bt)
         dist_to_pred = ndimage.distance_transform_edt(~bp)
-        d_pt = dist_to_true[bp]
-        d_tp = dist_to_pred[bt]
-        if mode == "pooled":
-            out.append(_percentile95(np.concatenate([d_pt, d_tp])))
-        else:
-            out.append(max(_percentile95(d_pt), _percentile95(d_tp)))
+        out.append(_percentile95(np.concatenate([dist_to_true[bp], dist_to_pred[bt]])))
     return out

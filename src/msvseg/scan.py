@@ -9,9 +9,12 @@ Step size delta, B and C are projected from the input sequence itself.
 2D feature maps [..., H, W, C] are flattened along four paths, stacked as
 [4, ..., L, C]: row order is the map reshaped to [L, C], column order is the
 same after an H<->W swap, and the two reverse paths are flips of those.  Each
-path is scanned with its own parameters, then restored and summed.  The
-scan op folds the leading batch axes into its row axis: [4, B, L, C] runs as
-P = 4B rows, path p's parameters repeated for each of its B maps.
+path is scanned with its own parameters, then restored and summed.  Each
+parameter quantity of the four paths is one stacked [4, ...] tensor (A_log
+[4, C, N], the B projection [4, C, N], ...), so projecting the stacked
+sequences is one batched matmul per quantity.  The scan op folds the leading
+batch axes into its row axis: [4, B, L, C] runs as P = 4B rows, path p's
+parameters repeated for each of its B maps.
 
 The autodiff op streams the recurrence in blocks of SCAN_BLOCK time steps
 in time-major buffers, [T, P, N, C] with C contiguous, so each step of the
@@ -41,8 +44,7 @@ import time
 import numpy as np
 
 from .tensor import (
-    Module, Rng, Tensor, exp, linear, record_op, reshape, softplus, stack,
-    init_trunc_normal, init_ones,
+    Module, Rng, Tensor, exp, linear, record_op, reshape, softplus, init_ones,
 )
 
 __all__ = [
@@ -54,38 +56,38 @@ __all__ = [
 # -- parameters ---------------------------------------------------------------
 
 class ScanParams(Module):
-    """Parameter bundle for one scan direction over a C-channel sequence.
+    """Parameters of P = len(rngs) scan paths over a C-channel sequence, each
+    quantity stored once as a [P, ...] tensor.
 
     A_log parameterizes the strictly negative transition A = -exp(A_log);
     delta comes from a rank-reduced projection followed by softplus, B and C
-    from direct linear projections of the input.
+    from direct linear projections of the input.  Path i draws its values
+    from rngs[i] alone.
     """
 
-    def __init__(self, rng: Rng, channels: int, n_state: int = 16, dt_rank: int | None = None):
+    def __init__(self, rngs, channels: int, n_state: int = 16, dt_rank: int | None = None):
         if dt_rank is None:
             dt_rank = max(1, math.ceil(channels / 16))
-        self.channels = channels
-        self.n_state = n_state
-        self.dt_rank = dt_rank
-        self.a_log = Tensor(
-            np.tile(np.log(np.arange(1, n_state + 1, dtype=np.float32)), (channels, 1)),
-            requires_grad=True)
-        self.skip = init_ones((channels,))
-        self.w_b = init_trunc_normal(rng.child(1), (channels, n_state))
-        self.w_c = init_trunc_normal(rng.child(2), (channels, n_state))
-        self.w_dt_down = init_trunc_normal(rng.child(3), (channels, dt_rank))
-        bound = dt_rank ** -0.5
-        self.w_dt_up = Tensor(rng.child(4).uniform(-bound, bound, (dt_rank, channels)).astype(np.float32),
-                              requires_grad=True)
-        # softplus(dt_bias) lands in [1e-3, 1e-1], log-uniform
-        dt = np.exp(rng.child(5).uniform(math.log(1e-3), math.log(1e-1), channels))
-        self.dt_bias = Tensor(np.log(np.expm1(dt)).astype(np.float32), requires_grad=True)
 
-    def astype(self, dtype) -> "ScanParams":
-        for name, p in list(vars(self).items()):
-            if isinstance(p, Tensor):
-                setattr(self, name, Tensor(p.data.astype(dtype), requires_grad=p.requires_grad))
-        return self
+        def per_path(draw):
+            return Tensor(np.stack([draw(r) for r in rngs]).astype(np.float32), requires_grad=True)
+
+        self.a_log = Tensor(
+            np.tile(np.log(np.arange(1, n_state + 1, dtype=np.float32)), (len(rngs), channels, 1)),
+            requires_grad=True)
+        self.skip = init_ones((len(rngs), channels))
+        self.w_b = per_path(lambda r: r.child(1).trunc_normal((channels, n_state), 0.02))
+        self.w_c = per_path(lambda r: r.child(2).trunc_normal((channels, n_state), 0.02))
+        self.w_dt_down = per_path(lambda r: r.child(3).trunc_normal((channels, dt_rank), 0.02))
+        bound = dt_rank ** -0.5
+        self.w_dt_up = per_path(lambda r: r.child(4).uniform(-bound, bound, (dt_rank, channels)))
+
+        def dt_bias(r):
+            # softplus(dt_bias) lands in [1e-3, 1e-1], log-uniform
+            dt = np.exp(r.child(5).uniform(math.log(1e-3), math.log(1e-1), channels))
+            return np.log(np.expm1(dt))
+
+        self.dt_bias = per_path(dt_bias)
 
 
 # -- fused recurrence ----------------------------------------------------------
@@ -301,28 +303,26 @@ def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
                      "selective_scan")
 
 
-def _project_step_params(x: Tensor, paths):
+def _project_step_params(x: Tensor, params: ScanParams):
     """Step inputs of stacked sequences x [P, ..., L, C], path p projected
-    with the ScanParams paths[p]: delta [P, ..., L, C] (softplus), A [P, C, N],
+    with path p of ``params``: delta [P, ..., L, C] (softplus), A [P, C, N],
     B and C [P, ..., L, N] and skip [P, C]."""
-    a_log, skip, w_b, w_c, w_dt_down, w_dt_up, dt_bias = (
-        stack([getattr(p, name) for p in paths])
-        for name in ("a_log", "skip", "w_b", "w_c", "w_dt_down", "w_dt_up", "dt_bias"))
-    delta = softplus(linear(linear(x, w_dt_down), w_dt_up, dt_bias))
-    b = linear(x, w_b)
-    c_out = linear(x, w_c)
-    return delta, -exp(a_log), b, c_out, skip
+    delta = softplus(linear(linear(x, params.w_dt_down), params.w_dt_up, params.dt_bias))
+    b = linear(x, params.w_b)
+    c_out = linear(x, params.w_c)
+    return delta, -exp(params.a_log), b, c_out, params.skip
 
 
 def _scan_sequence(x: Tensor, params: ScanParams, chunk: int | None) -> Tensor:
     l, c = x.data.shape
     x1 = reshape(x, (1, l, c))
-    y = _scan_op(x1, *_project_step_params(x1, [params]), chunk)
+    y = _scan_op(x1, *_project_step_params(x1, params), chunk)
     return reshape(y, (l, c))
 
 
 def selective_scan_seq(x: Tensor, params: ScanParams) -> Tensor:
-    """Reference sequential recurrence over a [L, C] sequence."""
+    """Reference sequential recurrence over a [L, C] sequence, with the
+    one-path parameter set ``params``."""
     return _scan_sequence(x, params, chunk=None)
 
 
@@ -372,23 +372,21 @@ def cross_merge(seqs: Tensor, h: int, w: int) -> Tensor:
     return record_op(_merge(seqs.data, h, w), (seqs,), backward, "cross_merge")
 
 
-class SS2D(Module):
+class SS2D(ScanParams):
     """Four-direction selective scan over [..., H, W, C] feature maps.
 
-    Each path owns an independent ScanParams; the four restored outputs are
-    summed.  The paths are projected and scanned stacked, so the time loop
-    is shared.
+    The parameter set of the four paths, path i drawn from ``rng.child(i)``;
+    the paths are projected and scanned stacked, so the time loop is shared,
+    and the four restored outputs are summed.
     """
 
     def __init__(self, rng: Rng, channels: int, n_state: int = 16, dt_rank: int | None = None):
-        self.channels = channels
-        self.n_state = n_state
-        self.paths = [ScanParams(rng.child(i), channels, n_state, dt_rank) for i in range(4)]
+        super().__init__([rng.child(i) for i in range(4)], channels, n_state, dt_rank)
 
     def forward(self, fmap: Tensor) -> Tensor:
         h, w = fmap.data.shape[-3:-1]
         seqs = cross_scan(fmap)
-        y = _scan_op(seqs, *_project_step_params(seqs, self.paths))
+        y = _scan_op(seqs, *_project_step_params(seqs, self))
         return cross_merge(y, h, w)
 
 

@@ -35,7 +35,7 @@ from scipy import special
 
 __all__ = [
     "Tensor", "NonFiniteError", "no_grad", "record_op", "constant",
-    "linear", "depthwise_conv2d", "merge_kernels", "conv2d", "take_flat",
+    "linear", "depthwise_conv2d", "merge_kernels", "conv2d",
     "normalize", "softmax_channels",
     "relu", "silu", "gelu", "softplus", "exp", "log",
     "tsum", "tmean", "reshape", "transpose",
@@ -455,31 +455,6 @@ def transpose(a: Tensor, axes) -> Tensor:
         return (np.ascontiguousarray(grad.transpose(inverse)),)
 
     return record_op(out, (a,), backward, "transpose")
-
-
-def take_flat(a: Tensor, flat_index: np.ndarray, out_shape) -> Tensor:
-    """Gather: out.flat[i] = a.flat[flat_index.flat[i]].  The map must be
-    injective (no index repeats): backward scatters by assignment."""
-    idx = np.asarray(flat_index, dtype=np.intp).reshape(-1)
-    out = a.data.reshape(-1)[idx].reshape(out_shape)
-
-    def backward(grad):
-        ga = np.zeros(a.data.size, dtype=grad.dtype)
-        ga[idx] = grad.reshape(-1)
-        return (ga.reshape(a.data.shape),)
-
-    return record_op(np.ascontiguousarray(out), (a,), backward, "take_flat")
-
-
-def stack(tensors) -> Tensor:
-    """Stack same-shape tensors along a new leading axis."""
-    tensors = tuple(tensors)
-    out = np.stack([t.data for t in tensors])
-
-    def backward(grad):
-        return tuple(grad[i] for i in range(len(tensors)))
-
-    return record_op(out, tensors, backward, "stack")
 
 
 # -- neural-net primitives ------------------------------------------------------

@@ -63,8 +63,7 @@ class TrainResult:
         return "\n".join(rows) + "\n"
 
 
-def evaluate(model, samples: list[SegSample], *, alpha: float = 0.6,
-             with_hd95: bool = True) -> MetricsReport:
+def evaluate(model, samples: list[SegSample], *, alpha: float = 0.6) -> MetricsReport:
     """Argmax predictions per sample, then DSC/HD95 averaged over samples and
     then over classes.  HD95 skips (sample, class) pairs where either
     boundary is empty; a class with no valid pair reports None."""
@@ -85,11 +84,10 @@ def evaluate(model, samples: list[SegSample], *, alpha: float = 0.6,
         loss_sum += alpha * d + (1.0 - alpha) * c
         pred = logits.data.argmax(axis=0)
         dsc_rows.append(dsc_metric(pred, s.mask, num_classes))
-        if with_hd95:
-            for cls, value in enumerate(hd95_metric(pred, s.mask, num_classes)):
-                if value is not None:
-                    hd_sums[cls] += value
-                    hd_counts[cls] += 1
+        for cls, value in enumerate(hd95_metric(pred, s.mask, num_classes)):
+            if value is not None:
+                hd_sums[cls] += value
+                hd_counts[cls] += 1
 
     n = len(samples)
     per_class_dsc = np.mean(dsc_rows, axis=0)

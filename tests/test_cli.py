@@ -191,6 +191,35 @@ class TestArtifacts:
                     "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 1
         assert "../outside/s0000" in capsys.readouterr().err
 
+    def test_eval_repeated_manifest_sample_is_invalid_input(self, trained_dir, dataset_dir,
+                                                            tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = data / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "sample=s0000\n")
+        assert run(["eval", "--checkpoint", str(trained_dir / "checkpoint.msvc"),
+                    "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "sample 's0000' is already listed" in capsys.readouterr().err
+
+    def test_eval_per_path_scan_checkpoint_is_invalid_input(self, trained_dir, dataset_dir,
+                                                            tmp_path, capsys):
+        # each SS2D quantity split into one tensor per path, as `...ss2d.paths.{i}.{name}`
+        text, tensors = load_checkpoint(trained_dir / "checkpoint.msvc")
+        per_path = {}
+        for name, array in tensors.items():
+            owner, _, leaf = name.rpartition(".")
+            if owner.endswith(".ss2d"):
+                per_path.update((f"{owner}.paths.{i}.{leaf}", part) for i, part in enumerate(array))
+            else:
+                per_path[name] = array
+        assert len(per_path) > len(tensors)
+        ckpt = tmp_path / "per_path.msvc"
+        save_checkpoint(ckpt, text, per_path.items())
+        assert run(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "does not match the model" in err and ".ss2d.paths.0." in err
+
     def test_model_alpha_weights_train_and_eval_loss(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(["train", "--data", str(dataset_dir), "--out-dir", str(out), "--quiet",

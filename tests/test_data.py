@@ -1,5 +1,6 @@
 """Synthetic data generator, augmentation, dataset directory format."""
 
+import re
 import shutil
 import warnings
 
@@ -126,6 +127,28 @@ class TestDatasetIo:
         text = (tmp_path / "manifest.txt").read_text()
         assert "num_classes=4" in text
         assert text.count("sample=") == 2
+
+    def test_blank_lines_and_comments_load(self, dataset, tmp_path):
+        save_dataset(dataset[:2], tmp_path, 4)
+        ids = [s.sample_id for s in dataset[:2]]
+        (tmp_path / "manifest.txt").write_text(
+            f"# two samples\nversion=1\n\nnum_classes=4\n  # indented\nsample={ids[0]}\n\n"
+            f"sample={ids[1]}\n")
+        loaded, k = load_dataset(tmp_path)
+        assert k == 4 and [s.sample_id for s in loaded] == ids
+
+    @pytest.mark.parametrize("line, message", [
+        ("sampel=s0001", "manifest line 5: unknown key 'sampel'"),
+        ("garbage line", "manifest line 5: expected key=value, got 'garbage line'"),
+        ("sample=s0000", "manifest line 5: sample 's0000' is already listed on line 3"),
+    ], ids=["unknown_key", "no_equals", "repeated_id"])
+    def test_malformed_manifest_line_rejected(self, dataset, tmp_path, line, message):
+        save_dataset(dataset[:2], tmp_path, 4)
+        manifest = tmp_path / "manifest.txt"
+        assert manifest.read_text().splitlines()[2:] == ["sample=s0000", "sample=s0001"]
+        manifest.write_text(manifest.read_text() + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(tmp_path)
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -116,15 +116,6 @@ class TestHd95:
             if x is not None:
                 assert x == pytest.approx(y, abs=1e-12)
 
-    def test_max_of_directions_mode(self):
-        p = random_mask(404, 10, 10, 2)
-        t = random_mask(405, 10, 10, 2)
-        pooled = hd95_metric(p, t, 2, mode="pooled")
-        directed = hd95_metric(p, t, 2, mode="max_of_directions")
-        assert len(pooled) == len(directed)
-        with pytest.raises(ValueError):
-            hd95_metric(p, t, 2, mode="hybrid")
-
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
     def test_oracle_agreement_property(self, seed):

@@ -8,13 +8,20 @@ from hypothesis import strategies as st
 from conftest import scan_scalar_loop
 from msvseg import scan as S
 from msvseg import tensor as T
+from msvseg.gradcheck import _f64_params
 from msvseg.scan import (SS2D, ScanParams, cross_merge, cross_scan, run_scan_benchmark,
                          selective_scan_seq)
 from msvseg.tensor import Rng, Tensor, finite_diff_grad_check, no_grad
 
+# the [P, ...] tensors of a ScanParams, in named_parameters order
+SCAN_QUANTITIES = ("a_log", "skip", "w_b", "w_c", "w_dt_down", "w_dt_up", "dt_bias")
+
 
 def f64_params(seed, channels, n_state):
-    return ScanParams(Rng(seed), channels, n_state).astype(np.float64)
+    """A one-path parameter set in float64."""
+    params = ScanParams([Rng(seed)], channels, n_state)
+    _f64_params(params)
+    return params
 
 
 def discretize(delta: Tensor, a: Tensor, b: Tensor):
@@ -100,9 +107,9 @@ class TestSequentialScan:
         p = f64_params(3, channels=2, n_state=3)
         x = Tensor(Rng(4).normal((7, 2)), dtype=np.float64)
         with no_grad():
-            delta, a, b, c_out, _ = S._project_step_params(T.reshape(x, (1, 7, 2)), [p])
+            delta, a, b, c_out, _ = S._project_step_params(T.reshape(x, (1, 7, 2)), p)
         expected = scan_scalar_loop(x.data, delta.data[0], a.data[0], b.data[0], c_out.data[0],
-                                    p.skip.data)
+                                    p.skip.data[0])
         got = selective_scan_seq(x, p)
         assert np.max(np.abs(got.data - expected)) < 1e-12
 
@@ -148,7 +155,7 @@ class TestChunkedScan:
 
     def test_stability_long_sequence_f32(self):
         # A = -exp(A_log) keeps |exp(delta*A)| < 1, so the state stays bounded
-        p = ScanParams(Rng(12), channels=4, n_state=8)
+        p = ScanParams([Rng(12)], channels=4, n_state=8)
         x = Tensor(Rng(13).normal((10_000, 4)).astype(np.float32))
         y = selective_scan_seq(x, p)
         assert np.isfinite(y.data).all()
@@ -331,6 +338,24 @@ def _core_op(x, delta, a, b, c_out, skip):
     return T.record_op(y[0], (x, delta, a, b, c_out, skip), backward, "oracle_scan")
 
 
+def _gather(a, flat_index):
+    """Oracle gather: out.flat[i] = a.flat[flat_index.flat[i]], recorded as an
+    op whose backward scatter-adds."""
+    idx = np.asarray(flat_index)
+
+    def backward(grad):
+        ga = np.zeros(a.data.size, dtype=grad.dtype)
+        np.add.at(ga, idx.ravel(), grad.ravel())
+        return (ga.reshape(a.data.shape),)
+
+    return T.record_op(a.data.reshape(-1)[idx], (a,), backward, "oracle_gather")
+
+
+def _path(t, i):
+    """Path i of a stacked [P, ...] parameter, as a differentiable gather."""
+    return _gather(t, np.arange(t.data.size).reshape(t.data.shape)[i])
+
+
 def _ss2d_oracle(ss, fmap):
     """Oracle: gather each path by its pixel order, project it with its own
     parameters, scan it with the full-history core, scatter it back and sum."""
@@ -338,24 +363,34 @@ def _ss2d_oracle(ss, fmap):
     row = np.arange(h * w)
     col = (row % h) * w + row // h
     out = None
-    for perm, p in zip((row, col, row[::-1], col[::-1]), ss.paths):
+    for i, perm in enumerate((row, col, row[::-1], col[::-1])):
+        p = {name: _path(getattr(ss, name), i) for name in SCAN_QUANTITIES}
         idx = perm[:, None] * c + np.arange(c)[None, :]  # seq[t, ch] = fmap[..., ch].flat[perm[t]]
-        seq = T.take_flat(fmap, idx, (h * w, c))
-        delta = T.softplus(T.linear(T.linear(seq, p.w_dt_down), p.w_dt_up) + p.dt_bias)
-        a = T.mul(T.exp(p.a_log), -1.0)
-        y = _core_op(seq, delta, a, T.linear(seq, p.w_b), T.linear(seq, p.w_c), p.skip)
-        restored = T.take_flat(y, np.argsort(idx.ravel()).reshape(h, w, c), (h, w, c))
+        seq = _gather(fmap, idx)
+        delta = T.softplus(T.linear(T.linear(seq, p["w_dt_down"]), p["w_dt_up"]) + p["dt_bias"])
+        a = T.mul(T.exp(p["a_log"]), -1.0)
+        y = _core_op(seq, delta, a, T.linear(seq, p["w_b"]), T.linear(seq, p["w_c"]), p["skip"])
+        restored = _gather(y, np.argsort(idx.ravel()).reshape(h, w, c))
         out = restored if out is None else out + restored
     return out
 
 
 class TestSS2D:
+    def test_parameters_are_four_one_path_sets_stacked(self):
+        ss = SS2D(Rng(43), channels=5, n_state=3)
+        assert [name for name, _ in ss.named_parameters()] == list(SCAN_QUANTITIES)
+        paths = [ScanParams([Rng(43).child(i)], channels=5, n_state=3) for i in range(4)]
+        for name in SCAN_QUANTITIES:
+            stacked = getattr(ss, name).data
+            assert stacked.dtype == np.float32 and stacked.shape[0] == 4
+            for i, path in enumerate(paths):
+                assert np.array_equal(stacked[i], getattr(path, name).data[0])
+
     @pytest.mark.parametrize("shape", [(5, 4, 3), (9, 8, 2), (1, 6, 1)])
     def test_matches_per_path_gather_oracle(self, shape):
         ss = SS2D(Rng(40), channels=shape[-1], n_state=4)
-        for p in ss.paths:
-            p.astype(np.float64)
-        params = [t for _, t in ss.named_parameters()]
+        # jittered, so that every path's A_log and skip differ from the others'
+        params = _f64_params(ss, jitter_rng=Rng(44))
         fmap = Tensor(Rng(41).normal(shape), dtype=np.float64, requires_grad=True)
         weight = Tensor(Rng(42).normal(shape), dtype=np.float64)
         results = []
@@ -374,12 +409,14 @@ class TestSS2D:
 
     def test_single_pixel_is_sum_of_four_scans(self):
         ss = SS2D(Rng(19), channels=2, n_state=3)
-        for p in ss.paths:
-            p.astype(np.float64)
+        _f64_params(ss)
+        paths = [ScanParams([Rng(19).child(i)], channels=2, n_state=3) for i in range(4)]
         x = Tensor(Rng(20).normal((1, 1, 2)), dtype=np.float64)
         y = ss(x)
         seq = Tensor(x.data.reshape(1, 2), dtype=np.float64)
-        expected = sum(selective_scan_seq(seq, p).data for p in ss.paths)
+        for p in paths:
+            _f64_params(p)
+        expected = sum(selective_scan_seq(seq, p).data for p in paths)
         assert np.max(np.abs(y.data.reshape(1, 2) - expected)) < 1e-12
 
     def test_scan_reversal_symmetry(self):
@@ -395,8 +432,7 @@ class TestSS2D:
 
     def test_gradient_matches_fd(self):
         ss = SS2D(Rng(23), channels=4, n_state=4)
-        for p in ss.paths:
-            p.astype(np.float64)
+        _f64_params(ss)
         f = Tensor(Rng(24).normal((6, 5, 4)), dtype=np.float64, requires_grad=True)
         err = finite_diff_grad_check(lambda f: T.tsum(T.mul(ss(f), ss(f))), [f])
         assert err <= 1e-4

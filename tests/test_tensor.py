@@ -479,23 +479,6 @@ class TestRng:
         assert np.abs(vals).max() <= 0.04
 
 
-class TestPermutationOps:
-    def test_take_put_roundtrip(self):
-        x = randt(25, (3, 4))
-        perm = Rng(26).permutation(12).reshape(3, 4)
-        gathered = T.take_flat(x, perm, (3, 4))
-        inverse = np.argsort(perm.reshape(-1)).reshape(3, 4)
-        restored = T.take_flat(gathered, inverse, (3, 4))
-        assert np.array_equal(restored.data, x.data)
-
-    def test_gather_gradients(self):
-        x = randt(28, (2, 3))
-        idx = np.array([[4, 0], [5, 1]])
-        err = finite_diff_grad_check(
-            lambda x: T.tsum(T.mul(T.take_flat(x, idx, (2, 2)), T.take_flat(x, idx, (2, 2)))), [x])
-        assert err <= 1e-8
-
-
 class TestDtypePolicy:
     def test_default_dtype_is_f32(self):
         assert Tensor([1, 2, 3]).dtype == np.float32

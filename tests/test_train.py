@@ -168,7 +168,7 @@ class TestTrainLoop:
         model = build_model(ModelConfig(), Rng(31))
         cfg = TrainConfig(max_epochs=2, max_steps=2, batch_size=2, eval_every=2, seed=3)
         train_loop(model, tiny_data, cfg)
-        report = evaluate(model, tiny_data, with_hd95=False)
+        report = evaluate(model, tiny_data)
         dumped = []
         for s in tiny_data:
             with no_grad():
