@@ -127,7 +127,7 @@ def _restore_model(checkpoint_path):
             raise ValueError(f"checkpoint tensor {name} has shape {tensors[name].shape}, "
                              f"expected {p.data.shape}")
         with np.errstate(over="ignore"):  # a float64 value beyond float32 range becomes inf
-            p.data[...] = tensors[name].astype(p.data.dtype)
+            p.data[...] = tensors[name]
         if not np.isfinite(p.data).all():
             raise ValueError(f"checkpoint tensor {name} has non-finite values as {p.data.dtype}")
     return model, model_cfg

@@ -295,6 +295,7 @@ def load_dataset(in_dir) -> tuple[list[SegSample], int]:
         raise FileNotFoundError(f"no manifest.txt under {in_dir}")
     num_classes = None
     ids: dict[str, int] = {}  # sample id -> manifest line, in manifest order
+    given: dict[str, int] = {}  # num_classes/version -> manifest line
     for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -302,8 +303,16 @@ def load_dataset(in_dir) -> tuple[list[SegSample], int]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"manifest line {lineno}: expected key=value, got {line!r}")
+        if key in ("num_classes", "version"):
+            if key in given:
+                raise ValueError(f"manifest line {lineno}: {key} is already given on line "
+                                 f"{given[key]}")
+            given[key] = lineno
         if key == "num_classes":
             num_classes = int(value)
+            if num_classes < 1:
+                raise ValueError(f"manifest line {lineno}: num_classes must be at least 1, "
+                                 f"got {num_classes}")
         elif key == "sample":
             if value in ids:
                 raise ValueError(f"manifest line {lineno}: sample {value!r} is already "

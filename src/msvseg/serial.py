@@ -7,16 +7,21 @@ Checkpoint ("MSVC"): magic, u16 version=1, u32 config-blob length, the
 structured-text config blob (utf-8 key=value lines), u32 tensor count, then
 named tensor records (u16 name length, utf-8 name, tensor record).
 
-Readers check every field against the bytes that remain before reading it,
-so a truncated or forged file raises ValueError and never drives a large
-allocation.
+Records are streamed, one record in flight: the writer hands each array's
+own buffer to the file (copying only an array that is not contiguous or not
+little-endian), and the reader reads each payload straight into the array it
+returns.  No copy of the whole file is built on either side.
+
+Readers check every field against the bytes left in the file before reading
+it, so a truncated or forged file raises ValueError and never drives an
+allocation larger than the file.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -28,98 +33,112 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
-def tensor_record_bytes(array: np.ndarray) -> bytes:
+def _record_array(array) -> np.ndarray:
+    """``array`` as an ndarray; ValueError unless it is f32 or f64."""
     arr = np.asarray(array)
-    if arr.ndim:
-        arr = np.ascontiguousarray(arr)  # ascontiguousarray would promote rank 0 to rank 1
     if arr.dtype not in _DTYPE_CODES:
         raise ValueError(f"unsupported dtype {arr.dtype}; only f32/f64 records exist")
-    head = TENSOR_MAGIC + struct.pack("<HBB", VERSION, _DTYPE_CODES[arr.dtype], arr.ndim)
-    head += struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-    return head + arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    return arr
 
 
-def _need(buf: bytes, pos: int, size: int, what: str):
-    """Raise ValueError unless ``size`` bytes remain in ``buf`` at ``pos``."""
-    if size > len(buf) - pos:
+def _write_record(f, arr: np.ndarray):
+    """Write one tensor record of an array checked by ``_record_array``."""
+    f.write(TENSOR_MAGIC + struct.pack(f"<HBB{arr.ndim}Q", VERSION, _DTYPE_CODES[arr.dtype],
+                                       arr.ndim, *arr.shape))
+    f.write(memoryview(np.asarray(arr, dtype=arr.dtype.newbyteorder("<"), order="C")))
+
+
+def _need(f, end: int, size: int, what: str) -> int:
+    """Raise ValueError unless ``size`` bytes remain before ``end``; returns the
+    file position."""
+    pos = f.tell()
+    if size > end - pos:
         raise ValueError(f"truncated {what}: needs {size} bytes at offset {pos}, "
-                         f"{max(len(buf) - pos, 0)} remain")
+                         f"{max(end - pos, 0)} remain")
+    return pos
 
 
-def _unpack(fmt: str, buf: bytes, pos: int, what: str) -> tuple[tuple, int]:
-    """Bounds-checked struct.unpack_from; returns (fields, next offset)."""
-    size = struct.calcsize(fmt)
-    _need(buf, pos, size, what)
-    return struct.unpack_from(fmt, buf, pos), pos + size
+def _read(f, end: int, size: int, what: str) -> bytes:
+    pos = _need(f, end, size, what)
+    data = f.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated {what} at offset {pos}: the file ended early")
+    return data
 
 
-def read_tensor_record(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Decode one record from ``buf`` at ``offset``; returns (array, next offset)."""
-    if buf[offset:offset + 4] != TENSOR_MAGIC:
+def _unpack(fmt: str, f, end: int, what: str) -> tuple:
+    return struct.unpack(fmt, _read(f, end, struct.calcsize(fmt), what))
+
+
+def _read_record(f, end: int) -> np.ndarray:
+    """Read one tensor record at the file position."""
+    if f.read(4) != TENSOR_MAGIC:
         raise ValueError("bad tensor record magic")
-    (version, code, rank), pos = _unpack("<HBB", buf, offset + 4, "tensor record header")
+    version, code, rank = _unpack("<HBB", f, end, "tensor record header")
     if version != VERSION:
         raise ValueError(f"unsupported tensor record version {version}")
     if code not in _CODE_DTYPES:
         raise ValueError(f"unknown dtype code {code}")
-    shape, pos = _unpack(f"<{rank}Q", buf, pos, "tensor record extents")
+    shape = _unpack(f"<{rank}Q", f, end, "tensor record extents")
     dtype = _CODE_DTYPES[code]
     count = math.prod(shape)  # Python ints: a forged extent cannot wrap around
-    _need(buf, pos, count * dtype.itemsize, "tensor record payload")
-    payload = np.frombuffer(buf, dtype=dtype, count=count, offset=pos)
-    pos += count * dtype.itemsize
-    return payload.reshape(shape).astype(dtype.newbyteorder("=")), pos
+    pos = _need(f, end, count * dtype.itemsize, "tensor record payload")
+    payload = np.empty(count, dtype)
+    if f.readinto(payload) != payload.nbytes:
+        raise ValueError(f"truncated tensor record payload at offset {pos}: the file ended early")
+    return payload.reshape(shape).astype(dtype.newbyteorder("="), copy=False)
+
+
+def _check_end(f, end: int, after: str):
+    if f.tell() != end:
+        raise ValueError(f"{end - f.tell()} trailing bytes after {after}")
 
 
 def save_tensor(path, array: np.ndarray):
-    Path(path).write_bytes(tensor_record_bytes(array))
+    arr = _record_array(array)
+    with open(path, "wb") as f:
+        _write_record(f, arr)
 
 
 def load_tensor(path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    arr, end = read_tensor_record(buf)
-    if end != len(buf):
-        raise ValueError(f"{len(buf) - end} trailing bytes after the tensor record")
+    with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size
+        arr = _read_record(f, end)
+        _check_end(f, end, "the tensor record")
     return arr
 
 
-def checkpoint_bytes(config_text: str, named_arrays) -> bytes:
-    blob = config_text.encode("utf-8")
-    parts = [CHECKPOINT_MAGIC, struct.pack("<H", VERSION),
-             struct.pack("<I", len(blob)), blob]
-    named_arrays = list(named_arrays)
-    parts.append(struct.pack("<I", len(named_arrays)))
-    for name, arr in named_arrays:
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(tensor_record_bytes(arr))
-    return b"".join(parts)
-
-
 def save_checkpoint(path, config_text: str, named_arrays):
-    Path(path).write_bytes(checkpoint_bytes(config_text, named_arrays))
+    blob = config_text.encode("utf-8")
+    # every name and dtype is checked before the file is opened, so a failed
+    # save leaves no file, or the old one untouched
+    records = []
+    for name, array in named_arrays:
+        encoded = name.encode("utf-8")
+        records.append((struct.pack("<H", len(encoded)) + encoded, _record_array(array)))
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC + struct.pack("<HI", VERSION, len(blob)) + blob
+                + struct.pack("<I", len(records)))
+        for name_field, arr in records:
+            f.write(name_field)
+            _write_record(f, arr)
 
 
 def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
-    buf = Path(path).read_bytes()
-    if buf[:4] != CHECKPOINT_MAGIC:
-        raise ValueError("bad checkpoint magic")
-    (version, blob_len), pos = _unpack("<HI", buf, 4, "checkpoint header")
-    if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    _need(buf, pos, blob_len, "checkpoint config blob")
-    config_text = buf[pos:pos + blob_len].decode("utf-8")  # UnicodeDecodeError is a ValueError
-    pos += blob_len
-    (count,), pos = _unpack("<I", buf, pos, "checkpoint tensor count")
-    tensors = {}
-    for _ in range(count):
-        (name_len,), pos = _unpack("<H", buf, pos, "tensor name length")
-        _need(buf, pos, name_len, "tensor name")
-        name = buf[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        arr, pos = read_tensor_record(buf, pos)
-        tensors[name] = arr
-    if pos != len(buf):
-        raise ValueError(f"{len(buf) - pos} trailing bytes after the last checkpoint tensor")
+    with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size
+        if f.read(4) != CHECKPOINT_MAGIC:
+            raise ValueError("bad checkpoint magic")
+        version, blob_len = _unpack("<HI", f, end, "checkpoint header")
+        if version != VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        # UnicodeDecodeError is a ValueError
+        config_text = _read(f, end, blob_len, "checkpoint config blob").decode("utf-8")
+        (count,) = _unpack("<I", f, end, "checkpoint tensor count")
+        tensors = {}
+        for _ in range(count):
+            (name_len,) = _unpack("<H", f, end, "tensor name length")
+            name = _read(f, end, name_len, "tensor name").decode("utf-8")
+            tensors[name] = _read_record(f, end)
+        _check_end(f, end, "the last checkpoint tensor")
     return config_text, tensors

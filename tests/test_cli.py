@@ -201,6 +201,16 @@ class TestArtifacts:
                     "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 1
         assert "sample 's0000' is already listed" in capsys.readouterr().err
 
+    def test_eval_repeated_manifest_num_classes_is_invalid_input(self, trained_dir, dataset_dir,
+                                                                 tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = data / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "num_classes=7\n")
+        assert run(["eval", "--checkpoint", str(trained_dir / "checkpoint.msvc"),
+                    "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "num_classes is already given on line 2" in capsys.readouterr().err
+
     def test_eval_per_path_scan_checkpoint_is_invalid_input(self, trained_dir, dataset_dir,
                                                             tmp_path, capsys):
         # each SS2D quantity split into one tensor per path, as `...ss2d.paths.{i}.{name}`

@@ -141,13 +141,27 @@ class TestDatasetIo:
         ("sampel=s0001", "manifest line 5: unknown key 'sampel'"),
         ("garbage line", "manifest line 5: expected key=value, got 'garbage line'"),
         ("sample=s0000", "manifest line 5: sample 's0000' is already listed on line 3"),
-    ], ids=["unknown_key", "no_equals", "repeated_id"])
+        ("num_classes=7", "manifest line 5: num_classes is already given on line 2"),
+        ("version=1", "manifest line 5: version is already given on line 1"),
+    ], ids=["unknown_key", "no_equals", "repeated_id", "repeated_num_classes",
+            "repeated_version"])
     def test_malformed_manifest_line_rejected(self, dataset, tmp_path, line, message):
         save_dataset(dataset[:2], tmp_path, 4)
         manifest = tmp_path / "manifest.txt"
         assert manifest.read_text().splitlines()[2:] == ["sample=s0000", "sample=s0001"]
         manifest.write_text(manifest.read_text() + line + "\n")
         with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("samples", [0, 2])
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_num_classes_below_one_rejected(self, dataset, tmp_path, k, samples):
+        save_dataset(dataset[:2], tmp_path, 4)
+        lines = [f"sample={s.sample_id}" for s in dataset[:samples]]
+        (tmp_path / "manifest.txt").write_text("\n".join(["version=1", f"num_classes={k}"]
+                                                         + lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"manifest line 2: num_classes must be at least 1, got {k}")):
             load_dataset(tmp_path)
 
     def test_missing_manifest_rejected(self, tmp_path):

@@ -9,7 +9,7 @@ from msvseg.losses import ce_loss, dice_loss
 from msvseg.model import (ModelConfig, TINY224_PRESET, TOY_PRESET, build_model,
                           channel_mean_heatmap, count_flops, count_params,
                           export_stage_features, write_pgm)
-from msvseg.serial import checkpoint_bytes, load_checkpoint
+from msvseg.serial import load_checkpoint, save_checkpoint
 from msvseg.tensor import Rng, Tensor, softmax_channels
 
 
@@ -146,15 +146,11 @@ class TestAccounting:
         from msvseg.blocks import Linear
         assert sum(p.size for p in Linear(Rng(0), 8, 3).parameters()) == 27
 
-    def test_count_params_equals_checkpoint_extent_sum(self, toy_model):
-        blob = checkpoint_bytes("model.base_channels=16\n",
-                                [(n, p.data) for n, p in toy_model.named_parameters()])
-        import io, tempfile, os
-        path = tempfile.mktemp()
-        with open(path, "wb") as fh:
-            fh.write(blob)
+    def test_count_params_equals_checkpoint_extent_sum(self, toy_model, tmp_path):
+        path = tmp_path / "c.msvc"
+        save_checkpoint(path, "model.base_channels=16\n",
+                        [(n, p.data) for n, p in toy_model.named_parameters()])
         _, tensors = load_checkpoint(path)
-        os.unlink(path)
         assert count_params(toy_model) == sum(int(np.prod(a.shape)) for a in tensors.values())
 
     def test_hand_counted_micro_block_model(self):
