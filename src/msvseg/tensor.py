@@ -1,14 +1,19 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
-numpy owns the buffers; every differentiable op records a closure that maps
-the output gradient back to its inputs.  ``Tensor.backward()`` replays the
-recorded graph in reverse topological order, exactly once per forward
-recording, and releases it as it walks: a node that the caller does not hold
-is freed, with its data, saved arrays and gradient, once its parents have
-their gradients.  Every gradient, a parameter's included, starts as None and
-takes an owned copy of the first contribution it receives; a tensor that the
-walk never reaches keeps None.  Buffers are row-major contiguous; reshapes
-and transposes copy.
+numpy owns the buffers.  A tensor is its data plus, when it takes part in
+differentiation, a graph node.  A recorded op's node holds the op's
+gradient, its parents' nodes, its backward closure and its name, never its
+output array; each closure captures exactly the arrays, shapes and flags its
+backward reads.  So an activation that no backward reads is freed as soon as
+the forward code drops it, and one that a backward reads lives until that
+backward has run.  ``Tensor.backward()`` replays the recorded graph in
+reverse topological order, exactly once per forward recording, and releases
+it as it walks: a node that no tensor the caller holds refers to is freed,
+with its closure and gradient, once its parents have their gradients.
+Every gradient, a parameter's included, starts as None and takes an owned
+copy of the first contribution it receives; a tensor that the walk never
+reaches keeps None.  Buffers are row-major contiguous; reshapes and
+transposes copy.
 Feature maps are channels-last [..., H, W, C], any leading shape being a
 batch of maps (a single map has the leading shape ()): the convolutions pad
 and slide over H and W only, and linear acts on the trailing axis.  Layer
@@ -112,17 +117,55 @@ def _as_array(data, dtype=None):
     return np.ascontiguousarray(arr)
 
 
+class _Node:
+    """A tensor's place on the graph: its gradient and the dtype it takes,
+    and for a recorded op the parents' nodes (None for a parent that needs no
+    gradient), the backward closure and the op name.  A leaf that requires a
+    gradient has a node with no parents.  No node holds its tensor's data."""
+
+    def __init__(self, dtype, parents=(), backward=None, op=""):
+        self.grad = None
+        self.dtype = dtype
+        self.parents = parents
+        self.backward = backward
+        self.op = op
+        self.released = False
+
+
 class Tensor:
     """N-dimensional float array, optionally recorded on the autodiff graph."""
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
-        self.data = _as_array(data, dtype)
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._prev = ()
-        self._backward = None
-        self._op = ""
-        self._released = False
+        self._data = _as_array(data, dtype)
+        self._node = _Node(self._data.dtype) if requires_grad else None
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value):
+        # the gradient follows a replaced array's dtype: gradient checks cast
+        # parameters to float64 after construction
+        self._data = value
+        if self._node is not None:
+            self._node.dtype = value.dtype
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is None:
+            if value is not None:
+                raise AttributeError("a tensor that does not require a gradient holds none")
+            return
+        self._node.grad = value
 
     # -- basic introspection -------------------------------------------------
 
@@ -154,22 +197,28 @@ class Tensor:
         """Accumulate gradients of this scalar into every reachable input.
 
         One pass per recording: the graph is released as it is walked and a
-        second pass raises.  Each node is dropped once its closure has run, so
-        an intermediate node that the caller does not hold is freed, with its
-        data and gradient, as soon as its parents have their gradients; nodes
-        the caller holds keep ``.grad``.  A gradient that is None, as every
+        second pass raises.  The walk runs over nodes, which hold gradients
+        and closures but no data; each closure has kept only the arrays it
+        reads.  Each node is dropped once its closure has run, so a node that
+        no tensor the caller holds refers to is freed, with its closure and
+        gradient, as soon as its parents have their gradients; tensors the
+        caller holds keep ``.grad``.  A gradient that is None, as every
         parameter's is after ``Module.zero_grad``, becomes an owned copy of its
-        first contribution, and later ones add into it; a tensor this node
-        does not reach keeps the gradient it had.
+        first contribution in the dtype of its tensor's data, and later ones
+        add into it; a tensor this one does not reach keeps the gradient it
+        had.  A tensor that requires no gradient has nothing to walk.
         """
         if self.data.size != 1:
             raise ValueError("backward target must be a scalar")
-        if self._released:
+        root = self._node
+        if root is None:
+            return
+        if root.released:
             raise RuntimeError("backward already consumed this graph; rerun the forward pass")
 
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -178,33 +227,33 @@ class Tensor:
             if id(node) in visited:
                 continue
             visited.add(id(node))
-            if node._released:
+            if node.released:
                 raise RuntimeError("graph contains nodes from an already-consumed recording")
             stack.append((node, True))
-            for parent in node._prev:
-                if id(parent) not in visited:
+            for parent in node.parents:
+                if parent is not None and id(parent) not in visited:
                     stack.append((parent, False))
 
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             # popped, so that once its consumers have run nothing but the
-            # caller refers to a node: its data and gradient go with it
+            # caller's tensor refers to a node: its closure and gradient go with it
             node = topo.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
-            grads = node._backward(node.grad)
-            for parent, g in zip(node._prev, grads):
-                if g is None or not parent.requires_grad:
+            grads = node.backward(node.grad)
+            for parent, g in zip(node.parents, grads):
+                if g is None or parent is None:
                     continue
                 if parent.grad is None:
                     # an owned copy: add hands one array to both parents and
                     # reshape a view of its child's gradient
-                    parent.grad = np.array(g, dtype=parent.data.dtype)
+                    parent.grad = np.array(g, dtype=parent.dtype)
                 else:
-                    parent.grad += g.astype(parent.data.dtype, copy=False)
-            node._backward = None
-            node._prev = ()
-            node._released = True
+                    parent.grad += g.astype(parent.dtype, copy=False)
+            node.backward = None
+            node.parents = ()
+            node.released = True
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -264,17 +313,17 @@ def record_op(out_data, parents, backward_fn, name: str) -> Tensor:
     """Create the output tensor of an op, recording ``backward_fn`` when needed.
 
     ``backward_fn(grad)`` must return one gradient array (or None) per parent.
+    It should capture only what it reads, never a parent tensor for its
+    shape or flag: whatever it holds lives until its backward has run.
     Every forward result is checked for non-finite values.
     """
     if _finite_checks and not np.isfinite(out_data).all():
         raise NonFiniteError(f"op '{name}' produced non-finite values")
-    needs = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(out_data)
-    if needs:
-        out.requires_grad = True
-        out._prev = tuple(parents)
-        out._backward = backward_fn
-        out._op = name
+    if _grad_enabled:
+        nodes = tuple(p._node for p in parents)
+        if any(node is not None for node in nodes):
+            out._node = _Node(out.data.dtype, nodes, backward_fn, name)
     return out
 
 
@@ -291,15 +340,24 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _add_into(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, written into ``a`` when the sum has a's dtype and shape: for a
+    fresh result that nothing else holds, the same values with no temporary."""
+    if np.result_type(a, b) == a.dtype and np.broadcast_shapes(a.shape, b.shape) == a.shape:
+        return np.add(a, b, out=a)
+    return a + b
+
+
 # -- elementwise primitives ---------------------------------------------------
 
 def add(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
     out = a.data + b.data
+    a_shape, b_shape, a_grad, b_grad = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def backward(grad):
-        return (_unbroadcast(grad, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(grad, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(grad, a_shape) if a_grad else None,
+                _unbroadcast(grad, b_shape) if b_grad else None)
 
     return record_op(out, (a, b), backward, "add")
 
@@ -307,10 +365,11 @@ def add(a: Tensor, b) -> Tensor:
 def sub(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
     out = a.data - b.data
+    a_shape, b_shape, a_grad, b_grad = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def backward(grad):
-        return (_unbroadcast(grad, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-grad, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(grad, a_shape) if a_grad else None,
+                _unbroadcast(-grad, b_shape) if b_grad else None)
 
     return record_op(out, (a, b), backward, "sub")
 
@@ -325,22 +384,27 @@ def neg(a: Tensor) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
     out = a.data * b.data
+    a_shape, b_shape = a.shape, b.shape
+    # each operand is read only for the other's gradient
+    a_in = a.data if b.requires_grad else None
+    b_in = b.data if a.requires_grad else None
 
     def backward(grad):
-        return (_unbroadcast(grad * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(grad * a.data, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(grad * b_in, a_shape) if b_in is not None else None,
+                _unbroadcast(grad * a_in, b_shape) if a_in is not None else None)
 
     return record_op(out, (a, b), backward, "mul")
 
 
 def div(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
-    out = a.data / b.data
+    a_in, b_in = a.data, b.data
+    out = a_in / b_in
 
     def backward(grad):
-        ga = grad / b.data
-        gb = -grad * a.data / (b.data * b.data)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = grad / b_in
+        gb = -grad * a_in / (b_in * b_in)
+        return _unbroadcast(ga, a_in.shape), _unbroadcast(gb, b_in.shape)
 
     return record_op(out, (a, b), backward, "div")
 
@@ -355,10 +419,11 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
+    a_in = a.data
+    out = np.log(a_in)
 
     def backward(grad):
-        return (grad / a.data,)
+        return (grad / a_in,)
 
     return record_op(out, (a,), backward, "log")
 
@@ -371,11 +436,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def softplus(a: Tensor) -> Tensor:
     # log(1 + e^x), stable for large |x|
-    out = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
+    a_in = a.data
+    out = np.maximum(a_in, 0.0) + np.log1p(np.exp(-np.abs(a_in)))
 
     def backward(grad):
         # d/dx softplus = sigmoid(x), formed only when a gradient is asked for
-        return (grad * _sigmoid(a.data),)
+        return (grad * _sigmoid(a_in),)
 
     return record_op(out, (a,), backward, "softplus")
 
@@ -384,29 +450,32 @@ def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
 
     def backward(grad):
-        return (grad * (a.data > 0),)
+        # out > 0 exactly where a > 0, so the input need not be kept
+        return (grad * (out > 0),)
 
     return record_op(out, (a,), backward, "relu")
 
 
 def silu(a: Tensor) -> Tensor:
-    sig = _sigmoid(a.data)
-    out = a.data * sig
+    a_in = a.data
+    sig = _sigmoid(a_in)
+    out = a_in * sig
 
     def backward(grad):
-        return (grad * (sig + a.data * sig * (1.0 - sig)),)
+        return (grad * (sig + a_in * sig * (1.0 - sig)),)
 
     return record_op(out, (a,), backward, "silu")
 
 
 def gelu(a: Tensor) -> Tensor:
     # exact Gaussian-CDF form: x * Phi(x), no tanh approximation
-    phi_cdf = 0.5 * (1.0 + special.erf(a.data / math.sqrt(2.0)))
-    out = a.data * phi_cdf
+    a_in = a.data
+    phi_cdf = 0.5 * (1.0 + special.erf(a_in / math.sqrt(2.0)))
+    out = a_in * phi_cdf
 
     def backward(grad):
-        pdf = np.exp(-0.5 * a.data * a.data) / math.sqrt(2.0 * math.pi)
-        return (grad * (phi_cdf + a.data * pdf),)
+        pdf = np.exp(-0.5 * a_in * a_in) / math.sqrt(2.0 * math.pi)
+        return (grad * (phi_cdf + a_in * pdf),)
 
     return record_op(out, (a,), backward, "gelu")
 
@@ -415,12 +484,13 @@ def gelu(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    in_shape = a.shape
 
     def backward(grad):
         g = np.asarray(grad)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, in_shape).copy(),)
 
     return record_op(np.asarray(out), (a,), backward, "sum")
 
@@ -439,9 +509,10 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     out = np.ascontiguousarray(a.data.reshape(shape))
+    in_shape = a.shape
 
     def backward(grad):
-        return (grad.reshape(a.data.shape),)
+        return (grad.reshape(in_shape),)
 
     return record_op(out, (a,), backward, "reshape")
 
@@ -475,15 +546,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     x3 = x.data.reshape(paths + (-1, k))
     out3 = x3 @ weight.data
     if bias is not None:
-        out3 = out3 + bias.data[..., None, :]
+        out3 = _add_into(out3, bias.data[..., None, :])
     out = out3.reshape(x.data.shape[:-1] + (m,))
+    x_shape, has_bias = x.shape, bias is not None
+    # x is read only for the weight's gradient and the weight only for x's
+    x_in = x3 if weight.requires_grad else None
+    w_in = weight.data if x.requires_grad else None
+    b_grad = has_bias and bias.requires_grad
 
     def backward(grad):
         g3 = grad.reshape(paths + (-1, m))
-        gx = (g3 @ weight.data.swapaxes(-1, -2)).reshape(x.data.shape) if x.requires_grad else None
-        gw = x3.swapaxes(-1, -2) @ g3 if weight.requires_grad else None
-        gb = g3.sum(axis=-2) if bias is not None and bias.requires_grad else None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        gx = (g3 @ w_in.swapaxes(-1, -2)).reshape(x_shape) if w_in is not None else None
+        gw = x_in.swapaxes(-1, -2) @ g3 if x_in is not None else None
+        gb = g3.sum(axis=-2) if b_grad else None
+        return (gx, gw, gb) if has_bias else (gx, gw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return record_op(np.ascontiguousarray(out), parents, backward, "linear")
@@ -525,6 +601,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise ValueError("depthwise_conv2d: kernel extents must be odd")
     taps = np.ascontiguousarray(kernel.data.transpose(1, 2, 0))
     out = np.einsum("bhwcij,ijc->bhwc", _windows(x4, kh, kw), taps)
+    x_shape = x.shape
 
     def backward(grad):
         g4 = grad.reshape(x4.shape)
@@ -532,7 +609,7 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         gk = np.einsum("bhwcij,bhwc->cij", _windows(x4, kh, kw), g4)
         # the input gradient correlates grad with the kernel flipped in H and W
         gx = np.einsum("bhwcij,ijc->bhwc", _windows(g4, kh, kw), taps[::-1, ::-1])
-        return (gx.reshape(x.data.shape), gk)
+        return (gx.reshape(x_shape), gk)
 
     return record_op(out.reshape(x.data.shape), (x, kernel), backward, "depthwise_conv2d")
 
@@ -586,24 +663,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             out += np.tensordot(xp[:, i:i + h, j:j + w], weight.data[:, :, i, j], axes=([3], [1]))
     if bias is not None:
         out += bias.data
-    out_shape = x.data.shape[:-1] + (cout,)
+    x_shape, maps_shape, has_bias = x.shape, x4.shape, bias is not None
+    out_shape = x_shape[:-1] + (cout,)
+    wd = weight.data
 
     def backward(grad):
         g4 = grad.reshape((bsz, h, w, cout))
-        gw = np.empty_like(weight.data)
+        gw = np.empty_like(wd)
         for i in range(kh):
             for j in range(kw):
                 gw[:, :, i, j] = np.tensordot(g4, xp[:, i:i + h, j:j + w],
                                               axes=([0, 1, 2], [0, 1, 2]))
         gp = np.pad(g4, pad)
-        gx = np.zeros_like(x4)
+        gx = np.zeros(maps_shape, dtype=xp.dtype)
         for i in range(kh):
             for j in range(kw):
                 gx += np.tensordot(gp[:, kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w],
-                                   weight.data[:, :, i, j], axes=([3], [0]))
-        gb = g4.sum(axis=(0, 1, 2)) if bias is not None else None
-        gx = gx.reshape(x.data.shape)
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+                                   wd[:, :, i, j], axes=([3], [0]))
+        gb = g4.sum(axis=(0, 1, 2)) if has_bias else None
+        gx = gx.reshape(x_shape)
+        return (gx, gw, gb) if has_bias else (gx, gw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return record_op(out.reshape(out_shape), parents, backward, "conv2d")
@@ -630,15 +709,17 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float = 1e-5) -
     xc = x.data - x.data.sum(axis=axes, keepdims=True) * inv_count
     var = (xc * xc).sum(axis=axes, keepdims=True) * inv_count
     sigma = np.sqrt(var + np.asarray(eps, dtype=var.dtype))
-    x_hat = xc / sigma
-    out = x_hat * gamma.data + beta.data
+    # x_hat takes xc's buffer, and the output adds beta into gamma * x_hat
+    x_hat = np.divide(xc, sigma, out=xc)
+    gamma_in, beta_shape = gamma.data, beta.shape
+    out = _add_into(x_hat * gamma_in, beta.data)
 
     def backward(grad):
-        g = grad * gamma.data
+        g = grad * gamma_in
         gx = (g - g.mean(axis=axes, keepdims=True)
               - x_hat * (g * x_hat).mean(axis=axes, keepdims=True)) / sigma
-        return (gx, _unbroadcast(grad * x_hat, gamma.data.shape),
-                _unbroadcast(grad, beta.data.shape))
+        return (gx, _unbroadcast(grad * x_hat, gamma_in.shape),
+                _unbroadcast(grad, beta_shape))
 
     return record_op(out, (x, gamma, beta), backward, "normalize")
 

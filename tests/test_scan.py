@@ -187,7 +187,7 @@ class TestStreamedScan:
         assert np.max(np.abs(y.data - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
         grad_y = Rng(y_ref.size).normal(y_ref.shape)
         expected = S._scan_backward_core(grad_y, *arrays, h, abar)
-        for g, ref in zip(y._backward(grad_y), expected):
+        for g, ref in zip(y._node.backward(grad_y), expected):
             assert g.shape == ref.shape
             assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
         return y.data
@@ -209,7 +209,7 @@ class TestStreamedScan:
         p, length, c, n = 4, 3 * BLOCK + 5, 3, 4
         arrays = _raw_scan_inputs(33, p, length, c, n)
         y = S._scan_op(*[Tensor(v, dtype=np.float64, requires_grad=True) for v in arrays])
-        held = [cell.cell_contents for cell in y._backward.__closure__
+        held = [cell.cell_contents for cell in y._node.backward.__closure__
                 if isinstance(cell.cell_contents, np.ndarray)]
         assert held, "the closure should keep the block-start states"
         for arr in held:
@@ -234,7 +234,7 @@ class TestStreamedScan:
         arrays = _raw_scan_inputs(40 + p, p, 3 * BLOCK + 5, 3, 4)
         tensors = [Tensor(v, dtype=np.float64, requires_grad=True) for v in arrays]
         y = S._scan_op(*tensors)
-        y._backward(Rng(42).normal(y.data.shape))
+        y._node.backward(Rng(42).normal(y.data.shape))
         for t, original in zip(tensors, arrays):
             assert np.array_equal(t.data, original)
 
@@ -320,11 +320,11 @@ class TestCrossScan:
         fmap = Tensor(Rng(36).normal((h, w, 3)), dtype=np.float64, requires_grad=True)
         seqs = cross_scan(fmap)
         g_seqs = Rng(37).normal(seqs.data.shape)
-        assert np.array_equal(seqs._backward(g_seqs)[0], cross_merge(Tensor(g_seqs), h, w).data)
+        assert np.array_equal(seqs._node.backward(g_seqs)[0], cross_merge(Tensor(g_seqs), h, w).data)
         paths = Tensor(Rng(38).normal((4, h * w, 3)), dtype=np.float64, requires_grad=True)
         merged = cross_merge(paths, h, w)
         g_map = Rng(39).normal(merged.data.shape)
-        assert np.array_equal(merged._backward(g_map)[0], cross_scan(Tensor(g_map)).data)
+        assert np.array_equal(merged._node.backward(g_map)[0], cross_scan(Tensor(g_map)).data)
 
 
 def _core_op(x, delta, a, b, c_out, skip):

@@ -110,7 +110,7 @@ class TestDepthwiseConvMatchesPerTap:
         grad = Rng(seed).normal(x.shape)
         xt, kt = (Tensor(v, dtype=np.float64, requires_grad=True) for v in (x, k))
         y = T.depthwise_conv2d(xt, kt)
-        gx, gk = y._backward(grad)
+        gx, gk = y._node.backward(grad)
         for got, ref in zip((y.data, gx, gk), dwconv_per_tap(x, k, grad)):
             _assert_close(got, ref)
 
@@ -138,7 +138,7 @@ class TestMergeKernels:
     def test_backward_gives_each_kernel_its_centre_crop(self):
         k1, k5 = randt(65, (2, 1, 1)), randt(66, (2, 5, 5))
         grad = Rng(67).normal((2, 5, 5))
-        g1, g5 = T.merge_kernels([k1, k5])._backward(grad)
+        g1, g5 = T.merge_kernels([k1, k5])._node.backward(grad)
         assert np.array_equal(g1, grad[:, 2:3, 2:3])
         assert np.array_equal(g5, grad)
 
@@ -275,7 +275,8 @@ class TestSubNeg:
         for got, want in ((a - b, a.data + -b.data), (2.0 - b, 2.0 + -b.data),
                           (b - 2.0, b.data + -2.0), (-a, a.data * -1.0)):
             assert np.array_equal(got.data, want)
-            assert got._op in ("sub", "neg") and all(p._op == "" for p in got._prev)
+            node = got._node
+            assert node.op in ("sub", "neg") and all(p is None or p.op == "" for p in node.parents)
 
     def test_gradients_with_broadcasting(self):
         a, b = randt(52, (4, 3)), randt(53, (3,))
@@ -378,19 +379,61 @@ class TestBackward:
         a = T.mul(x, 2.0)
         y = T.exp(a)
         loss = T.tsum(y)
-        y_ref = weakref.ref(y)
+        y_ref = weakref.ref(y._node)
         del y
         seen = []
-        inner = a._backward
+        inner = a._node.backward
 
         def probe(grad):
             seen.append(y_ref() is None)
             return inner(grad)
 
-        a._backward = probe
+        a._node.backward = probe
         loss.backward()
         assert seen == [True]
         assert np.allclose(x.grad, 2.0 * np.exp(2.0 * x.data))
+
+    def test_activation_no_backward_reads_dies_with_its_name(self):
+        # linear's output feeds only an add, whose backward reads no operand
+        x, w, z = randt(87, (4, 5)), randt(88, (5, 3)), randt(89, (4, 3))
+        h = T.linear(x, w)
+        h_ref = weakref.ref(h.data)
+        loss = T.tsum(h + z)
+        del h
+        assert h_ref() is None
+        loss.backward()
+        assert np.array_equal(w.grad, x.data.T @ np.ones((4, 3)))
+        assert np.array_equal(z.grad, np.ones((4, 3)))
+
+    def test_relu_keeps_its_output_until_its_backward_ran(self):
+        x = randt(90, (3, 4))
+        a = T.mul(x, 2.0)
+        y = T.relu(a)
+        a_ref, y_ref = weakref.ref(a.data), weakref.ref(y.data)
+        loss = T.tsum(y)
+        node = y._node
+        seen = []
+
+        def probe(grad, inner=node.backward):
+            seen.append(y_ref() is not None)
+            return inner(grad)
+
+        node.backward = probe
+        del a, y, probe
+        assert a_ref() is None  # relu's backward reads its output, not its input
+        assert y_ref() is not None
+        loss.backward()
+        assert seen == [True]
+        assert y_ref() is None
+        assert np.array_equal(x.grad, 2.0 * (x.data > 0))
+
+    def test_leaf_gradient_follows_replaced_data_dtype(self):
+        # as gradcheck._f64_params casts parameters after construction
+        p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        p.data = p.data.astype(np.float64) + 1e-12
+        T.tsum(T.mul(p, p)).backward()
+        assert p.grad.dtype == np.float64
+        assert np.array_equal(p.grad, 2.0 * p.data)
 
 
 def _linear_bias(x, w):
@@ -413,17 +456,17 @@ class TestConstantParents:
         values = [Rng(80 + i).normal(shape) for i, shape in enumerate(shapes)]
         both = [Tensor(v, dtype=np.float64, requires_grad=True) for v in values]
         grad = Rng(79).normal(op(*both).data.shape)
-        want = op(*both)._backward(grad)[1 - constant]
+        want = op(*both)._node.backward(grad)[1 - constant]
         one = [Tensor(v, dtype=np.float64, requires_grad=i != constant)
                for i, v in enumerate(values)]
-        got = op(*one)._backward(grad)
+        got = op(*one)._node.backward(grad)
         assert got[constant] is None
         assert np.array_equal(got[1 - constant], want)
 
     def test_constant_bias_gets_none(self):
         x, w = randt(83, (4, 5)), randt(84, (5, 3))
         b = Tensor(Rng(85).normal((3,)), dtype=np.float64)
-        gx, gw, gb = T.linear(x, w, b)._backward(Rng(86).normal((4, 3)))
+        gx, gw, gb = T.linear(x, w, b)._node.backward(Rng(86).normal((4, 3)))
         assert gb is None and gx is not None and gw is not None
 
 
