@@ -23,23 +23,26 @@ from .tensor import (
 from .scan import SS2D
 
 __all__ = [
-    "BlockConfig", "Linear", "DepthwiseConv2d", "ChannelLayerNorm", "BatchNorm2d",
-    "pixel_shuffle", "space_to_depth", "upsample_nearest2x",
+    "FFN_EXPAND", "DWCONV_KERNEL", "BlockConfig", "Linear", "DepthwiseConv2d",
+    "ChannelLayerNorm", "BatchNorm2d", "pixel_shuffle", "space_to_depth", "upsample_nearest2x",
     "SS2DBlock", "MultiScaleFFN", "MLPFFN", "MSVSSBlock", "VSSBlock",
     "PatchEmbed", "PatchMerge", "LKPE", "PatchExpand", "TransposedConvUp",
     "UpsampleConv", "FLKPE", "make_upsampler",
 ]
 
 
+# Fixed by the architecture: the FFN's channel expansion and the kernel size of
+# the depthwise convolutions in the scan blocks, LKPE and FLKPE.
+FFN_EXPAND = 4
+DWCONV_KERNEL = 3
+
+
 @dataclass
 class BlockConfig:
     """Shared block hyperparameters."""
     channels: int
-    ffn_expand: int = 4
     kernel_set: tuple[int, ...] = (1, 3, 5)
-    dwconv_kernel: int = 3
     state_size: int = 16
-    dt_rank: int | None = None
 
     def __post_init__(self):
         if not self.kernel_set:
@@ -71,13 +74,12 @@ class DepthwiseConv2d(Module):
 class ChannelLayerNorm(Module):
     """Layer normalization over the channel extent of [..., H, W, C] maps."""
 
-    def __init__(self, channels: int, eps: float = 1e-5):
+    def __init__(self, channels: int):
         self.gamma = init_ones((channels,))
         self.beta = init_zeros((channels,))
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return normalize(x, self.gamma, self.beta, axes=-1, eps=self.eps)
+        return normalize(x, self.gamma, self.beta, axes=-1)
 
 
 class BatchNorm2d(Module):
@@ -89,13 +91,12 @@ class BatchNorm2d(Module):
     buffers and checkpoints stay parameters-only.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5):
+    def __init__(self, channels: int):
         self.gamma = init_ones((channels,))
         self.beta = init_zeros((channels,))
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return normalize(x, self.gamma, self.beta, axes=(-3, -2), eps=self.eps)
+        return normalize(x, self.gamma, self.beta, axes=(-3, -2))
 
 
 # -- layout resamplers ----------------------------------------------------------------
@@ -142,8 +143,8 @@ class SS2DBlock(Module):
     def __init__(self, rng: Rng, cfg: BlockConfig):
         c = cfg.channels
         self.proj_in = Linear(rng.child(0), c, 2 * c)
-        self.dwconv = DepthwiseConv2d(rng.child(1), 2 * c, cfg.dwconv_kernel)
-        self.ss2d = SS2D(rng.child(2), 2 * c, cfg.state_size, cfg.dt_rank)
+        self.dwconv = DepthwiseConv2d(rng.child(1), 2 * c, DWCONV_KERNEL)
+        self.ss2d = SS2D(rng.child(2), 2 * c, cfg.state_size)
         self.norm = ChannelLayerNorm(2 * c)
         self.proj_out = Linear(rng.child(3), 2 * c, c)
 
@@ -167,7 +168,7 @@ class MultiScaleFFN(Module):
     """
 
     def __init__(self, rng: Rng, cfg: BlockConfig):
-        c, hidden = cfg.channels, cfg.channels * cfg.ffn_expand
+        c, hidden = cfg.channels, cfg.channels * FFN_EXPAND
         self.expand = Linear(rng.child(0), c, hidden)
         self.branches = [DepthwiseConv2d(rng.child(10 + i), hidden, k)
                          for i, k in enumerate(cfg.kernel_set)]
@@ -183,7 +184,7 @@ class MLPFFN(Module):
     """Plain two-layer feed-forward (expansion, GELU, reduction)."""
 
     def __init__(self, rng: Rng, cfg: BlockConfig):
-        c, hidden = cfg.channels, cfg.channels * cfg.ffn_expand
+        c, hidden = cfg.channels, cfg.channels * FFN_EXPAND
         self.expand = Linear(rng.child(0), c, hidden)
         self.reduce = Linear(rng.child(1), hidden, c)
 
@@ -222,12 +223,12 @@ class VSSBlock(_ResidualPair):
 # -- encoder resamplers -----------------------------------------------------------
 
 class PatchEmbed(Module):
-    """Non-overlapping 4x4 patch projection of [..., Cin, H, W] images to
+    """Non-overlapping 4x4 patch projection of [..., 3, H, W] images to
     [..., H/4, W/4, C] maps, then layer norm.  The images enter channels-last
     through one transpose."""
 
-    def __init__(self, rng: Rng, in_channels: int, out_channels: int):
-        self.proj = Linear(rng, in_channels * 16, out_channels)
+    def __init__(self, rng: Rng, out_channels: int):
+        self.proj = Linear(rng, 3 * 16, out_channels)
         self.norm = ChannelLayerNorm(out_channels)
 
     def forward(self, img: Tensor) -> Tensor:
@@ -258,12 +259,12 @@ class LKPE(Module):
     depthwise conv, 2x pixel-shuffle, layer norm:
     [...,H,W,C] -> [...,2H,2W,C/2]."""
 
-    def __init__(self, rng: Rng, channels: int, dwconv_kernel: int = 3):
+    def __init__(self, rng: Rng, channels: int):
         if channels % 2:
             raise ValueError("LKPE needs an even channel count")
         self.expand = Linear(rng.child(0), channels, 2 * channels)
         self.bn = BatchNorm2d(2 * channels)
-        self.dwconv = DepthwiseConv2d(rng.child(1), 2 * channels, dwconv_kernel)
+        self.dwconv = DepthwiseConv2d(rng.child(1), 2 * channels, DWCONV_KERNEL)
         self.norm = ChannelLayerNorm(channels // 2)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -318,19 +319,19 @@ class UpsampleConv(Module):
 
 
 _UPSAMPLERS = {
-    "lkpe": lambda rng, c, cfg: LKPE(rng, c, cfg.dwconv_kernel),
-    "patch_expand": lambda rng, c, cfg: PatchExpand(rng, c),
-    "transposed_conv": lambda rng, c, cfg: TransposedConvUp(rng, c),
-    "upsample_block": lambda rng, c, cfg: UpsampleConv(rng, c),
+    "lkpe": LKPE,
+    "patch_expand": PatchExpand,
+    "transposed_conv": TransposedConvUp,
+    "upsample_block": UpsampleConv,
 }
 
 
-def make_upsampler(kind: str, rng: Rng, channels: int, cfg: BlockConfig) -> Module:
+def make_upsampler(kind: str, rng: Rng, channels: int) -> Module:
     try:
-        factory = _UPSAMPLERS[kind]
+        cls = _UPSAMPLERS[kind]
     except KeyError:
         raise ValueError(f"unknown upsampler '{kind}' (choose from {sorted(_UPSAMPLERS)})") from None
-    return factory(rng, channels, cfg)
+    return cls(rng, channels)
 
 
 class FLKPE(Module):
@@ -339,10 +340,10 @@ class FLKPE(Module):
     logits, transposed to the class-first layout of the losses.
     [...,H,W,C] -> [...,K,4H,4W]."""
 
-    def __init__(self, rng: Rng, channels: int, num_classes: int, dwconv_kernel: int = 3):
+    def __init__(self, rng: Rng, channels: int, num_classes: int):
         self.expand = Linear(rng.child(0), channels, 16 * channels)
         self.bn = BatchNorm2d(16 * channels)
-        self.dwconv = DepthwiseConv2d(rng.child(1), 16 * channels, dwconv_kernel)
+        self.dwconv = DepthwiseConv2d(rng.child(1), 16 * channels, DWCONV_KERNEL)
         self.norm = ChannelLayerNorm(channels)
         self.head = Linear(rng.child(2), channels, num_classes)
 

@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_configs(args, need_train=True) -> tuple[ModelConfig, TrainConfig]:
+def _load_configs(args) -> tuple[ModelConfig, TrainConfig]:
     base_model = preset_model_config(getattr(args, "preset", "toy") or "toy")
     kv = {}
     if getattr(args, "config", None):

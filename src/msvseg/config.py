@@ -45,9 +45,7 @@ def _parse_opt_tuple(s: str):
 _MODEL_FIELDS = {
     "base_channels": int, "stage_depths": _parse_int_tuple, "num_classes": int,
     "input_size": _parse_int_tuple, "kernel_set": _parse_int_tuple,
-    "decoder_block": str, "upsampler": str, "alpha": float,
-    "state_size": int, "ffn_expand": int, "dwconv_kernel": int,
-    "dt_rank": _parse_opt_int,
+    "decoder_block": str, "upsampler": str, "alpha": float, "state_size": int,
 }
 
 _TRAIN_FIELDS = {
@@ -88,12 +86,12 @@ def apply_overrides(kv: dict[str, str], overrides) -> dict[str, str]:
 
 
 def build_configs(kv: dict[str, str],
-                  model_base: ModelConfig | None = None,
-                  train_base: TrainConfig | None = None) -> tuple[ModelConfig, TrainConfig]:
-    """Apply flat keys on top of the given (or default) configs; any key that
-    does not address a known field is an error."""
+                  model_base: ModelConfig | None = None) -> tuple[ModelConfig, TrainConfig]:
+    """Apply flat keys on top of the given (or default) model config and the
+    default training config; any key that does not address a known field is
+    an error."""
     model = model_base if model_base is not None else ModelConfig()
-    train = train_base if train_base is not None else TrainConfig()
+    train = TrainConfig()
     aug = train.augment
 
     for key, value in kv.items():
@@ -127,12 +125,9 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def config_to_text(model: ModelConfig, train: TrainConfig | None = None) -> str:
+def config_to_text(model: ModelConfig) -> str:
+    """The ``model.*`` keys of ``model``, one per line, as checkpoints store them."""
     lines = [f"model.{name}={_fmt(getattr(model, name))}" for name in _MODEL_FIELDS]
-    if train is not None:
-        lines += [f"train.{name}={_fmt(getattr(train, name))}" for name in _TRAIN_FIELDS]
-        lines += [f"train.augment.{name}={_fmt(getattr(train.augment, name))}"
-                  for name in _AUG_FIELDS]
     return "\n".join(lines) + "\n"
 
 

@@ -155,9 +155,6 @@ class AugmentConfig:
         return cls(target_size=target_size, flip_h=True, flip_v=True, rotate=True,
                    noise=True, blur=True, contrast=True)
 
-    def any_enabled(self) -> bool:
-        return any((self.flip_h, self.flip_v, self.rotate, self.noise, self.blur, self.contrast))
-
 
 def augment(sample: SegSample, rng: Rng, cfg: AugmentConfig) -> SegSample:
     """Resize to the target, then apply each enabled technique with

@@ -178,7 +178,7 @@ def _block_cases(seed: int):
         "block.ms_ffn": (lambda rng: MultiScaleFFN(rng, cfg6), (5, 5, 6)),
         "block.msvss": (lambda rng: MSVSSBlock(rng, BlockConfig(channels=8, state_size=4)), (6, 6, 8)),
         "block.vss": (lambda rng: VSSBlock(rng, BlockConfig(channels=8, state_size=4)), (6, 6, 8)),
-        "block.patch_embed": (lambda rng: PatchEmbed(rng, 3, 6), (3, 8, 8)),
+        "block.patch_embed": (lambda rng: PatchEmbed(rng, 6), (3, 8, 8)),
         "block.patch_merge": (lambda rng: PatchMerge(rng, 4), (6, 6, 4)),
         "block.lkpe": (lambda rng: LKPE(rng, 8), (4, 4, 8)),
         "block.patch_expand": (lambda rng: PatchExpand(rng, 8), (4, 4, 8)),
@@ -233,24 +233,20 @@ def run_gradient_suite(seed: int = 0, op_seeds: int = 20, block_seeds: int = 3,
 
     for s in range(op_seeds):
         for name, tol, fn, inputs in _op_cases(seed + s):
-            err = finite_diff_grad_check(fn, inputs, step=1e-5,
-                                         max_coords=64, rng=Rng(seed + s))
+            err = finite_diff_grad_check(fn, inputs, max_coords=64, rng=Rng(seed + s))
             record(name, tol, err, op_seeds)
 
     for s in range(block_seeds):
         for name, tol, fn, inputs in _block_cases(seed + s):
             first, rest = inputs[0], inputs[1:]
-            err = finite_diff_grad_check(fn, [first], step=1e-5,
-                                         retry_threshold=BLOCK_TOL / 2)
-            err_p = finite_diff_grad_check(fn, rest, step=1e-5,
-                                           max_coords=block_coords, rng=Rng(seed + s),
+            err = finite_diff_grad_check(fn, [first], retry_threshold=BLOCK_TOL / 2)
+            err_p = finite_diff_grad_check(fn, rest, max_coords=block_coords, rng=Rng(seed + s),
                                            retry_threshold=BLOCK_TOL / 2)
             record(name, tol, max(err, err_p), block_seeds)
 
     if include_model:
         name, tol, fn, params = _model_case(seed)
-        err = finite_diff_grad_check(fn, params, step=1e-5,
-                                     max_coords=model_coords, rng=Rng(seed),
+        err = finite_diff_grad_check(fn, params, max_coords=model_coords, rng=Rng(seed),
                                      retry_threshold=MODEL_TOL / 2)
         record(name, tol, err, 1)
 

@@ -25,15 +25,15 @@ def one_hot(mask: np.ndarray, num_classes: int, dtype=np.float64) -> np.ndarray:
     return (mask[..., None, :, :] == classes).astype(dtype)
 
 
-def dice_loss(probs: Tensor, mask: np.ndarray, eps: float = DICE_SMOOTHING) -> Tensor:
+def dice_loss(probs: Tensor, mask: np.ndarray) -> Tensor:
     """1 - mean over images and classes of the smoothed overlap ratio
-    (2 * sum(p*g) + eps) / (sum(p) + sum(g) + eps) of each image and class
-    against a one-hot mask, the sums running over (H, W)."""
+    (2 * sum(p*g) + eps) / (sum(p) + sum(g) + eps), eps = DICE_SMOOTHING, of
+    each image and class against a one-hot mask, the sums running over (H, W)."""
     k = probs.data.shape[-3]
     target = constant(one_hot(mask, k, dtype=probs.data.dtype), like=probs)
     inter = tsum(probs * target, axis=(-2, -1))
     denom = tsum(probs, axis=(-2, -1)) + constant(target.data.sum(axis=(-2, -1)), like=probs)
-    dice = (inter * 2.0 + eps) / (denom + eps)
+    dice = (inter * 2.0 + DICE_SMOOTHING) / (denom + DICE_SMOOTHING)
     return 1.0 - tmean(dice)
 
 

@@ -14,7 +14,6 @@ recorded graph, and a single [3, H, W] image is the leading shape ().
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -22,8 +21,10 @@ import numpy as np
 
 from .tensor import Module, Rng, Tensor, no_grad
 from .blocks import (
-    _UPSAMPLERS, BlockConfig, FLKPE, MSVSSBlock, PatchEmbed, PatchMerge, VSSBlock, make_upsampler,
+    _UPSAMPLERS, DWCONV_KERNEL, FFN_EXPAND, BlockConfig, FLKPE, MSVSSBlock, PatchEmbed, PatchMerge,
+    VSSBlock, make_upsampler,
 )
+from .scan import dt_rank
 
 __all__ = ["ModelConfig", "FeatureBundle", "VSSUNet", "build_model",
            "count_params", "count_flops", "export_stage_features",
@@ -44,9 +45,6 @@ class ModelConfig:
     upsampler: str = "lkpe"
     alpha: float = 0.6
     state_size: int = 8
-    ffn_expand: int = 4
-    dwconv_kernel: int = 3
-    dt_rank: int | None = None
 
     def validate(self):
         h, w = self.input_size
@@ -71,10 +69,8 @@ class ModelConfig:
         return c, 2 * c, 4 * c, 8 * c
 
     def block_config(self, channels: int) -> BlockConfig:
-        return BlockConfig(channels=channels, ffn_expand=self.ffn_expand,
-                           kernel_set=tuple(self.kernel_set),
-                           dwconv_kernel=self.dwconv_kernel,
-                           state_size=self.state_size, dt_rank=self.dt_rank)
+        return BlockConfig(channels=channels, kernel_set=tuple(self.kernel_set),
+                           state_size=self.state_size)
 
 
 TOY_PRESET = ModelConfig()
@@ -96,7 +92,7 @@ class VSSUNet(Module):
         self.cfg = cfg
         widths = cfg.stage_channels()
 
-        self.patch_embed = PatchEmbed(rng.child(0), 3, widths[0])
+        self.patch_embed = PatchEmbed(rng.child(0), widths[0])
         self.enc_stages = []
         self.merges = []
         for i, (width, depth) in enumerate(zip(widths, cfg.stage_depths)):
@@ -111,13 +107,10 @@ class VSSUNet(Module):
         self.dec_blocks = []
         for i, width in enumerate((widths[3], widths[2], widths[1])):
             stage_rng = rng.child(20 + i)
-            self.ups.append(make_upsampler(cfg.upsampler, stage_rng.child(0), width,
-                                           cfg.block_config(width)))
+            self.ups.append(make_upsampler(cfg.upsampler, stage_rng.child(0), width))
             self.dec_blocks.append(block_cls(stage_rng.child(1), cfg.block_config(width // 2)))
 
-        self.head = FLKPE(rng.child(30), widths[0], cfg.num_classes, cfg.dwconv_kernel)
-        # per-stage skip toggles, for ablation probes
-        self.skip_enabled = [True, True, True]
+        self.head = FLKPE(rng.child(30), widths[0], cfg.num_classes)
 
     # encoder stage lists are plain lists of Modules; named_parameters handles them
     def named_parameters(self, prefix: str = ""):
@@ -152,11 +145,8 @@ class VSSUNet(Module):
 
         skips = [bundle.encoder[2], bundle.encoder[1], bundle.encoder[0]]
         x = bundle.encoder[3]
-        for up, block, skip, enabled in zip(self.ups, self.dec_blocks, skips, self.skip_enabled):
-            x = up(x)
-            if enabled:
-                x = x + skip
-            x = block(x)
+        for up, block, skip in zip(self.ups, self.dec_blocks, skips):
+            x = block(up(x) + skip)
             bundle.decoder.append(x)
 
         logits = self.head(x)
@@ -180,15 +170,15 @@ def count_params(model: VSSUNet) -> int:
 def _scan_block_macs(length: int, channels: int, cfg: ModelConfig) -> int:
     """Multiply-adds of one VSS/MSVSS block on a ``length``-pixel map."""
     inner = 2 * channels
-    rank = cfg.dt_rank or max(1, math.ceil(inner / 16))
+    rank = dt_rank(inner)
     n = cfg.state_size
     macs = length * channels * inner                     # proj_in
-    macs += inner * cfg.dwconv_kernel ** 2 * length      # depthwise conv
+    macs += inner * DWCONV_KERNEL ** 2 * length          # depthwise conv
     per_path = length * (inner * rank + rank * inner + 2 * inner * n)  # delta/B/C projections
     per_path += length * n * inner                       # scan recurrence convention
     macs += 4 * per_path
     macs += length * inner * channels                    # proj_out
-    hidden = channels * cfg.ffn_expand
+    hidden = channels * FFN_EXPAND
     macs += length * channels * hidden                   # ffn expand
     if cfg.decoder_block == "msvss":
         macs += sum(hidden * k * k * length for k in cfg.kernel_set)
@@ -202,9 +192,9 @@ def _encoder_block_macs(length: int, channels: int, cfg: ModelConfig) -> int:
     return _scan_block_macs(length, channels, saved)
 
 
-def _upsampler_macs(kind: str, length: int, channels: int, cfg: ModelConfig) -> int:
+def _upsampler_macs(kind: str, length: int, channels: int) -> int:
     if kind == "lkpe":
-        return length * channels * 2 * channels + 2 * channels * cfg.dwconv_kernel ** 2 * length
+        return length * channels * 2 * channels + 2 * channels * DWCONV_KERNEL ** 2 * length
     if kind in ("patch_expand", "transposed_conv"):
         return length * channels * 2 * channels
     if kind == "upsample_block":
@@ -229,11 +219,11 @@ def count_flops(model: VSSUNet, input_size: tuple[int, int] | None = None) -> in
 
     dec = ((widths[3], lengths[3]), (widths[2], lengths[2]), (widths[1], lengths[1]))
     for width, length in dec:
-        macs += _upsampler_macs(cfg.upsampler, length, width, cfg)
+        macs += _upsampler_macs(cfg.upsampler, length, width)
         macs += _scan_block_macs(length * 4, width // 2, cfg)
 
     macs += lengths[0] * widths[0] * 16 * widths[0]                 # head expand
-    macs += 16 * widths[0] * cfg.dwconv_kernel ** 2 * lengths[0]    # head depthwise
+    macs += 16 * widths[0] * DWCONV_KERNEL ** 2 * lengths[0]        # head depthwise
     macs += 16 * lengths[0] * widths[0] * cfg.num_classes           # head 1x1
     return 2 * macs
 

@@ -8,27 +8,27 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["AdamW", "cosine_lr"]
+__all__ = ["AdamW", "cosine_lr", "ADAM_BETAS", "ADAM_EPS"]
+
+# Adam's moment decay rates and denominator offset (Kingma & Ba 2015)
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class AdamW:
     """Bias-corrected Adam moments with weight decay applied directly to the
     parameters, separately from the gradient-based update."""
 
-    def __init__(self, params, lr: float = 5e-4, weight_decay: float = 0.0,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params, weight_decay: float = 0.0):
         self.params: list[Tensor] = list(params)
-        self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, lr: float | None = None):
-        lr = self.lr if lr is None else lr
-        b1, b2 = self.betas
+    def step(self, lr: float):
+        """One update of every parameter at learning rate ``lr``."""
+        b1, b2 = ADAM_BETAS
         self.t += 1
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
@@ -42,7 +42,7 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * (g * g)
-            p.data -= lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+            p.data -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:

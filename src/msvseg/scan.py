@@ -48,26 +48,31 @@ from .tensor import (
 )
 
 __all__ = [
-    "ScanParams", "selective_scan_seq",
+    "dt_rank", "ScanParams", "selective_scan_seq",
     "cross_scan", "cross_merge", "SS2D", "run_scan_benchmark",
 ]
 
 
 # -- parameters ---------------------------------------------------------------
 
+def dt_rank(channels: int) -> int:
+    """Rank of the step-size projection of a C-channel scan, ceil(C / 16)
+    (Gu & Dao 2023)."""
+    return max(1, math.ceil(channels / 16))
+
+
 class ScanParams(Module):
     """Parameters of P = len(rngs) scan paths over a C-channel sequence, each
     quantity stored once as a [P, ...] tensor.
 
     A_log parameterizes the strictly negative transition A = -exp(A_log);
-    delta comes from a rank-reduced projection followed by softplus, B and C
+    delta comes from a rank ``dt_rank(C)`` projection followed by softplus, B and C
     from direct linear projections of the input.  Path i draws its values
     from rngs[i] alone.
     """
 
-    def __init__(self, rngs, channels: int, n_state: int = 16, dt_rank: int | None = None):
-        if dt_rank is None:
-            dt_rank = max(1, math.ceil(channels / 16))
+    def __init__(self, rngs, channels: int, n_state: int = 16):
+        rank = dt_rank(channels)
 
         def per_path(draw):
             return Tensor(np.stack([draw(r) for r in rngs]).astype(np.float32), requires_grad=True)
@@ -78,9 +83,9 @@ class ScanParams(Module):
         self.skip = init_ones((len(rngs), channels))
         self.w_b = per_path(lambda r: r.child(1).trunc_normal((channels, n_state), 0.02))
         self.w_c = per_path(lambda r: r.child(2).trunc_normal((channels, n_state), 0.02))
-        self.w_dt_down = per_path(lambda r: r.child(3).trunc_normal((channels, dt_rank), 0.02))
-        bound = dt_rank ** -0.5
-        self.w_dt_up = per_path(lambda r: r.child(4).uniform(-bound, bound, (dt_rank, channels)))
+        self.w_dt_down = per_path(lambda r: r.child(3).trunc_normal((channels, rank), 0.02))
+        bound = rank ** -0.5
+        self.w_dt_up = per_path(lambda r: r.child(4).uniform(-bound, bound, (rank, channels)))
 
         def dt_bias(r):
             # softplus(dt_bias) lands in [1e-3, 1e-1], log-uniform
@@ -380,8 +385,8 @@ class SS2D(ScanParams):
     and the four restored outputs are summed.
     """
 
-    def __init__(self, rng: Rng, channels: int, n_state: int = 16, dt_rank: int | None = None):
-        super().__init__([rng.child(i) for i in range(4)], channels, n_state, dt_rank)
+    def __init__(self, rng: Rng, channels: int, n_state: int = 16):
+        super().__init__([rng.child(i) for i in range(4)], channels, n_state)
 
     def forward(self, fmap: Tensor) -> Tensor:
         h, w = fmap.data.shape[-3:-1]
@@ -393,34 +398,36 @@ class SS2D(ScanParams):
 # -- benchmark -------------------------------------------------------------------
 
 def run_scan_benchmark(lengths=(256, 1024, 4096), n_state: int = 16, channels: int = 8,
-                       chunk: int = SCAN_BLOCK, path_count: int = 4, seed: int = 0,
-                       tol: float = 1e-12) -> list[dict]:
-    """Time the streamed scan op against the sequential reference in float32.
+                       chunk: int = SCAN_BLOCK, seed: int = 0) -> list[dict]:
+    """Time the streamed scan op against the sequential reference in float32,
+    over the four stacked paths of SS2D.
 
     ``chunk`` is the streamed op's block length.  Each length is gated first:
     in float64 the streamed output must match the full-history reference
-    within ``tol`` relative to the reference's largest |y|, or the benchmark
+    within 1e-12 relative to the reference's largest |y|, or the benchmark
     aborts.  Both variants then run forward in float32, the training dtype.
     Returns rows of path_count, L, N, C, variant, wall_ns, throughput and
     checksum.
     """
+    paths = 4
+
     def streamed(arrays):
         return _scan_op(*map(Tensor, arrays), chunk).data
 
     rows = []
     for length in lengths:
         rng = Rng(seed).child(length)
-        x = rng.normal((path_count, length, channels)).astype(np.float64)
-        delta = np.log1p(np.exp(rng.normal((path_count, length, channels)))) + 1e-4
-        a = -np.exp(rng.normal((path_count, channels, n_state)) * 0.5)
-        b = rng.normal((path_count, length, n_state))
-        c_out = rng.normal((path_count, length, n_state))
-        skip = rng.normal((path_count, channels))
+        x = rng.normal((paths, length, channels)).astype(np.float64)
+        delta = np.log1p(np.exp(rng.normal((paths, length, channels)))) + 1e-4
+        a = -np.exp(rng.normal((paths, channels, n_state)) * 0.5)
+        b = rng.normal((paths, length, n_state))
+        c_out = rng.normal((paths, length, n_state))
+        skip = rng.normal((paths, channels))
         arrays = (x, delta, a, b, c_out, skip)
 
         y_ref, _, _ = _scan_forward_core(*arrays)
         dev = float(np.max(np.abs(streamed(arrays) - y_ref)))
-        if dev > tol * float(np.max(np.abs(y_ref))):
+        if dev > 1e-12 * float(np.max(np.abs(y_ref))):
             raise AssertionError(f"benchmark gate failed: streamed deviates by {dev:.3e} at L={length}")
 
         arrays32 = tuple(v.astype(np.float32) for v in arrays)
@@ -433,9 +440,9 @@ def run_scan_benchmark(lengths=(256, 1024, 4096), n_state: int = 16, channels: i
                 y = run()
                 dt = time.perf_counter_ns() - t0
                 best = dt if best is None else min(best, dt)
-            elems = path_count * length * channels
+            elems = paths * length * channels
             rows.append({
-                "path_count": path_count, "L": length, "N": n_state, "C": channels,
+                "path_count": paths, "L": length, "N": n_state, "C": channels,
                 "variant": variant, "wall_ns": best,
                 "elements_per_s": elems / (best * 1e-9),
                 "checksum": f"{float(y.sum()):.17g}",

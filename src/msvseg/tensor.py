@@ -688,8 +688,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return record_op(out.reshape(out_shape), parents, backward, "conv2d")
 
 
-def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float = 1e-5) -> Tensor:
-    """(x - mean) / sqrt(var + eps) over ``axes``, then scale by gamma and
+# variance offset of every layer and batch norm
+NORM_EPS = 1e-5
+
+
+def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
+    """(x - mean) / sqrt(var + NORM_EPS) over ``axes``, then scale by gamma and
     shift by beta.  Layer norm reduces over the trailing channel axis, batch
     norm over (H, W), axes (-3, -2), of each [..., H, W, C] map; a map of
     one element along ``axes`` normalizes to exactly zero, so its output is
@@ -708,7 +712,7 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float = 1e-5) -
     inv_count = np.asarray(1.0 / count, dtype=x.data.dtype)
     xc = x.data - x.data.sum(axis=axes, keepdims=True) * inv_count
     var = (xc * xc).sum(axis=axes, keepdims=True) * inv_count
-    sigma = np.sqrt(var + np.asarray(eps, dtype=var.dtype))
+    sigma = np.sqrt(var + np.asarray(NORM_EPS, dtype=var.dtype))
     # x_hat takes xc's buffer, and the output adds beta into gamma * x_hat
     x_hat = np.divide(xc, sigma, out=xc)
     gamma_in, beta_shape = gamma.data, beta.shape
@@ -838,7 +842,7 @@ def init_ones(shape, dtype=np.float32) -> Tensor:
 
 # -- gradient checking ---------------------------------------------------------------
 
-def finite_diff_grad_check(fn, inputs, step: float = 1e-5, max_coords: int | None = None,
+def finite_diff_grad_check(fn, inputs, max_coords: int | None = None,
                            rng: Rng | None = None, retry_threshold: float | None = None) -> float:
     """Compare recorded gradients against central finite differences.
 
@@ -873,6 +877,7 @@ def finite_diff_grad_check(fn, inputs, step: float = 1e-5, max_coords: int | Non
         flat[i] = orig
         return (f_plus - f_minus) / (2.0 * h)
 
+    step = 1e-5
     worst = 0.0
     for t, g_ad in zip(inputs, analytic):
         flat = t.data.reshape(-1)

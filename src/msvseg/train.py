@@ -134,7 +134,7 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
     shuffle_rng = rng.child(1)
     augment_rng = rng.child(2)
 
-    opt = AdamW(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(model.parameters(), weight_decay=cfg.weight_decay)
     n = len(samples)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.max_epochs * steps_per_epoch
@@ -148,7 +148,6 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
     run_loss = run_dice = run_ce = 0.0
     run_count = 0
     step = 0
-    do_augment = cfg.augment.any_enabled() or cfg.augment.target_size is not None
     stop = False
 
     for epoch in range(cfg.max_epochs):
@@ -159,10 +158,8 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
             if step >= total_steps:
                 break
             batch = [int(i) for i in order[start:start + cfg.batch_size]]
-            picked = [samples[i] for i in batch]
-            if do_augment:
-                picked = [augment(sample, augment_rng.child(epoch * n + i), cfg.augment)
-                          for sample, i in zip(picked, batch)]
+            picked = [augment(samples[i], augment_rng.child(epoch * n + i), cfg.augment)
+                      for i in batch]
             images = Tensor(np.stack([sample.image.data for sample in picked]))
             masks = np.stack([sample.mask for sample in picked])
             model.zero_grad()

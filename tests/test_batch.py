@@ -38,11 +38,11 @@ LAYERS = {
     "upsample_nearest2x": (upsample_nearest2x, (3, 4, 2)),
     "cross_merge_of_cross_scan": (lambda x: cross_merge(cross_scan(x), 3, 5), (3, 5, 2)),
     "batch_norm": (_f64(BatchNorm2d(4)), (5, 6, 4)),
-    "patch_embed": (_f64(PatchEmbed(Rng(13), 3, 6)), (3, 8, 8)),
+    "patch_embed": (_f64(PatchEmbed(Rng(13), 6)), (3, 8, 8)),
     "patch_merge": (_f64(PatchMerge(Rng(14), 4)), (4, 6, 4)),
     "ss2d": (_f64(SS2D(Rng(15), 4, n_state=3)), (3, 5, 4)),
     "msvss_block": (_f64(MSVSSBlock(Rng(16), BlockConfig(channels=8, state_size=4))), (4, 4, 8)),
-    "lkpe": (_f64(make_upsampler("lkpe", Rng(17), 8, BlockConfig(channels=8))), (3, 4, 8)),
+    "lkpe": (_f64(make_upsampler("lkpe", Rng(17), 8)), (3, 4, 8)),
     "flkpe": (_f64(FLKPE(Rng(18), 4, 3)), (3, 4, 4)),
 }
 

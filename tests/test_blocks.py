@@ -188,20 +188,20 @@ class TestResidualBlocks:
 
 class TestPatchResamplers:
     def test_patch_embed_shapes(self):
-        pe = PatchEmbed(Rng(16), 3, 16)
+        pe = PatchEmbed(Rng(16), 16)
         assert pe(rt(17, (3, 32, 32))).data.shape == (8, 8, 16)
-        pe2 = PatchEmbed(Rng(18), 3, 96)
+        pe2 = PatchEmbed(Rng(18), 96)
         assert pe2(rt(19, (3, 224, 224))).data.shape == (56, 56, 96)
 
     def test_patch_embed_constant_image_gives_identical_patches(self):
-        pe = PatchEmbed(Rng(20), 3, 8)
+        pe = PatchEmbed(Rng(20), 8)
         y = pe(Tensor(np.full((3, 16, 16), 0.37, dtype=np.float32)))
         flat = y.data.reshape(-1, 8)
         assert np.allclose(flat, flat[:1], atol=1e-6)
 
     def test_patch_embed_indivisible_rejected(self):
         with pytest.raises(ValueError):
-            PatchEmbed(Rng(21), 3, 8)(rt(22, (3, 30, 32)))
+            PatchEmbed(Rng(21), 8)(rt(22, (3, 30, 32)))
 
     def test_patch_merge_shapes(self):
         pm = PatchMerge(Rng(23), 96)
@@ -226,7 +226,7 @@ class TestPatchResamplers:
 class TestUpsamplers:
     @pytest.mark.parametrize("kind", ["lkpe", "patch_expand", "transposed_conv", "upsample_block"])
     def test_shape_contract(self, kind):
-        up = make_upsampler(kind, Rng(32), 8, cfg(8))
+        up = make_upsampler(kind, Rng(32), 8)
         y = up(rt(33, (4, 5, 8)))
         assert y.data.shape == (8, 10, 4)
 
@@ -237,11 +237,11 @@ class TestUpsamplers:
     def test_odd_channels_rejected(self):
         for kind in ("lkpe", "patch_expand", "transposed_conv", "upsample_block"):
             with pytest.raises(ValueError):
-                make_upsampler(kind, Rng(36), 7, cfg(8))
+                make_upsampler(kind, Rng(36), 7)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            make_upsampler("bilinear", Rng(37), 8, cfg(8))
+            make_upsampler("bilinear", Rng(37), 8)
 
     def test_lkpe_reduces_to_patch_expand(self):
         # with a delta depthwise kernel, LKPE is PatchExpand with the

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from msvseg.cli import _build_parser, main
+from msvseg.config import config_to_text
+from msvseg.model import ModelConfig
 from msvseg.scan import SCAN_BLOCK
 from msvseg.serial import load_checkpoint, load_tensor, save_checkpoint, save_tensor
 
@@ -39,12 +41,16 @@ class TestExitCodes:
     def test_missing_required_arg(self):
         assert run(["train"]) == 1
 
-    def test_unknown_config_key_rejected(self, dataset_dir, tmp_path):
+    def test_unknown_config_key_rejected(self, dataset_dir, tmp_path, capsys):
         assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
                     "--set", "train.warp_speed=9"]) == 1
-        # a deleted field, as an old config or checkpoint still names it
-        assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
-                    "--set", "model.skip_fusion=add"]) == 1
+        # deleted fields, as an old config or checkpoint still names them
+        for item in ("model.skip_fusion=add", "model.dt_rank=2", "model.ffn_expand=4",
+                     "model.dwconv_kernel=3"):
+            assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
+                        "--set", item]) == 1
+            key = item.partition("=")[0]
+            assert f"unknown configuration key: '{key}'" in capsys.readouterr().err
 
     def test_bad_override_format(self, dataset_dir, tmp_path):
         assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
@@ -230,6 +236,19 @@ class TestArtifacts:
         err = capsys.readouterr().err
         assert "does not match the model" in err and ".ss2d.paths.0." in err
 
+    @pytest.mark.parametrize("command", ["eval", "export-features"])
+    def test_checkpoint_with_removed_model_key_is_invalid_input(self, trained_dir, dataset_dir,
+                                                                tmp_path, capsys, command):
+        # checkpoints written before the FFN expansion, depthwise kernel and
+        # step rank became constants carry their keys
+        text, tensors = load_checkpoint(trained_dir / "checkpoint.msvc")
+        old = text + "model.ffn_expand=4\nmodel.dwconv_kernel=3\nmodel.dt_rank=none\n"
+        ckpt = tmp_path / "old.msvc"
+        save_checkpoint(ckpt, old, tensors.items())
+        assert run([command, "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+        assert "unknown configuration key: 'model.ffn_expand'" in capsys.readouterr().err
+
     def test_model_alpha_weights_train_and_eval_loss(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(["train", "--data", str(dataset_dir), "--out-dir", str(out), "--quiet",
@@ -298,3 +317,9 @@ class TestDeterminism:
         text, tensors = load_checkpoint(trained_dir / "checkpoint.msvc")
         assert "model.base_channels=16" in text
         assert all(arr.dtype == np.float32 for arr in tensors.values())
+
+    def test_config_text_lists_the_model_keys(self):
+        keys = [line.partition("=")[0] for line in config_to_text(ModelConfig()).splitlines()]
+        assert keys == ["model.base_channels", "model.stage_depths", "model.num_classes",
+                        "model.input_size", "model.kernel_set", "model.decoder_block",
+                        "model.upsampler", "model.alpha", "model.state_size"]

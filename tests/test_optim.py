@@ -18,14 +18,14 @@ def param(values):
 class TestAdamW:
     def test_zero_grad_zero_decay_keeps_params(self):
         p = param([1.0, -2.0, 3.0])
-        opt = AdamW([p], lr=0.1, weight_decay=0.0)
-        opt.step()
+        opt = AdamW([p], weight_decay=0.0)
+        opt.step(0.1)
         assert np.array_equal(p.data, [1.0, -2.0, 3.0])
 
     def test_pure_decay_shrinks_multiplicatively(self):
         p = param([2.0, -4.0])
-        opt = AdamW([p], lr=0.1, weight_decay=0.5)
-        opt.step()
+        opt = AdamW([p], weight_decay=0.5)
+        opt.step(0.1)
         assert np.allclose(p.data, np.array([2.0, -4.0]) * (1 - 0.1 * 0.5), atol=1e-15)
 
     def test_first_step_matches_scalar_reference(self):
@@ -33,8 +33,8 @@ class TestAdamW:
         p = param([1.0, 1.0, 1.0])
         p.grad = g.copy()
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-        opt = AdamW([p], lr=lr, weight_decay=0.0, betas=(b1, b2), eps=eps)
-        opt.step()
+        opt = AdamW([p], weight_decay=0.0)
+        opt.step(lr)
         expected = np.empty(3)
         for i, gi in enumerate(g):
             m = (1 - b1) * gi / (1 - b1)
@@ -47,7 +47,7 @@ class TestAdamW:
         p = param(rng.normal((5,)))
         start = p.data.copy()
         lr, wd, b1, b2, eps = 2e-3, 0.01, 0.9, 0.999, 1e-8
-        opt = AdamW([p], lr=lr, weight_decay=wd, betas=(b1, b2), eps=eps)
+        opt = AdamW([p], weight_decay=wd)
         grads = [rng.normal((5,)) for _ in range(4)]
 
         ref = start.copy()
@@ -61,13 +61,13 @@ class TestAdamW:
 
         for g in grads:
             p.grad = g.copy()
-            opt.step()
+            opt.step(lr)
         assert np.max(np.abs(p.data - ref)) <= 1e-12
 
     def test_none_grad_treated_as_zero(self):
         p = Tensor(np.ones(3), dtype=np.float64, requires_grad=True)
-        opt = AdamW([p], lr=0.1, weight_decay=0.0)
-        opt.step()
+        opt = AdamW([p], weight_decay=0.0)
+        opt.step(0.1)
         assert np.array_equal(p.data, np.ones(3))
 
 

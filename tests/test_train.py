@@ -76,7 +76,7 @@ class TestTrainLoop:
 
     def test_loss_strictly_decreases_on_fixed_batch(self, tiny_data):
         model = build_model(ModelConfig(), Rng(42))
-        opt = AdamW(model.parameters(), lr=3e-3, weight_decay=1e-4)
+        opt = AdamW(model.parameters(), weight_decay=1e-4)
         losses = []
         for _ in range(20):
             model.zero_grad()
@@ -89,7 +89,7 @@ class TestTrainLoop:
             total = total * (1.0 / len(tiny_data))
             losses.append(total.item())
             total.backward()
-            opt.step()
+            opt.step(3e-3)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_unset_gradients_match_zero_filled(self, tiny_data):
@@ -100,13 +100,13 @@ class TestTrainLoop:
 
         def two_steps(reset):
             model = build_model(ModelConfig(), Rng(42))
-            opt = AdamW(model.parameters(), lr=3e-3, weight_decay=1e-4)
+            opt = AdamW(model.parameters(), weight_decay=1e-4)
             for _ in range(2):
                 reset(model)
                 logits = model.forward(images)
                 loss = 0.6 * dice_loss(softmax_channels(logits), masks) + 0.4 * ce_loss(logits, masks)
                 loss.backward()
-                opt.step()
+                opt.step(3e-3)
             return list(model.named_parameters())
 
         def zero_fill(model):
