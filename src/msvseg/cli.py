@@ -21,7 +21,7 @@ from .data import gen_synthetic_dataset, load_dataset, save_dataset
 from .gradcheck import run_gradient_suite
 from .model import (ModelConfig, build_model, count_flops, count_params,
                     export_stage_features)
-from .scan import SCAN_BLOCK, run_scan_benchmark
+from .scan import run_scan_benchmark
 from .serial import load_checkpoint, save_checkpoint
 from .tensor import NonFiniteError, Rng
 from .train import TrainConfig, evaluate, train_loop
@@ -81,11 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-scan", help="benchmark the streamed scan against the sequential reference")
     _add_common(p)
-    p.add_argument("--lengths", default="256,1024,4096")
+    # the defaults are the tiny224 preset's stage 1
+    p.add_argument("--lengths", default="3136")
     p.add_argument("--state-size", type=int, default=16)
-    p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--chunk", type=int, default=SCAN_BLOCK,
-                   help="block length of the streamed scan (default: the model's)")
+    p.add_argument("--channels", type=int, default=192)
 
     p = sub.add_parser("export-features", help="write decoder heatmaps for one sample")
     _add_common(p)
@@ -211,7 +210,7 @@ def _cmd_bench_scan(args) -> int:
     lengths = tuple(int(v) for v in args.lengths.split(","))
     seed = args.seed if args.seed is not None else 0
     rows = run_scan_benchmark(lengths=lengths, n_state=args.state_size,
-                              channels=args.channels, chunk=args.chunk, seed=seed)
+                              channels=args.channels, seed=seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "bench_scan.csv"

@@ -20,7 +20,7 @@ from .blocks import (
 )
 from .losses import ce_loss, dice_loss, total_loss
 from .model import ModelConfig, build_model
-from .scan import ScanParams, SS2D, selective_scan_seq
+from .scan import SS2D, _scan_op
 from .tensor import Rng, Tensor, finite_diff_grad_check
 
 __all__ = ["CheckResult", "run_gradient_suite", "OP_TOL", "BLOCK_TOL", "MODEL_TOL"]
@@ -30,6 +30,8 @@ TIGHT_TOL = 1e-6
 LOSS_TOL = 1e-5
 BLOCK_TOL = 1e-4
 MODEL_TOL = 1e-3
+# parameter coordinates spot-checked per block parameter tensor
+BLOCK_COORDS = 8
 
 
 @dataclass
@@ -131,15 +133,16 @@ def _op_cases(seed: int):
 
     yield "op.softmax_channels", OP_TOL, softmax_fn, [xs]
 
-    # scan primitives
-    params = ScanParams([Rng(seed + 2)], channels=3, n_state=4)
-    xq = _t(r.child(19), (6, 3))
-    scan_inputs = [xq] + _f64_params(params)
-
-    def scan_fn(*args):
-        return _square_sum(selective_scan_seq(args[0], params))
-
-    yield "op.selective_scan_seq", OP_TOL, scan_fn, scan_inputs
+    # the scan op on two paths of two sequences each, [2, 2, L, C], so that
+    # repeating A and D per sequence and summing their gradients back per
+    # path are checked too; delta > 0 and A < 0, as the model feeds them
+    xq = _t(r.child(19), (2, 2, 6, 3))
+    dq = _t(r.child(37), (2, 2, 6, 3), positive=True)
+    aq = _t(r.child(38), (2, 3, 4), positive=True)
+    aq.data = -aq.data
+    bq, cq = _t(r.child(39), (2, 2, 6, 4)), _t(r.child(40), (2, 2, 6, 4))
+    sq = _t(r.child(41), (2, 3))
+    yield "op.selective_scan", OP_TOL, (lambda *args: _square_sum(_scan_op(*args))), [xq, dq, aq, bq, cq, sq]
 
     ss = SS2D(Rng(seed + 3), channels=3, n_state=4)
     fm = _t(r.child(21), (4, 5, 3))
@@ -217,19 +220,16 @@ def _model_case(seed: int):
 
 
 def run_gradient_suite(seed: int = 0, op_seeds: int = 20, block_seeds: int = 3,
-                       include_model: bool = True, model_coords: int = 5,
-                       block_coords: int = 8, progress=None) -> list[CheckResult]:
+                       include_model: bool = True, model_coords: int = 5) -> list[CheckResult]:
     """Run the whole suite; ops over ``op_seeds`` seeds, blocks over
     ``block_seeds``.  Block/model parameters are spot-checked at
-    ``block_coords``/``model_coords`` coordinates per tensor (inputs fully)."""
+    BLOCK_COORDS/``model_coords`` coordinates per tensor (inputs fully)."""
     worst: dict[str, CheckResult] = {}
 
     def record(name, tol, err, seeds):
         prev = worst.get(name)
         if prev is None or err > prev.max_err:
             worst[name] = CheckResult(name, err, tol, seeds)
-        if progress is not None and prev is None:
-            progress(name)
 
     for s in range(op_seeds):
         for name, tol, fn, inputs in _op_cases(seed + s):
@@ -240,7 +240,7 @@ def run_gradient_suite(seed: int = 0, op_seeds: int = 20, block_seeds: int = 3,
         for name, tol, fn, inputs in _block_cases(seed + s):
             first, rest = inputs[0], inputs[1:]
             err = finite_diff_grad_check(fn, [first], retry_threshold=BLOCK_TOL / 2)
-            err_p = finite_diff_grad_check(fn, rest, max_coords=block_coords, rng=Rng(seed + s),
+            err_p = finite_diff_grad_check(fn, rest, max_coords=BLOCK_COORDS, rng=Rng(seed + s),
                                            retry_threshold=BLOCK_TOL / 2)
             record(name, tol, max(err, err_p), block_seeds)
 

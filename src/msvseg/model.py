@@ -47,9 +47,12 @@ class ModelConfig:
     state_size: int = 8
 
     def validate(self):
-        h, w = self.input_size
-        if h % 32 or w % 32:
-            raise ValueError(f"input size {h}x{w} must be divisible by 32")
+        if len(self.input_size) != 2 or any(s < 32 or s % 32 for s in self.input_size):
+            raise ValueError(f"input_size must be two positive multiples of 32, got {self.input_size}")
+        if self.base_channels < 1:
+            raise ValueError(f"base_channels must be >= 1, got {self.base_channels}")
+        if self.state_size < 1:
+            raise ValueError(f"state_size must be >= 1, got {self.state_size}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if len(self.stage_depths) != 4 or any(d < 1 for d in self.stage_depths):

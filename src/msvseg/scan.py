@@ -1,5 +1,10 @@
 """Selective-scan recurrence and the four-path 2D cross-scan.
 
+``SS2D`` is the scan's one entry point: it holds the four paths'
+parameters, flattens a feature map along the paths, projects each path's
+step inputs, runs the recurrence op ``_scan_op`` on the stack and merges
+the paths back.
+
 The 1D scan is the standard selective state-space recurrence: per-step
 transition Abar = exp(delta * A) with A = -exp(A_log) kept strictly negative,
 input injection Bbar = delta * B (Euler form), state
@@ -43,56 +48,15 @@ import time
 
 import numpy as np
 
-from .tensor import (
-    Module, Rng, Tensor, exp, linear, record_op, reshape, softplus, init_ones,
-)
+from .tensor import Module, Rng, Tensor, exp, init_ones, linear, record_op, softplus
 
-__all__ = [
-    "dt_rank", "ScanParams", "selective_scan_seq",
-    "cross_scan", "cross_merge", "SS2D", "run_scan_benchmark",
-]
+__all__ = ["dt_rank", "cross_scan", "cross_merge", "SS2D", "run_scan_benchmark"]
 
-
-# -- parameters ---------------------------------------------------------------
 
 def dt_rank(channels: int) -> int:
     """Rank of the step-size projection of a C-channel scan, ceil(C / 16)
     (Gu & Dao 2023)."""
     return max(1, math.ceil(channels / 16))
-
-
-class ScanParams(Module):
-    """Parameters of P = len(rngs) scan paths over a C-channel sequence, each
-    quantity stored once as a [P, ...] tensor.
-
-    A_log parameterizes the strictly negative transition A = -exp(A_log);
-    delta comes from a rank ``dt_rank(C)`` projection followed by softplus, B and C
-    from direct linear projections of the input.  Path i draws its values
-    from rngs[i] alone.
-    """
-
-    def __init__(self, rngs, channels: int, n_state: int = 16):
-        rank = dt_rank(channels)
-
-        def per_path(draw):
-            return Tensor(np.stack([draw(r) for r in rngs]).astype(np.float32), requires_grad=True)
-
-        self.a_log = Tensor(
-            np.tile(np.log(np.arange(1, n_state + 1, dtype=np.float32)), (len(rngs), channels, 1)),
-            requires_grad=True)
-        self.skip = init_ones((len(rngs), channels))
-        self.w_b = per_path(lambda r: r.child(1).trunc_normal((channels, n_state), 0.02))
-        self.w_c = per_path(lambda r: r.child(2).trunc_normal((channels, n_state), 0.02))
-        self.w_dt_down = per_path(lambda r: r.child(3).trunc_normal((channels, rank), 0.02))
-        bound = rank ** -0.5
-        self.w_dt_up = per_path(lambda r: r.child(4).uniform(-bound, bound, (rank, channels)))
-
-        def dt_bias(r):
-            # softplus(dt_bias) lands in [1e-3, 1e-1], log-uniform
-            dt = np.exp(r.child(5).uniform(math.log(1e-3), math.log(1e-1), channels))
-            return np.log(np.expm1(dt))
-
-        self.dt_bias = per_path(dt_bias)
 
 
 # -- fused recurrence ----------------------------------------------------------
@@ -215,18 +179,17 @@ def _block_states(abar, bx, h0):
 
 
 def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
-             skip: Tensor, chunk: int | None = None) -> Tensor:
+             skip: Tensor) -> Tensor:
     """Autodiff-recorded scan over stacked paths.
 
     x, delta: [Q, ..., L, C]; b, c_out: [Q, ..., L, N]; a: [Q, C, N] and
     skip: [Q, C] are shared by the B sequences of each path q.  The
     sequences run as P = Q*B rows, with A and D repeated per sequence and
     their gradients summed back.  Streams the recurrence in blocks of
-    ``chunk`` steps (SCAN_BLOCK when None) and keeps only the state entering
+    SCAN_BLOCK steps, read at call time, and keeps only the state entering
     each block for backward.  Inputs and outputs stay [P, L, ·]; each block
     reads and writes them through [T, P, ·] views.
     """
-    block = chunk or SCAN_BLOCK
     q, *_, l, c = x.data.shape
     n = a.data.shape[-1]
     p = x.data.size // (l * c)
@@ -243,8 +206,8 @@ def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
     xd, dd, bd, cd = map(rows_of, (x, delta, b, c_out))
     ad, sd = per_row(a), per_row(skip)
     dtype = np.result_type(xd, dd, ad, bd, cd, sd)
-    spans = [slice(t0, min(t0 + block, l)) for t0 in range(0, l, block)]
-    rows = min(block, l)
+    spans = [slice(t0, min(t0 + SCAN_BLOCK, l)) for t0 in range(0, l, SCAN_BLOCK)]
+    rows = min(SCAN_BLOCK, l)
     a_t = np.ascontiguousarray(ad.transpose(0, 2, 1))
     abuf, hbuf = (np.empty((rows, p, n, c), dtype=dtype) for _ in range(2))
     carries = np.empty((len(spans), p, n, c), dtype=dtype)
@@ -308,29 +271,6 @@ def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
                      "selective_scan")
 
 
-def _project_step_params(x: Tensor, params: ScanParams):
-    """Step inputs of stacked sequences x [P, ..., L, C], path p projected
-    with path p of ``params``: delta [P, ..., L, C] (softplus), A [P, C, N],
-    B and C [P, ..., L, N] and skip [P, C]."""
-    delta = softplus(linear(linear(x, params.w_dt_down), params.w_dt_up, params.dt_bias))
-    b = linear(x, params.w_b)
-    c_out = linear(x, params.w_c)
-    return delta, -exp(params.a_log), b, c_out, params.skip
-
-
-def _scan_sequence(x: Tensor, params: ScanParams, chunk: int | None) -> Tensor:
-    l, c = x.data.shape
-    x1 = reshape(x, (1, l, c))
-    y = _scan_op(x1, *_project_step_params(x1, params), chunk)
-    return reshape(y, (l, c))
-
-
-def selective_scan_seq(x: Tensor, params: ScanParams) -> Tensor:
-    """Reference sequential recurrence over a [L, C] sequence, with the
-    one-path parameter set ``params``."""
-    return _scan_sequence(x, params, chunk=None)
-
-
 # -- 2D cross scan --------------------------------------------------------------
 
 def _paths(fmap: np.ndarray) -> np.ndarray:
@@ -377,42 +317,68 @@ def cross_merge(seqs: Tensor, h: int, w: int) -> Tensor:
     return record_op(_merge(seqs.data, h, w), (seqs,), backward, "cross_merge")
 
 
-class SS2D(ScanParams):
+class SS2D(Module):
     """Four-direction selective scan over [..., H, W, C] feature maps.
 
-    The parameter set of the four paths, path i drawn from ``rng.child(i)``;
-    the paths are projected and scanned stacked, so the time loop is shared,
-    and the four restored outputs are summed.
+    Each parameter quantity of the four paths is stored once as a [4, ...]
+    tensor, path i drawn from ``rng.child(i)`` alone.  A_log parameterizes
+    the strictly negative transition A = -exp(A_log); delta comes from a rank
+    ``dt_rank(C)`` projection followed by softplus, B and C from direct linear
+    projections of the input.  The paths are projected and scanned stacked,
+    so the time loop is shared, and the four restored outputs are summed.
     """
 
     def __init__(self, rng: Rng, channels: int, n_state: int = 16):
-        super().__init__([rng.child(i) for i in range(4)], channels, n_state)
+        rngs = [rng.child(i) for i in range(4)]
+        rank = dt_rank(channels)
+
+        def per_path(draw):
+            return Tensor(np.stack([draw(r) for r in rngs]).astype(np.float32), requires_grad=True)
+
+        self.a_log = Tensor(
+            np.tile(np.log(np.arange(1, n_state + 1, dtype=np.float32)), (len(rngs), channels, 1)),
+            requires_grad=True)
+        self.skip = init_ones((len(rngs), channels))
+        self.w_b = per_path(lambda r: r.child(1).trunc_normal((channels, n_state), 0.02))
+        self.w_c = per_path(lambda r: r.child(2).trunc_normal((channels, n_state), 0.02))
+        self.w_dt_down = per_path(lambda r: r.child(3).trunc_normal((channels, rank), 0.02))
+        bound = rank ** -0.5
+        self.w_dt_up = per_path(lambda r: r.child(4).uniform(-bound, bound, (rank, channels)))
+
+        def dt_bias(r):
+            # softplus(dt_bias) lands in [1e-3, 1e-1], log-uniform
+            dt = np.exp(r.child(5).uniform(math.log(1e-3), math.log(1e-1), channels))
+            return np.log(np.expm1(dt))
+
+        self.dt_bias = per_path(dt_bias)
 
     def forward(self, fmap: Tensor) -> Tensor:
         h, w = fmap.data.shape[-3:-1]
         seqs = cross_scan(fmap)
-        y = _scan_op(seqs, *_project_step_params(seqs, self))
+        # path p of the stack is projected with path p of each parameter
+        delta = softplus(linear(linear(seqs, self.w_dt_down), self.w_dt_up, self.dt_bias))
+        y = _scan_op(seqs, delta, -exp(self.a_log), linear(seqs, self.w_b),
+                     linear(seqs, self.w_c), self.skip)
         return cross_merge(y, h, w)
 
 
 # -- benchmark -------------------------------------------------------------------
 
-def run_scan_benchmark(lengths=(256, 1024, 4096), n_state: int = 16, channels: int = 8,
-                       chunk: int = SCAN_BLOCK, seed: int = 0) -> list[dict]:
-    """Time the streamed scan op against the sequential reference in float32,
-    over the four stacked paths of SS2D.
+def run_scan_benchmark(lengths, n_state: int, channels: int, seed: int) -> list[dict]:
+    """Time the streamed scan op, at the model's block length SCAN_BLOCK,
+    against the sequential reference in float32, over the four stacked paths
+    of SS2D.
 
-    ``chunk`` is the streamed op's block length.  Each length is gated first:
-    in float64 the streamed output must match the full-history reference
-    within 1e-12 relative to the reference's largest |y|, or the benchmark
-    aborts.  Both variants then run forward in float32, the training dtype.
-    Returns rows of path_count, L, N, C, variant, wall_ns, throughput and
-    checksum.
+    Each length is gated first: in float64 the streamed output must match
+    the full-history reference within 1e-12 relative to the reference's
+    largest |y|, or the benchmark aborts.  Both variants then run forward in
+    float32, the training dtype.  Returns rows of path_count, L, N, C,
+    variant, wall_ns, throughput and checksum.
     """
     paths = 4
 
     def streamed(arrays):
-        return _scan_op(*map(Tensor, arrays), chunk).data
+        return _scan_op(*map(Tensor, arrays)).data
 
     rows = []
     for length in lengths:

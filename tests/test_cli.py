@@ -8,7 +8,6 @@ import pytest
 from msvseg.cli import _build_parser, main
 from msvseg.config import config_to_text
 from msvseg.model import ModelConfig
-from msvseg.scan import SCAN_BLOCK
 from msvseg.serial import load_checkpoint, load_tensor, save_checkpoint, save_tensor
 
 
@@ -51,6 +50,14 @@ class TestExitCodes:
                         "--set", item]) == 1
             key = item.partition("=")[0]
             assert f"unknown configuration key: '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("item", ["model.state_size=0", "model.base_channels=0",
+                                      "model.input_size=0,0", "model.input_size=64",
+                                      "model.input_size=64,64,64"])
+    def test_invalid_model_value_names_its_key(self, item, capsys):
+        assert run(["count", "--set", item]) == 1
+        key = item.partition("=")[0].removeprefix("model.")
+        assert f"error: {key} must be" in capsys.readouterr().err
 
     def test_bad_override_format(self, dataset_dir, tmp_path):
         assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
@@ -279,14 +286,14 @@ class TestArtifacts:
 
     def test_bench_scan_csv(self, tmp_path):
         assert run(["bench-scan", "--out-dir", str(tmp_path), "--lengths", "64,128",
-                    "--state-size", "4", "--channels", "2", "--chunk", "16"]) == 0
+                    "--state-size", "4", "--channels", "2"]) == 0
         lines = (tmp_path / "bench_scan.csv").read_text().splitlines()
         assert lines[0] == "path_count,L,N,C,variant,wall_ns,checksum"
         assert len(lines) == 5
 
-    def test_bench_scan_chunk_defaults_to_the_model_block(self):
-        # by default the benchmark times the block length the model streams
-        assert _build_parser().parse_args(["bench-scan"]).chunk == SCAN_BLOCK
+    def test_bench_scan_defaults_to_the_tiny224_stage_one_shape(self):
+        args = _build_parser().parse_args(["bench-scan"])
+        assert (args.lengths, args.channels, args.state_size) == ("3136", 192, 16)
 
     def test_count_prints_reference_for_tiny224(self, capsys):
         assert run(["count", "--preset", "tiny224"]) == 0

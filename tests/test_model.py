@@ -1,5 +1,6 @@
 """Model assembly: shapes, determinism, accounting, feature export."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -184,6 +185,19 @@ class TestAccounting:
     def test_counts_pinned(self, cfg, flops, params):
         model = build_model(cfg, Rng(0))
         assert (count_flops(model), count_params(model)) == (flops, params)
+
+    # sha256 over every parameter's name and bytes: the initialization bit for
+    # bit; a deliberate change of it re-records these
+    @pytest.mark.parametrize("cfg, digest", [
+        (TOY_PRESET, "5d66491ac37007ed69b994f276281eaea7c6fb070b9a3e65cac5e511caf07baa"),
+        (TINY224_PRESET, "12023eab26a05a52e1d5a5c0b196c03d90081aafd25c4c8a3eb9de3a026639df"),
+    ], ids=["toy", "tiny224"])
+    def test_initial_parameters_pinned(self, cfg, digest):
+        h = hashlib.sha256()
+        for name, p in build_model(cfg, Rng(0)).named_parameters():
+            h.update(name.encode())
+            h.update(p.data.tobytes())
+        assert h.hexdigest() == digest
 
     def test_tiny224_reference_scale(self):
         model = build_model(TINY224_PRESET, Rng(0))

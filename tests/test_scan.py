@@ -9,19 +9,11 @@ from conftest import scan_scalar_loop
 from msvseg import scan as S
 from msvseg import tensor as T
 from msvseg.gradcheck import _f64_params
-from msvseg.scan import (SS2D, ScanParams, cross_merge, cross_scan, run_scan_benchmark,
-                         selective_scan_seq)
+from msvseg.scan import SS2D, cross_merge, cross_scan, run_scan_benchmark
 from msvseg.tensor import Rng, Tensor, finite_diff_grad_check, no_grad
 
-# the [P, ...] tensors of a ScanParams, in named_parameters order
+# the [4, ...] tensors of an SS2D, in named_parameters order
 SCAN_QUANTITIES = ("a_log", "skip", "w_b", "w_c", "w_dt_down", "w_dt_up", "dt_bias")
-
-
-def f64_params(seed, channels, n_state):
-    """A one-path parameter set in float64."""
-    params = ScanParams([Rng(seed)], channels, n_state)
-    _f64_params(params)
-    return params
 
 
 def discretize(delta: Tensor, a: Tensor, b: Tensor):
@@ -91,9 +83,9 @@ class TestDiscretize:
 
 class TestSequentialScan:
     def test_zero_input_zero_output(self):
-        p = f64_params(2, channels=3, n_state=4)
-        y = selective_scan_seq(Tensor(np.zeros((6, 3)), dtype=np.float64), p)
-        assert np.array_equal(y.data, np.zeros((6, 3)))
+        x, *rest = _raw_scan_inputs(2, 2, 6, 3, 4)
+        y = S._scan_op(*[Tensor(v, dtype=np.float64) for v in [np.zeros_like(x)] + rest])
+        assert np.array_equal(y.data, np.zeros_like(x))
 
     def test_degenerate_cumulative_sum(self):
         # Abar=1, Bbar*x=x, C=1, D=0 reduces the recurrence to a cumsum
@@ -104,40 +96,33 @@ class TestSequentialScan:
         assert np.array_equal(y.ravel(), np.cumsum(x.ravel()))
 
     def test_matches_scalar_loop_oracle(self):
-        p = f64_params(3, channels=2, n_state=3)
-        x = Tensor(Rng(4).normal((7, 2)), dtype=np.float64)
-        with no_grad():
-            delta, a, b, c_out, _ = S._project_step_params(T.reshape(x, (1, 7, 2)), p)
-        expected = scan_scalar_loop(x.data, delta.data[0], a.data[0], b.data[0], c_out.data[0],
-                                    p.skip.data[0])
-        got = selective_scan_seq(x, p)
-        assert np.max(np.abs(got.data - expected)) < 1e-12
+        rows, stacked = _two_paths_of_two(4, 7, 2, 3)
+        y = S._scan_op(*[Tensor(v, dtype=np.float64) for v in stacked]).data.reshape(4, 7, 2)
+        for r in range(4):
+            expected = scan_scalar_loop(*(v[r] for v in rows))
+            assert np.max(np.abs(y[r] - expected)) < 1e-12
 
     def test_gradients_match_fd(self):
-        p = f64_params(5, channels=2, n_state=3)
-        x = Tensor(Rng(6).normal((5, 2)), dtype=np.float64, requires_grad=True)
-        params = [t for _, t in p.named_parameters()]
-        err = finite_diff_grad_check(
-            lambda *args: T.tsum(T.mul(selective_scan_seq(args[0], p),
-                                       selective_scan_seq(args[0], p))),
-            [x] + params)
-        assert err <= 1e-4
+        _, stacked = _two_paths_of_two(6, 5, 2, 3)
+        inputs = [Tensor(v, dtype=np.float64, requires_grad=True) for v in stacked]
+        assert finite_diff_grad_check(_scan_square_sum, inputs) <= 1e-4
 
 
 class TestChunkedScan:
-    @pytest.mark.parametrize("chunk", [1, 2, 7, 64, 40])
-    def test_matches_sequential(self, chunk):
-        p = f64_params(7, channels=3, n_state=4)
-        x = Tensor(Rng(8).normal((40, 3)), dtype=np.float64)
-        y_seq = selective_scan_seq(x, p)
-        y_chk = S._scan_sequence(x, p, chunk)
-        assert np.max(np.abs(y_seq.data - y_chk.data)) <= 1e-12
+    @pytest.mark.parametrize("block", [1, 2, 7, 64, 40])
+    def test_matches_sequential(self, block, monkeypatch):
+        monkeypatch.setattr(S, "SCAN_BLOCK", block)
+        arrays = _raw_scan_inputs(8, 1, 40, 3, 4)
+        y = S._scan_op(*[Tensor(v, dtype=np.float64) for v in arrays])
+        y_seq, _, _ = S._scan_forward_core(*arrays)
+        assert np.max(np.abs(y.data - y_seq)) <= 1e-12 * np.max(np.abs(y_seq))
 
-    def test_chunk_one_is_exact(self):
-        p = f64_params(9, channels=2, n_state=2)
-        x = Tensor(Rng(10).normal((12, 2)), dtype=np.float64)
-        assert np.array_equal(S._scan_sequence(x, p, 1).data,
-                              selective_scan_seq(x, p).data)
+    def test_chunk_one_is_exact(self, monkeypatch):
+        # block length 1 and the model's block give bit-identical outputs
+        tensors = [Tensor(v, dtype=np.float64) for v in _raw_scan_inputs(10, 1, 12, 2, 2)]
+        y_model = S._scan_op(*tensors).data
+        monkeypatch.setattr(S, "SCAN_BLOCK", 1)
+        assert np.array_equal(S._scan_op(*tensors).data, y_model)
 
     @given(st.integers(min_value=1, max_value=96), st.integers(min_value=2, max_value=96))
     @settings(max_examples=30, deadline=None)
@@ -155,9 +140,10 @@ class TestChunkedScan:
 
     def test_stability_long_sequence_f32(self):
         # A = -exp(A_log) keeps |exp(delta*A)| < 1, so the state stays bounded
-        p = ScanParams([Rng(12)], channels=4, n_state=8)
-        x = Tensor(Rng(13).normal((10_000, 4)).astype(np.float32))
-        y = selective_scan_seq(x, p)
+        # over the 10,000 steps of each path
+        ss = SS2D(Rng(12), channels=4, n_state=8)
+        with no_grad():
+            y = ss(Tensor(Rng(13).normal((100, 100, 4)).astype(np.float32)))
         assert np.isfinite(y.data).all()
         assert np.abs(y.data).max() < 1e4
 
@@ -173,6 +159,23 @@ def _raw_scan_inputs(seed, p, length, c, n):
     return x, delta, a, b, c_out, skip
 
 
+def _two_paths_of_two(seed, length, c, n):
+    """Raw inputs of two paths with two sequences each, in two forms: four
+    rows [4, L, ·] with each path's A and D repeated for its two rows, for
+    the references, and the op's stacked form, sequences [2, 2, L, ·] and
+    A and D [2, ·] once per path."""
+    x, delta, a, b, c_out, skip = _raw_scan_inputs(seed, 4, length, c, n)
+    a, skip = a[::2], skip[::2]
+    rows = (x, delta, np.repeat(a, 2, axis=0), b, c_out, np.repeat(skip, 2, axis=0))
+    x2, d2, b2, c2 = (v.reshape(2, 2, length, -1) for v in (x, delta, b, c_out))
+    return rows, (x2, d2, a, b2, c2, skip)
+
+
+def _scan_square_sum(*args):
+    y = S._scan_op(*args)
+    return T.tsum(T.mul(y, y))
+
+
 BLOCK = S.SCAN_BLOCK
 
 
@@ -180,8 +183,8 @@ class TestStreamedScan:
     """The autodiff op against the full-history reference pair."""
 
     @staticmethod
-    def _check_against_core(arrays, chunk=None):
-        y = S._scan_op(*[Tensor(v, dtype=np.float64, requires_grad=True) for v in arrays], chunk)
+    def _check_against_core(arrays):
+        y = S._scan_op(*[Tensor(v, dtype=np.float64, requires_grad=True) for v in arrays])
         y_ref, h, abar = S._scan_forward_core(*arrays)
         # the matmul readout sums over N in another order than the reference
         assert np.max(np.abs(y.data - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
@@ -201,9 +204,10 @@ class TestStreamedScan:
         self._check_against_core(
             _raw_scan_inputs(length * 97 + p * 11 + c * 3 + n, p, length, c, n))
 
-    @pytest.mark.parametrize("chunk", [1, 7, 200])
-    def test_block_length_changes_no_result(self, chunk):
-        self._check_against_core(_raw_scan_inputs(31, 2, 50, 3, 4), chunk)
+    @pytest.mark.parametrize("block", [1, 7, 200])
+    def test_block_length_changes_no_result(self, block, monkeypatch):
+        monkeypatch.setattr(S, "SCAN_BLOCK", block)
+        self._check_against_core(_raw_scan_inputs(31, 2, 50, 3, 4))
 
     def test_backward_keeps_only_block_boundary_state(self):
         p, length, c, n = 4, 3 * BLOCK + 5, 3, 4
@@ -217,16 +221,11 @@ class TestStreamedScan:
         n_blocks = -(-length // BLOCK)
         assert sum(arr.nbytes for arr in held) == p * n_blocks * c * n * 8
 
-    def test_chunked_gradients_match_fd(self):
-        p = f64_params(34, channels=2, n_state=3)
-        x = Tensor(Rng(35).normal((9, 2)), dtype=np.float64, requires_grad=True)
-        params = [t for _, t in p.named_parameters()]
-        err = finite_diff_grad_check(
-            lambda *args: T.tsum(T.mul(S._scan_sequence(args[0], p, 2),
-                                       S._scan_sequence(args[0], p, 2))),
-            [x] + params)
-        assert err <= 1e-4
-
+    def test_chunked_gradients_match_fd(self, monkeypatch):
+        monkeypatch.setattr(S, "SCAN_BLOCK", 2)
+        _, stacked = _two_paths_of_two(34, 9, 2, 3)
+        inputs = [Tensor(v, dtype=np.float64, requires_grad=True) for v in stacked]
+        assert finite_diff_grad_check(_scan_square_sum, inputs) <= 1e-4
 
     @pytest.mark.parametrize("p", [1, 4])
     def test_inputs_left_unchanged(self, p):
@@ -243,15 +242,15 @@ class TestStreamedScanRandomShapes:
     """The op the model runs, on 200 seeded random shapes and block lengths."""
 
     @pytest.mark.parametrize("case", range(200))
-    def test_matches_full_history_core(self, case):
+    def test_matches_full_history_core(self, case, monkeypatch):
         rng = Rng(5000 + case)
         p, length = int(rng.integers(1, 5)), int(rng.integers(1, 513))
         c, n = int(rng.integers(1, 9)), int(rng.integers(1, 17))
-        chunk = int(rng.integers(1, length + 2))
+        monkeypatch.setattr(S, "SCAN_BLOCK", int(rng.integers(1, length + 2)))
         arrays = _raw_scan_inputs(case, p, length, c, n)
-        y = TestStreamedScan._check_against_core(arrays, chunk)
+        y = TestStreamedScan._check_against_core(arrays)
         with no_grad():
-            y_inference = S._scan_op(*[Tensor(v, dtype=np.float64) for v in arrays], chunk)
+            y_inference = S._scan_op(*[Tensor(v, dtype=np.float64) for v in arrays])
         assert np.array_equal(y_inference.data, y)
 
 
@@ -356,6 +355,14 @@ def _path(t, i):
     return _gather(t, np.arange(t.data.size).reshape(t.data.shape)[i])
 
 
+def _projected(ss, i, seqs):
+    """Step inputs of sequences [..., L, C] under path i of ``ss``, projected
+    in numpy: delta, A, B, C and D, as scan_scalar_loop takes them."""
+    p = {name: getattr(ss, name).data[i] for name in SCAN_QUANTITIES}
+    delta = np.logaddexp(0.0, seqs @ p["w_dt_down"] @ p["w_dt_up"] + p["dt_bias"])
+    return delta, -np.exp(p["a_log"]), seqs @ p["w_b"], seqs @ p["w_c"], p["skip"]
+
+
 def _ss2d_oracle(ss, fmap):
     """Oracle: gather each path by its pixel order, project it with its own
     parameters, scan it with the full-history core, scatter it back and sum."""
@@ -377,14 +384,26 @@ def _ss2d_oracle(ss, fmap):
 
 class TestSS2D:
     def test_parameters_are_four_one_path_sets_stacked(self):
-        ss = SS2D(Rng(43), channels=5, n_state=3)
+        c, n, rank = 5, 3, S.dt_rank(5)
+        ss = SS2D(Rng(43), channels=c, n_state=n)
         assert [name for name, _ in ss.named_parameters()] == list(SCAN_QUANTITIES)
-        paths = [ScanParams([Rng(43).child(i)], channels=5, n_state=3) for i in range(4)]
         for name in SCAN_QUANTITIES:
             stacked = getattr(ss, name).data
             assert stacked.dtype == np.float32 and stacked.shape[0] == 4
-            for i, path in enumerate(paths):
-                assert np.array_equal(stacked[i], getattr(path, name).data[0])
+        assert np.array_equal(ss.a_log.data,
+                              np.broadcast_to(np.log(np.arange(1, n + 1, dtype=np.float32)), (4, c, n)))
+        assert np.array_equal(ss.skip.data, np.ones((4, c)))
+        # path i draws from the block's stream child(i) alone
+        for i in range(4):
+            r = Rng(43).child(i)
+            dt = np.exp(r.child(5).uniform(np.log(1e-3), np.log(1e-1), c))
+            drawn = {"w_b": r.child(1).trunc_normal((c, n), 0.02),
+                     "w_c": r.child(2).trunc_normal((c, n), 0.02),
+                     "w_dt_down": r.child(3).trunc_normal((c, rank), 0.02),
+                     "w_dt_up": r.child(4).uniform(-rank ** -0.5, rank ** -0.5, (rank, c)),
+                     "dt_bias": np.log(np.expm1(dt))}
+            for name, values in drawn.items():
+                assert np.array_equal(getattr(ss, name).data[i], values.astype(np.float32))
 
     @pytest.mark.parametrize("shape", [(5, 4, 3), (9, 8, 2), (1, 6, 1)])
     def test_matches_per_path_gather_oracle(self, shape):
@@ -410,25 +429,22 @@ class TestSS2D:
     def test_single_pixel_is_sum_of_four_scans(self):
         ss = SS2D(Rng(19), channels=2, n_state=3)
         _f64_params(ss)
-        paths = [ScanParams([Rng(19).child(i)], channels=2, n_state=3) for i in range(4)]
-        x = Tensor(Rng(20).normal((1, 1, 2)), dtype=np.float64)
-        y = ss(x)
-        seq = Tensor(x.data.reshape(1, 2), dtype=np.float64)
-        for p in paths:
-            _f64_params(p)
-        expected = sum(selective_scan_seq(seq, p).data for p in paths)
+        seq = Rng(20).normal((1, 2))
+        y = ss(Tensor(seq.reshape(1, 1, 2), dtype=np.float64))
+        expected = sum(scan_scalar_loop(seq, *_projected(ss, i, seq)) for i in range(4))
         assert np.max(np.abs(y.data.reshape(1, 2) - expected)) < 1e-12
 
     def test_scan_reversal_symmetry(self):
         # with shared parameters, the reverse path on x equals the forward
-        # path on the flipped map, flipped back
-        params = f64_params(21, channels=2, n_state=3)
+        # path on the flipped map: two sequences of one path in the op
+        ss = SS2D(Rng(21), channels=2, n_state=3)
+        _f64_params(ss)
         fmap = Rng(22).normal((3, 4, 2))
-        fwd_on_flipped = selective_scan_seq(
-            Tensor(fmap[::-1, ::-1].reshape(-1, 2).copy(), dtype=np.float64), params)
-        rev_on_original = selective_scan_seq(
-            Tensor(fmap.reshape(-1, 2)[::-1].copy(), dtype=np.float64), params)
-        assert np.max(np.abs(fwd_on_flipped.data - rev_on_original.data)) <= 1e-12
+        seqs = np.stack([fmap[::-1, ::-1].reshape(-1, 2), fmap.reshape(-1, 2)[::-1]])
+        delta, a, b, c_out, skip = _projected(ss, 0, seqs)
+        y = S._scan_op(*[Tensor(v[None], dtype=np.float64) for v in (seqs, delta, a, b, c_out, skip)])
+        fwd_on_flipped, rev_on_original = y.data[0]
+        assert np.max(np.abs(fwd_on_flipped - rev_on_original)) <= 1e-12
 
     def test_gradient_matches_fd(self):
         ss = SS2D(Rng(23), channels=4, n_state=4)
@@ -440,7 +456,7 @@ class TestSS2D:
 
 class TestBenchmark:
     def test_rows_and_gate(self):
-        rows = run_scan_benchmark(lengths=(64, 128), n_state=4, channels=2, chunk=16, seed=3)
+        rows = run_scan_benchmark(lengths=(64, 128), n_state=4, channels=2, seed=3)
         assert [(r["L"], r["variant"]) for r in rows] == [
             (64, "reference"), (64, "streamed"), (128, "reference"), (128, "streamed")]
         for row in rows:
@@ -451,9 +467,9 @@ class TestBenchmark:
         real_op = S._scan_op
         monkeypatch.setattr(S, "_scan_op", lambda *args: T.mul(real_op(*args), 1.0 + 1e-9))
         with pytest.raises(AssertionError, match="benchmark gate failed"):
-            run_scan_benchmark(lengths=(64,), n_state=4, channels=2, chunk=16, seed=3)
+            run_scan_benchmark(lengths=(64,), n_state=4, channels=2, seed=3)
 
     def test_checksums_deterministic(self):
-        r1 = run_scan_benchmark(lengths=(64,), n_state=4, channels=2, chunk=16, seed=3)
-        r2 = run_scan_benchmark(lengths=(64,), n_state=4, channels=2, chunk=16, seed=3)
+        r1 = run_scan_benchmark(lengths=(64,), n_state=4, channels=2, seed=3)
+        r2 = run_scan_benchmark(lengths=(64,), n_state=4, channels=2, seed=3)
         assert [r["checksum"] for r in r1] == [r["checksum"] for r in r2]
