@@ -50,7 +50,7 @@ def main():
     save_checkpoint(out_dir / "checkpoint.msvc", config_to_text(model_cfg),
                     [(n, result.best_state[n]) for n, _ in model.named_parameters()])
 
-    report = evaluate(model, samples)
+    report = evaluate(model, samples, alpha=model_cfg.alpha)
     print(f"\nfinished in {elapsed:.0f}s ({result.steps_run} steps)")
     print(f"best mean DSC {result.best_dsc:.4f} at step {result.best_step}")
     print("final per-class DSC:", " ".join(f"{v:.3f}" for v in report.per_class_dsc))

@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--op-seeds", type=int, default=20)
     p.add_argument("--block-seeds", type=int, default=3)
-    p.add_argument("--fast", action="store_true", help="reduced seeds (smoke mode)")
     p.add_argument("--skip-model", action="store_true")
 
     p = sub.add_parser("bench-scan", help="benchmark the streamed scan against the sequential reference")
@@ -191,10 +190,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    op_seeds = 3 if args.fast else args.op_seeds
-    block_seeds = 1 if args.fast else args.block_seeds
     seed = args.seed if args.seed is not None else 0
-    results = run_gradient_suite(seed=seed, op_seeds=op_seeds, block_seeds=block_seeds,
+    results = run_gradient_suite(seed=seed, op_seeds=args.op_seeds, block_seeds=args.block_seeds,
                                  include_model=not args.skip_model)
     width = max(len(r.name) for r in results)
     failures = 0

@@ -30,16 +30,9 @@ def _parse_int_tuple(s: str) -> tuple[int, ...]:
     return tuple(int(part) for part in s.replace(" ", "").split(",") if part)
 
 
-def _parse_opt_int(s: str):
-    return None if s.strip().lower() in ("none", "") else int(s)
-
-
-def _parse_opt_float(s: str):
-    return None if s.strip().lower() in ("none", "") else float(s)
-
-
-def _parse_opt_tuple(s: str):
-    return None if s.strip().lower() in ("none", "") else _parse_int_tuple(s)
+def _optional(parse):
+    """``parse``, except that ``none`` or an empty value gives None."""
+    return lambda s: None if s.strip().lower() in ("none", "") else parse(s)
 
 
 _MODEL_FIELDS = {
@@ -50,15 +43,11 @@ _MODEL_FIELDS = {
 
 _TRAIN_FIELDS = {
     "lr": float, "weight_decay": float, "batch_size": int, "max_epochs": int,
-    "max_steps": _parse_opt_int, "seed": int, "eval_every": int,
-    "stop_dsc": _parse_opt_float,
+    "max_steps": _optional(int), "seed": int, "eval_every": int,
+    "stop_dsc": _optional(float),
 }
 
-_AUG_FIELDS = {
-    "target_size": _parse_opt_tuple, "flip_h": _parse_bool, "flip_v": _parse_bool,
-    "rotate": _parse_bool, "noise": _parse_bool, "blur": _parse_bool,
-    "contrast": _parse_bool, "max_rotate_deg": float,
-}
+_AUG_FIELDS = {"target_size": _optional(_parse_int_tuple), "enabled": _parse_bool}
 
 
 def parse_kv_text(text: str) -> dict[str, str]:

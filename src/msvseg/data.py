@@ -3,7 +3,9 @@
 A sample is a [3, H, W] image in [0, 1] plus an integer class mask.  The
 generator composes one anti-aliased ellipse or rectangle per foreground class
 over a textured background so the task is learnable but not trivial, and is
-fully determined by the seed.
+fully determined by the seed.  Augmentation is one switch,
+``AugmentConfig.enabled``, for six random techniques: two flips, a rotation,
+noise, blur and a contrast change.
 
 Dataset directory: a ``manifest.txt`` of key=value lines (version,
 num_classes, one ``sample=<id>`` line per distinct sample; blank lines and
@@ -26,7 +28,7 @@ import numpy as np
 from .serial import load_tensor, save_tensor
 from .tensor import Rng, Tensor
 
-__all__ = ["SegSample", "AugmentConfig", "augment", "gen_synthetic_dataset",
+__all__ = ["SegSample", "AugmentConfig", "MAX_ROTATE_DEG", "augment", "gen_synthetic_dataset",
            "save_dataset", "load_dataset"]
 
 
@@ -138,53 +140,51 @@ def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
 # -- augmentation -------------------------------------------------------------------
 
 
+MAX_ROTATE_DEG = 25.0  # rotation angles are uniform in [-MAX_ROTATE_DEG, MAX_ROTATE_DEG]
+
+
 @dataclass
 class AugmentConfig:
-    """Per-technique toggles; each enabled technique fires with probability 0.5."""
+    """An optional resize target and one switch for the six random techniques."""
     target_size: tuple[int, int] | None = None
-    flip_h: bool = False
-    flip_v: bool = False
-    rotate: bool = False
-    noise: bool = False
-    blur: bool = False
-    contrast: bool = False
-    max_rotate_deg: float = 25.0
+    enabled: bool = False
 
     @classmethod
     def all_on(cls, target_size=None) -> "AugmentConfig":
-        return cls(target_size=target_size, flip_h=True, flip_v=True, rotate=True,
-                   noise=True, blur=True, contrast=True)
+        return cls(target_size=target_size, enabled=True)
 
 
 def augment(sample: SegSample, rng: Rng, cfg: AugmentConfig) -> SegSample:
-    """Resize to the target, then apply each enabled technique with
-    probability 0.5.  Geometry changes hit image and mask identically (mask
-    via nearest neighbour); photometric changes hit the image only."""
+    """Resize to the target; then, if enabled, apply each technique in turn
+    with probability 0.5, and otherwise draw nothing from ``rng``.  Geometry
+    changes hit image and mask identically (mask via nearest neighbour);
+    photometric changes hit the image only."""
     img = sample.image.data.astype(np.float32)
     mask = sample.mask.copy()
     if cfg.target_size is not None:
         img = _bilinear_resize(img, cfg.target_size)
         mask = _nearest_resize(mask, cfg.target_size)
 
-    if cfg.flip_h and rng.random() < 0.5:
-        img = img[:, :, ::-1].copy()
-        mask = mask[:, ::-1].copy()
-    if cfg.flip_v and rng.random() < 0.5:
-        img = img[:, ::-1, :].copy()
-        mask = mask[::-1, :].copy()
-    if cfg.rotate and rng.random() < 0.5:
-        angle = rng.uniform(-cfg.max_rotate_deg, cfg.max_rotate_deg)
-        img = _rotate_image(img, angle)
-        mask = _rotate_mask(mask, angle)
-    if cfg.noise and rng.random() < 0.5:
-        sigma = rng.uniform(0.01, 0.05)
-        img = np.clip(img + rng.normal(img.shape).astype(np.float32) * sigma, 0.0, 1.0)
-    if cfg.blur and rng.random() < 0.5:
-        img = _gaussian_blur(img, rng.uniform(0.5, 1.5))
-    if cfg.contrast and rng.random() < 0.5:
-        factor = rng.uniform(0.7, 1.3)
-        mean = img.mean()
-        img = np.clip((img - mean) * factor + mean, 0.0, 1.0)
+    if cfg.enabled:
+        if rng.random() < 0.5:
+            img = img[:, :, ::-1].copy()
+            mask = mask[:, ::-1].copy()
+        if rng.random() < 0.5:
+            img = img[:, ::-1, :].copy()
+            mask = mask[::-1, :].copy()
+        if rng.random() < 0.5:
+            angle = rng.uniform(-MAX_ROTATE_DEG, MAX_ROTATE_DEG)
+            img = _rotate_image(img, angle)
+            mask = _rotate_mask(mask, angle)
+        if rng.random() < 0.5:
+            sigma = rng.uniform(0.01, 0.05)
+            img = np.clip(img + rng.normal(img.shape).astype(np.float32) * sigma, 0.0, 1.0)
+        if rng.random() < 0.5:
+            img = _gaussian_blur(img, rng.uniform(0.5, 1.5))
+        if rng.random() < 0.5:
+            factor = rng.uniform(0.7, 1.3)
+            mean = img.mean()
+            img = np.clip((img - mean) * factor + mean, 0.0, 1.0)
 
     return SegSample(Tensor(np.ascontiguousarray(img, dtype=np.float32)),
                      mask.astype(np.int32), sample.sample_id)

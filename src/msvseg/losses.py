@@ -51,7 +51,7 @@ def ce_loss(logits: Tensor, mask: np.ndarray) -> Tensor:
     return tmean(lse - picked)
 
 
-def total_loss(logits: Tensor, mask: np.ndarray, alpha: float = 0.6) -> Tensor:
+def total_loss(logits: Tensor, mask: np.ndarray, alpha: float) -> Tensor:
     """Convex combination alpha * dice + (1 - alpha) * cross-entropy."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")

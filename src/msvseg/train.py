@@ -3,9 +3,11 @@
 One optimizer step = one shuffled mini-batch, augmented per sample and
 stacked into [B, 3, H, W] images, one forward pass over the whole batch, the
 combined dice + cross-entropy loss averaged over the batch, one backward, an
-AdamW update at the cosine-annealed learning rate.  The loop checkpoints the
-best mean-DSC parameters and logs CSV rows at every evaluation.  Evaluation
-runs one image per forward pass.
+AdamW update at the cosine-annealed learning rate.  The loop runs max_steps
+(at least 1) steps, capped at max_epochs reshuffled epochs, and evaluates
+every eval_every steps and after the last; it keeps the best mean-DSC
+parameters and logs a CSV row at every evaluation.  Evaluation runs one
+image per forward pass.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if self.batch_size < 1 or self.max_epochs < 1 or self.eval_every < 1:
             raise ValueError("batch_size, max_epochs and eval_every must be >= 1")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1 or none, got {self.max_steps}")
         return self
 
 
@@ -63,7 +67,7 @@ class TrainResult:
         return "\n".join(rows) + "\n"
 
 
-def evaluate(model, samples: list[SegSample], *, alpha: float = 0.6) -> MetricsReport:
+def evaluate(model, samples: list[SegSample], *, alpha: float) -> MetricsReport:
     """Argmax predictions per sample, then DSC/HD95 averaged over samples and
     then over classes.  HD95 skips (sample, class) pairs where either
     boundary is empty; a class with no valid pair reports None."""
@@ -147,71 +151,58 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
     best_dsc, best_step, best_state = -1.0, 0, None
     run_loss = run_dice = run_ce = 0.0
     run_count = 0
-    step = 0
-    stop = False
 
-    for epoch in range(cfg.max_epochs):
-        if stop or step >= total_steps:
-            break
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            if step >= total_steps:
+    for step in range(total_steps):
+        epoch, k = divmod(step, steps_per_epoch)
+        if k == 0:
+            order = shuffle_rng.permutation(n)
+        batch = [int(i) for i in order[k * cfg.batch_size:(k + 1) * cfg.batch_size]]
+        picked = [augment(samples[i], augment_rng.child(epoch * n + i), cfg.augment)
+                  for i in batch]
+        images = Tensor(np.stack([sample.image.data for sample in picked]))
+        masks = np.stack([sample.mask for sample in picked])
+        model.zero_grad()
+        try:
+            logits = model.forward(images)
+            d = dice_loss(softmax_channels(logits), masks)
+            c = ce_loss(logits, masks)
+        except NonFiniteError as exc:
+            ids = ", ".join(sample.sample_id for sample in picked)
+            raise RuntimeError(
+                f"training diverged at step {step} on the batch of samples {ids}: {exc}") from exc
+        loss_tensor = alpha * d + (1.0 - alpha) * c
+        loss_value = loss_tensor.item()
+        if not math.isfinite(loss_value):
+            raise RuntimeError(f"training diverged at step {step}: loss={loss_value}")
+        loss_tensor.backward()
+        lr = cosine_lr(step, total_steps, cfg.lr)
+        opt.step(lr)
+
+        run_loss += loss_value
+        run_dice += d.item()
+        run_ce += c.item()
+        run_count += 1
+
+        done = step + 1
+        if done % cfg.eval_every == 0 or done == total_steps:
+            report = evaluate(model, eval_samples, alpha=alpha)
+            row = {
+                "epoch": epoch, "step": done, "lr": lr,
+                "loss": run_loss / run_count, "dice_loss": run_dice / run_count,
+                "ce_loss": run_ce / run_count, "mean_dsc": report.mean_dsc,
+                "mean_hd95": report.mean_hd95,
+            }
+            history.append(row)
+            run_loss = run_dice = run_ce = 0.0
+            run_count = 0
+            if progress is not None:
+                progress(row)
+            if report.mean_dsc > best_dsc:
+                best_dsc = report.mean_dsc
+                best_step = done
+                best_state = _snapshot(model)
+            if cfg.stop_dsc is not None and report.mean_dsc >= cfg.stop_dsc:
                 break
-            batch = [int(i) for i in order[start:start + cfg.batch_size]]
-            picked = [augment(samples[i], augment_rng.child(epoch * n + i), cfg.augment)
-                      for i in batch]
-            images = Tensor(np.stack([sample.image.data for sample in picked]))
-            masks = np.stack([sample.mask for sample in picked])
-            model.zero_grad()
-            try:
-                logits = model.forward(images)
-                d = dice_loss(softmax_channels(logits), masks)
-                c = ce_loss(logits, masks)
-            except NonFiniteError as exc:
-                ids = ", ".join(sample.sample_id for sample in picked)
-                raise RuntimeError(
-                    f"training diverged at step {step} on the batch of samples {ids}: {exc}") from exc
-            loss_tensor = alpha * d + (1.0 - alpha) * c
-            loss_value = loss_tensor.item()
-            if not math.isfinite(loss_value):
-                raise RuntimeError(f"training diverged at step {step}: loss={loss_value}")
-            loss_tensor.backward()
-            lr = cosine_lr(step, total_steps, cfg.lr)
-            opt.step(lr)
-            step += 1
 
-            run_loss += loss_value
-            run_dice += d.item()
-            run_ce += c.item()
-            run_count += 1
-
-            if step % cfg.eval_every == 0 or step == total_steps:
-                report = evaluate(model, eval_samples, alpha=alpha)
-                row = {
-                    "epoch": epoch, "step": step, "lr": lr,
-                    "loss": run_loss / run_count, "dice_loss": run_dice / run_count,
-                    "ce_loss": run_ce / run_count, "mean_dsc": report.mean_dsc,
-                    "mean_hd95": report.mean_hd95,
-                }
-                history.append(row)
-                run_loss = run_dice = run_ce = 0.0
-                run_count = 0
-                if progress is not None:
-                    progress(row)
-                if report.mean_dsc > best_dsc:
-                    best_dsc = report.mean_dsc
-                    best_step = step
-                    best_state = _snapshot(model)
-                if cfg.stop_dsc is not None and report.mean_dsc >= cfg.stop_dsc:
-                    stop = True
-                    break
-
-    if not history:
-        report = evaluate(model, eval_samples, alpha=alpha)
-        best_dsc, best_step, best_state = report.mean_dsc, step, _snapshot(model)
-        history.append({"epoch": 0, "step": step, "lr": cfg.lr, "loss": float("nan"),
-                        "dice_loss": float("nan"), "ce_loss": float("nan"),
-                        "mean_dsc": report.mean_dsc, "mean_hd95": report.mean_hd95})
-
-    return TrainResult(best_dsc=best_dsc, best_step=best_step, steps_run=step,
+    return TrainResult(best_dsc=best_dsc, best_step=best_step, steps_run=history[-1]["step"],
                        best_state=best_state, history=history)

@@ -51,6 +51,23 @@ class TestExitCodes:
             key = item.partition("=")[0]
             assert f"unknown configuration key: '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item", ["train.augment.rotate=true", "train.augment.flip_h=on",
+                                      "train.augment.max_rotate_deg=90"])
+    def test_per_technique_augment_key_rejected(self, item, dataset_dir, tmp_path, capsys):
+        # augmentation is one switch, train.augment.enabled
+        assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
+                    "--set", item]) == 1
+        key = item.partition("=")[0]
+        assert f"unknown configuration key: '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.msvc").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_zero_step_run_is_invalid_args(self, value, dataset_dir, tmp_path, capsys):
+        assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
+                    "--set", f"train.max_steps={value}"]) == 1
+        assert "max_steps" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.msvc").exists()
+
     @pytest.mark.parametrize("item", ["model.state_size=0", "model.base_channels=0",
                                       "model.input_size=0,0", "model.input_size=64",
                                       "model.input_size=64,64,64"])
@@ -68,7 +85,8 @@ class TestExitCodes:
                     "--out-dir", str(tmp_path)]) == 1
 
     def test_gradcheck_fast_passes(self):
-        assert run(["gradcheck", "--fast", "--skip-model", "--seed", "7"]) == 0
+        assert run(["gradcheck", "--op-seeds", "3", "--block-seeds", "1", "--skip-model",
+                    "--seed", "7"]) == 0
 
     def test_gradcheck_failure_exits_three(self, monkeypatch):
         from msvseg import cli as cli_mod
@@ -78,7 +96,7 @@ class TestExitCodes:
             return [CheckResult("op.broken", 1.0, 1e-4, 1)]
 
         monkeypatch.setattr(cli_mod, "run_gradient_suite", fake_suite)
-        assert run(["gradcheck", "--fast"]) == 3
+        assert run(["gradcheck", "--op-seeds", "3", "--block-seeds", "1"]) == 3
 
     def test_divergence_exits_two(self, dataset_dir, tmp_path):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -113,6 +131,12 @@ class TestConfigFile:
                     "--set", "train.max_steps=2", "--set", "train.eval_every=2"])
         assert code == 0
         assert (tmp_path / "checkpoint.msvc").exists()
+
+    def test_augment_switch_trains(self, dataset_dir, tmp_path):
+        code = run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path), "--quiet",
+                    "--set", "train.augment.enabled=true", "--set", "train.max_steps=1"])
+        assert code == 0
+        assert len((tmp_path / "train_log.csv").read_text().splitlines()) == 2
 
     def test_cli_override_beats_file(self, dataset_dir, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -469,6 +469,21 @@ class TestBenchmark:
         with pytest.raises(AssertionError, match="benchmark gate failed"):
             run_scan_benchmark(lengths=(64,), n_state=4, channels=2, seed=3)
 
+    def test_gate_checks_every_channel_group(self, monkeypatch):
+        # 18 channels span several reference groups, the last one partial; a
+        # 1e-9 relative deviation on the last channel alone must trip the gate
+        real_op = S._scan_op
+
+        def last_channel_off(*args):
+            y = real_op(*args).data.copy()
+            y[..., -1] *= 1.0 + 1e-9
+            return Tensor(y)
+
+        run_scan_benchmark(lengths=(64,), n_state=4, channels=18, seed=3)
+        monkeypatch.setattr(S, "_scan_op", last_channel_off)
+        with pytest.raises(AssertionError, match="benchmark gate failed"):
+            run_scan_benchmark(lengths=(64,), n_state=4, channels=18, seed=3)
+
     def test_checksums_deterministic(self):
         r1 = run_scan_benchmark(lengths=(64,), n_state=4, channels=2, seed=3)
         r2 = run_scan_benchmark(lengths=(64,), n_state=4, channels=2, seed=3)

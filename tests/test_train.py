@@ -33,7 +33,7 @@ class TestEvaluate:
     def test_perfect_predictor_scores_one(self, tiny_data):
         lookup = {s.image.data.tobytes(): s.mask for s in tiny_data}
         model = _OracleModel(lookup, 4)
-        report = evaluate(model, tiny_data)
+        report = evaluate(model, tiny_data, alpha=0.6)
         assert report.mean_dsc == pytest.approx(1.0)
         assert report.mean_hd95 == pytest.approx(0.0)
 
@@ -46,17 +46,17 @@ class TestEvaluate:
                 logits[0] = 10.0
                 return Tensor(logits, dtype=np.float64)
 
-        report = evaluate(Constant(), tiny_data)
+        report = evaluate(Constant(), tiny_data, alpha=0.6)
         assert report.per_class_dsc[1] == 0.0
         assert report.per_class_dsc[2] == 0.0
 
     def test_empty_dataset_rejected(self, tiny_data):
         with pytest.raises(ValueError):
-            evaluate(_OracleModel({}, 4), [])
+            evaluate(_OracleModel({}, 4), [], alpha=0.6)
 
     def test_report_lines_parse(self, tiny_data):
         lookup = {s.image.data.tobytes(): s.mask for s in tiny_data}
-        report = evaluate(_OracleModel(lookup, 4), tiny_data)
+        report = evaluate(_OracleModel(lookup, 4), tiny_data, alpha=0.6)
         lines = report.lines()
         assert lines[0].startswith("mean_dsc=")
         keys = {line.split("=")[0] for line in lines}
@@ -161,6 +161,26 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0).validate()
 
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_no_zero_step_run(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps"):
+            TrainConfig(max_steps=max_steps).validate()
+        TrainConfig(max_steps=None).validate()  # bounded by max_epochs
+
+    def test_max_epochs_bounds_an_unbounded_step_count(self):
+        # 3 samples in batches of 2: two steps per epoch, the second a partial batch
+        samples = gen_synthetic_dataset(3, 4, 32, Rng(6))
+        cfg = TrainConfig(max_epochs=2, max_steps=None, batch_size=2, eval_every=3, seed=1)
+        result = train_loop(build_model(ModelConfig(), Rng(0)), samples, cfg)
+        assert result.steps_run == 4
+        assert [(row["epoch"], row["step"]) for row in result.history] == [(1, 3), (1, 4)]
+
+    def test_stop_dsc_ends_the_run_at_that_evaluation(self, tiny_data):
+        cfg = TrainConfig(max_steps=6, batch_size=1, eval_every=2, stop_dsc=0.0, seed=1)
+        result = train_loop(build_model(ModelConfig(), Rng(0)), tiny_data, cfg)
+        assert result.steps_run == 2
+        assert [row["step"] for row in result.history] == [2]
+
     def test_report_matches_independent_recomputation(self, tiny_data):
         # dump argmax predictions and recompute the report with the test oracles
         from conftest import dsc_set_oracle
@@ -168,7 +188,7 @@ class TestTrainLoop:
         model = build_model(ModelConfig(), Rng(31))
         cfg = TrainConfig(max_epochs=2, max_steps=2, batch_size=2, eval_every=2, seed=3)
         train_loop(model, tiny_data, cfg)
-        report = evaluate(model, tiny_data)
+        report = evaluate(model, tiny_data, alpha=model.cfg.alpha)
         dumped = []
         for s in tiny_data:
             with no_grad():
