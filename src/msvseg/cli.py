@@ -142,7 +142,14 @@ def _restored_forward(checkpoint_path):
                          f"in the forward pass: {exc}") from exc
 
 
+def _require_positive(flag: str, *values: int):
+    if any(v < 1 for v in values):
+        raise ValueError(f"{flag} must be >= 1, got {','.join(map(str, values))}")
+
+
 def _cmd_gen_data(args) -> int:
+    _require_positive("--n", args.n)
+    _require_positive("--size", args.size)
     seed = args.seed if args.seed is not None else 0
     samples = gen_synthetic_dataset(args.n, args.classes, args.size, Rng(seed))
     save_dataset(samples, args.out_dir, args.classes)
@@ -205,6 +212,9 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_bench_scan(args) -> int:
     lengths = tuple(int(v) for v in args.lengths.split(","))
+    _require_positive("--lengths", *lengths)
+    _require_positive("--state-size", args.state_size)
+    _require_positive("--channels", args.channels)
     seed = args.seed if args.seed is not None else 0
     rows = run_scan_benchmark(lengths=lengths, n_state=args.state_size,
                               channels=args.channels, seed=seed)

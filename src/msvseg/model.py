@@ -14,7 +14,7 @@ recorded graph, and a single [3, H, W] image is the leading shape ().
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -85,8 +85,14 @@ TINY224_PRESET = ModelConfig(base_channels=96, stage_depths=(2, 2, 4, 2),
 class FeatureBundle:
     """Stage outputs of one forward pass (encoder f1e..f4e, decoder f1d..f3d),
     each [..., H, W, C] with the input's leading axes."""
-    encoder: list[Tensor] = field(default_factory=list)
-    decoder: list[Tensor] = field(default_factory=list)
+    encoder: list[Tensor]
+    decoder: list[Tensor]
+
+
+def _chain(blocks, x: Tensor) -> Tensor:
+    for block in blocks:
+        x = block(x)
+    return x
 
 
 class VSSUNet(Module):
@@ -94,39 +100,32 @@ class VSSUNet(Module):
         cfg.validate()
         self.cfg = cfg
         widths = cfg.stage_channels()
-
-        self.patch_embed = PatchEmbed(rng.child(0), widths[0])
-        self.enc_stages = []
-        self.merges = []
-        for i, (width, depth) in enumerate(zip(widths, cfg.stage_depths)):
-            stage_rng = rng.child(10 + i)
-            if i > 0:
-                self.merges.append(PatchMerge(stage_rng.child(0), widths[i - 1]))
-            self.enc_stages.append([VSSBlock(stage_rng.child(1 + d), cfg.block_config(width))
-                                    for d in range(depth)])
-
         block_cls = _DECODER_BLOCKS[cfg.decoder_block]
-        self.ups = []
-        self.dec_blocks = []
-        for i, width in enumerate((widths[3], widths[2], widths[1])):
-            stage_rng = rng.child(20 + i)
-            self.ups.append(make_upsampler(cfg.upsampler, stage_rng.child(0), width))
-            self.dec_blocks.append(block_cls(stage_rng.child(1), cfg.block_config(width // 2)))
 
+        # encoder stage i draws from stream 10 + i (child 0 its patch merge, child
+        # 1 + d its block d), decoder stage i from 20 + i (child 0 its upsampler,
+        # child 1 its block)
+        def encoder(i):
+            return [VSSBlock(rng.child(10 + i).child(1 + d), cfg.block_config(widths[i]))
+                    for d in range(cfg.stage_depths[i])]
+
+        def merge(i):
+            return PatchMerge(rng.child(10 + i).child(0), widths[i - 1])
+
+        def decoder(i):
+            stream, width = rng.child(20 + i), widths[3 - i]
+            return (make_upsampler(cfg.upsampler, stream.child(0), width),
+                    block_cls(stream.child(1), cfg.block_config(width // 2)))
+
+        # attributes are assigned in checkpoint order; the generic walk names them
+        self.patch_embed, self.enc1 = PatchEmbed(rng.child(0), widths[0]), encoder(0)
+        self.merge1, self.enc2 = merge(1), encoder(1)
+        self.merge2, self.enc3 = merge(2), encoder(2)
+        self.merge3, self.enc4 = merge(3), encoder(3)
+        self.up1, self.dec1 = decoder(0)
+        self.up2, self.dec2 = decoder(1)
+        self.up3, self.dec3 = decoder(2)
         self.head = FLKPE(rng.child(30), widths[0], cfg.num_classes)
-
-    # encoder stage lists are plain lists of Modules; named_parameters handles them
-    def named_parameters(self, prefix: str = ""):
-        yield from self.patch_embed.named_parameters(f"{prefix}patch_embed.")
-        for i, stage in enumerate(self.enc_stages):
-            if i > 0:
-                yield from self.merges[i - 1].named_parameters(f"{prefix}merge{i}.")
-            for d, block in enumerate(stage):
-                yield from block.named_parameters(f"{prefix}enc{i + 1}.{d}.")
-        for i, (up, block) in enumerate(zip(self.ups, self.dec_blocks)):
-            yield from up.named_parameters(f"{prefix}up{i + 1}.")
-            yield from block.named_parameters(f"{prefix}dec{i + 1}.")
-        yield from self.head.named_parameters(f"{prefix}head.")
 
     def forward_features(self, img: Tensor) -> tuple[Tensor, FeatureBundle]:
         if img.data.ndim < 3:
@@ -137,23 +136,14 @@ class VSSUNet(Module):
         if h % 32 or w % 32:
             raise ValueError(f"input extents {h}x{w} must be divisible by 32")
 
-        bundle = FeatureBundle()
-        x = self.patch_embed(img)
-        for i, stage in enumerate(self.enc_stages):
-            if i > 0:
-                x = self.merges[i - 1](x)
-            for block in stage:
-                x = block(x)
-            bundle.encoder.append(x)
-
-        skips = [bundle.encoder[2], bundle.encoder[1], bundle.encoder[0]]
-        x = bundle.encoder[3]
-        for up, block, skip in zip(self.ups, self.dec_blocks, skips):
-            x = block(up(x) + skip)
-            bundle.decoder.append(x)
-
-        logits = self.head(x)
-        return logits, bundle
+        f1 = _chain(self.enc1, self.patch_embed(img))
+        f2 = _chain(self.enc2, self.merge1(f1))
+        f3 = _chain(self.enc3, self.merge2(f2))
+        f4 = _chain(self.enc4, self.merge3(f3))
+        d1 = self.dec1(self.up1(f4) + f3)
+        d2 = self.dec2(self.up2(d1) + f2)
+        d3 = self.dec3(self.up3(d2) + f1)
+        return self.head(d3), FeatureBundle([f1, f2, f3, f4], [d1, d2, d3])
 
     def forward(self, img: Tensor) -> Tensor:
         logits, _ = self.forward_features(img)
@@ -170,29 +160,24 @@ def count_params(model: VSSUNet) -> int:
 
 # -- analytic FLOP accounting --------------------------------------------------------
 
-def _scan_block_macs(length: int, channels: int, cfg: ModelConfig) -> int:
-    """Multiply-adds of one VSS/MSVSS block on a ``length``-pixel map."""
+def _scan_block_macs(length: int, channels: int, state_size: int,
+                     ffn_kernels: tuple[int, ...]) -> int:
+    """Multiply-adds of one scan block on a ``length``-pixel map whose FFN
+    adds depthwise convolutions of ``ffn_kernels`` (``()``: a plain MLP)."""
     inner = 2 * channels
     rank = dt_rank(inner)
-    n = cfg.state_size
     macs = length * channels * inner                     # proj_in
     macs += inner * DWCONV_KERNEL ** 2 * length          # depthwise conv
-    per_path = length * (inner * rank + rank * inner + 2 * inner * n)  # delta/B/C projections
-    per_path += length * n * inner                       # scan recurrence convention
+    # delta/B/C projections
+    per_path = length * (inner * rank + rank * inner + 2 * inner * state_size)
+    per_path += length * state_size * inner              # scan recurrence convention
     macs += 4 * per_path
     macs += length * inner * channels                    # proj_out
     hidden = channels * FFN_EXPAND
     macs += length * channels * hidden                   # ffn expand
-    if cfg.decoder_block == "msvss":
-        macs += sum(hidden * k * k * length for k in cfg.kernel_set)
+    macs += sum(hidden * k * k * length for k in ffn_kernels)
     macs += length * hidden * channels                   # ffn reduce
     return macs
-
-
-def _encoder_block_macs(length: int, channels: int, cfg: ModelConfig) -> int:
-    # encoder blocks are plain-FFN VSS blocks regardless of the decoder choice
-    saved = replace(cfg, decoder_block="vss")
-    return _scan_block_macs(length, channels, saved)
 
 
 def _upsampler_macs(kind: str, length: int, channels: int) -> int:
@@ -218,12 +203,13 @@ def count_flops(model: VSSUNet, input_size: tuple[int, int] | None = None) -> in
     for i, (width, depth) in enumerate(zip(widths, cfg.stage_depths)):
         if i > 0:
             macs += lengths[i] * 4 * widths[i - 1] * width  # patch merge
-        macs += depth * _encoder_block_macs(lengths[i], width, cfg)
+        macs += depth * _scan_block_macs(lengths[i], width, cfg.state_size, ())
 
     dec = ((widths[3], lengths[3]), (widths[2], lengths[2]), (widths[1], lengths[1]))
+    ffn_kernels = cfg.kernel_set if cfg.decoder_block == "msvss" else ()
     for width, length in dec:
         macs += _upsampler_macs(cfg.upsampler, length, width)
-        macs += _scan_block_macs(length * 4, width // 2, cfg)
+        macs += _scan_block_macs(length * 4, width // 2, cfg.state_size, ffn_kernels)
 
     macs += lengths[0] * widths[0] * 16 * widths[0]                 # head expand
     macs += 16 * widths[0] * DWCONV_KERNEL ** 2 * lengths[0]        # head depthwise

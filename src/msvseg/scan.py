@@ -36,9 +36,10 @@ forward's own functions (so bit-identical to the forward's states), runs the
 reverse recurrence over that block, and takes its sums over N or C as batched
 matmuls and its sums over time and against A as einsums.
 _scan_forward_core/_scan_backward_core keep the full history and stay as the
-reference the streamed op is tested against: the matmul readout sums over N
-in another order, so streamed y matches the reference within 1e-12 relative
-in float64, not bit for bit.
+reference the streamed op is tested against.  Both read out with a matmul,
+the reference as [C, N] @ [N, 1] per step, which sums over N in another
+order, so streamed y matches the reference within 1e-12 relative in
+float64, not bit for bit.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _scan_forward_core(x, delta, a, b, c_out, skip, chunk=None):
             carry = h_loc[:, j, -1] + apref[:, j, -1] * carry
         h_loc += apref * carries[:, :, None]
         h = np.ascontiguousarray(h_loc.reshape(p, nc * chunk, c, n)[:, :l])
-    y = (h * c_out[:, :, None, :]).sum(-1) + skip[:, None, :] * x
+    y = np.matmul(h, c_out[..., None])[..., 0] + skip[:, None, :] * x
     return y, h, abar
 
 

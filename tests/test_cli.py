@@ -76,6 +76,24 @@ class TestExitCodes:
         key = item.partition("=")[0].removeprefix("model.")
         assert f"error: {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["bench-scan", "--lengths", "0"], "--lengths"),
+        (["bench-scan", "--lengths", "8,-1"], "--lengths"),
+        (["bench-scan", "--state-size", "0"], "--state-size"),
+        (["bench-scan", "--channels", "0"], "--channels"),
+        (["gen-data", "--n", "0"], "--n"),
+        (["gen-data", "--n", "-1"], "--n"),
+        (["gen-data", "--size", "0"], "--size"),
+    ], ids=["length-0", "length-neg", "state-size-0", "channels-0", "n-0", "n-neg", "size-0"])
+    def test_size_below_one_is_invalid_args(self, argv, flag, tmp_path, capsys):
+        # small valid sizes for the other arguments; argparse keeps the last value
+        small = {"bench-scan": ["--lengths", "8", "--state-size", "2", "--channels", "2"],
+                 "gen-data": ["--n", "1", "--size", "32"]}[argv[0]]
+        out = tmp_path / "out"
+        assert run([argv[0], *small, *argv[1:], "--out-dir", str(out)]) == 1
+        assert f"error: {flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_override_format(self, dataset_dir, tmp_path):
         assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
                     "--set", "no_equals_sign"]) == 1

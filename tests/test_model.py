@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from msvseg.losses import ce_loss, dice_loss
-from msvseg.model import (ModelConfig, TINY224_PRESET, TOY_PRESET, build_model,
+from msvseg.model import (ModelConfig, TINY224_PRESET, TOY_PRESET, VSSUNet, build_model,
                           channel_mean_heatmap, count_flops, count_params,
                           export_stage_features, write_pgm)
 from msvseg.serial import load_checkpoint, save_checkpoint
@@ -75,6 +75,28 @@ class TestForward:
     def test_other_divisible_size_accepted(self, toy_model):
         y = toy_model.forward(Tensor(Rng(3).random((3, 32, 96)).astype(np.float32)))
         assert y.data.shape == (4, 32, 96)
+
+
+class TestStageLayout:
+    STAGES = ["patch_embed", "enc1", "merge1", "enc2", "merge2", "enc3", "merge3", "enc4",
+              "up1", "dec1", "up2", "dec2", "up3", "dec3", "head"]
+
+    def test_generic_walk_names_the_stages_in_checkpoint_order(self, toy_model):
+        assert "named_parameters" not in vars(VSSUNet)
+        runs = []  # first-level prefixes, one entry per contiguous run of names
+        for name, _ in toy_model.named_parameters():
+            stage = name.partition(".")[0]
+            if not runs or runs[-1] != stage:
+                runs.append(stage)
+        assert runs == self.STAGES
+
+    def test_every_name_is_an_attribute_path(self):
+        model = build_model(micro_cfg(stage_depths=(2, 1, 3, 1)), Rng(0))
+        for name, p in model.named_parameters():
+            node = model
+            for part in name.split("."):
+                node = node[int(part)] if part.isdigit() else getattr(node, part)
+            assert node is p, name
 
 
 class TestGradientFlow:
