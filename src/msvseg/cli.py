@@ -197,6 +197,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    _require_positive("--op-seeds", args.op_seeds)
+    _require_positive("--block-seeds", args.block_seeds)
     seed = args.seed if args.seed is not None else 0
     results = run_gradient_suite(seed=seed, op_seeds=args.op_seeds, block_seeds=args.block_seeds,
                                  include_model=not args.skip_model)
@@ -211,7 +213,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_bench_scan(args) -> int:
-    lengths = tuple(int(v) for v in args.lengths.split(","))
+    try:
+        lengths = tuple(int(v) for v in args.lengths.split(","))
+    except ValueError:
+        raise ValueError(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
     _require_positive("--lengths", *lengths)
     _require_positive("--state-size", args.state_size)
     _require_positive("--channels", args.channels)

@@ -212,16 +212,24 @@ def _shape_coverage(rng: Rng, size: int) -> np.ndarray:
     return np.clip(edge + 0.5, 0.0, 1.0)
 
 
+# shade draws per class before the palette gives up; over seeds 0-39 nine or
+# fewer classes need at most 662, and from ten up some seeds find no shade
+PALETTE_DRAWS = 100_000
+
+
 def _class_palette(rng: Rng, num_classes: int) -> np.ndarray:
     """One RGB shade per class, kept mutually separated so classes stay
     distinguishable under noise."""
     palette = np.zeros((num_classes, 3))
     for cls in range(1, num_classes):
-        while True:
+        for _ in range(PALETTE_DRAWS):
             cand = rng.uniform(0.4, 0.95, 3)
             if all(np.linalg.norm(cand - palette[j]) > 0.3 for j in range(1, cls)):
                 palette[cls] = cand
                 break
+        else:
+            raise ValueError(f"no palette of {num_classes} classes: class {cls} found no shade "
+                             f"0.3 from the others in {PALETTE_DRAWS} draws")
     return palette
 
 

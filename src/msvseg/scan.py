@@ -39,7 +39,10 @@ _scan_forward_core/_scan_backward_core keep the full history and stay as the
 reference the streamed op is tested against.  Both read out with a matmul,
 the reference as [C, N] @ [N, 1] per step, which sums over N in another
 order, so streamed y matches the reference within 1e-12 relative in
-float64, not bit for bit.
+float64, not bit for bit.  The reference's chunked form,
+``_scan_forward_core(..., chunk)`` with chunk < L, is the streamed op's own
+forward loop ``_stream_forward`` at block length chunk, so checking chunked
+against sequential checks the recurrence the model runs.
 """
 
 from __future__ import annotations
@@ -72,53 +75,24 @@ SCAN_BLOCK = 32
 
 
 def _scan_forward_core(x, delta, a, b, c_out, skip, chunk=None):
-    """Batched scan on raw arrays.
+    """Sequential scan on raw arrays, keeping the full history.
 
     x, delta: [P, L, C]; a: [P, C, N]; b, c_out: [P, L, N]; skip: [P, C].
-    Returns y [P, L, C] and the state history h [P, L, C, N].
+    Returns y [P, L, C], h and Abar [P, L, C, N].  A ``chunk`` below L runs
+    the streamed op's forward loop in blocks of ``chunk`` steps instead and
+    returns (y, None, None).
     """
     p, l, c = x.shape
-    n = a.shape[-1]
+    if chunk is not None and chunk < l:
+        return _stream_forward(x, delta, a, b, c_out, skip, chunk)[0], None, None
     abar = np.exp(delta[..., None] * a[:, None, :, :])          # [P, L, C, N]
     bx = delta[..., None] * b[:, :, None, :] * x[..., None]     # [P, L, C, N]
-    if chunk is None or chunk >= l:
-        h = np.empty_like(bx)
-        acc = np.zeros((p, c, n), dtype=x.dtype)
-        for t in range(l):
-            np.multiply(acc, abar[:, t], out=acc)
-            np.add(acc, bx[:, t], out=acc)
-            h[:, t] = acc
-    else:
-        # blocked evaluation: local scans run vectorized across all chunks at
-        # once, then a short sequential pass threads the carried state through
-        # the chunk boundaries via (a1, b1) o (a2, b2) = (a1*a2, a2*b1 + b2).
-        nc = -(-l // chunk)
-        pad = nc * chunk - l
-        if pad:
-            # (abar, bx) = (1, 0) is the identity element of the pair operator
-            abar_pad = np.concatenate([abar, np.ones((p, pad, c, n), dtype=x.dtype)], axis=1)
-            bx_pad = np.concatenate([bx, np.zeros((p, pad, c, n), dtype=x.dtype)], axis=1)
-        else:
-            abar_pad, bx_pad = abar, bx
-        ab = abar_pad.reshape(p, nc, chunk, c, n)
-        bb = bx_pad.reshape(p, nc, chunk, c, n)
-        h_loc = np.empty_like(bb)
-        apref = np.empty_like(ab)
-        acc_b = np.zeros((p, nc, c, n), dtype=x.dtype)
-        acc_a = np.ones((p, nc, c, n), dtype=x.dtype)
-        for t in range(chunk):
-            np.multiply(acc_b, ab[:, :, t], out=acc_b)
-            np.add(acc_b, bb[:, :, t], out=acc_b)
-            h_loc[:, :, t] = acc_b
-            np.multiply(acc_a, ab[:, :, t], out=acc_a)
-            apref[:, :, t] = acc_a
-        carries = np.empty((p, nc, c, n), dtype=x.dtype)
-        carry = np.zeros((p, c, n), dtype=x.dtype)
-        for j in range(nc):
-            carries[:, j] = carry
-            carry = h_loc[:, j, -1] + apref[:, j, -1] * carry
-        h_loc += apref * carries[:, :, None]
-        h = np.ascontiguousarray(h_loc.reshape(p, nc * chunk, c, n)[:, :l])
+    h = np.empty_like(bx)
+    acc = np.zeros((p, c, a.shape[-1]), dtype=x.dtype)
+    for t in range(l):
+        np.multiply(acc, abar[:, t], out=acc)
+        np.add(acc, bx[:, t], out=acc)
+        h[:, t] = acc
     y = np.matmul(h, c_out[..., None])[..., 0] + skip[:, None, :] * x
     return y, h, abar
 
@@ -179,6 +153,38 @@ def _block_states(abar, bx, h0):
     return bx
 
 
+def _spans(length, block):
+    """The time slices of the blocks of ``block`` steps over ``length`` steps."""
+    return [slice(t0, min(t0 + block, length)) for t0 in range(0, length, block)]
+
+
+def _stream_forward(x, delta, a, b, c_out, skip, block):
+    """The streamed recurrence in blocks of ``block`` time steps, shapes as
+    in _scan_forward_core.
+
+    Returns y [P, L, C] and the state entering each block,
+    [ceil(L/T), P, N, C].
+    """
+    p, l, c = x.shape
+    n = a.shape[-1]
+    dtype = np.result_type(x, delta, a, b, c_out, skip)
+    spans = _spans(l, block)
+    a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
+    abuf, hbuf = (np.empty((min(block, l), p, n, c), dtype=dtype) for _ in range(2))
+    carries = np.empty((len(spans), p, n, c), dtype=dtype)
+    carries[0] = 0.0
+    y = np.empty((p, l, c), dtype=dtype)
+    for j, s in enumerate(spans):
+        abar, h, _ = _block_terms(x, delta, a_t, b, s, abuf, hbuf)
+        _block_states(abar, h, carries[j])
+        # readout y_t = <C_t, h_t> as a batched [1, N] @ [N, C] matmul
+        np.matmul(c_out[:, s, None, :].swapaxes(0, 1), h, out=y[:, s, None, :].swapaxes(0, 1))
+        y[:, s] += skip[:, None, :] * x[:, s]
+        if j + 1 < len(spans):
+            carries[j + 1] = h[-1]
+    return y, carries
+
+
 def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
              skip: Tensor) -> Tensor:
     """Autodiff-recorded scan over stacked paths.
@@ -204,24 +210,11 @@ def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
         # [Q, ...] -> [P, ...]: path q's row repeated for each of its sequences
         return np.repeat(t.data, reps, axis=0)
 
+    block = SCAN_BLOCK
     xd, dd, bd, cd = map(rows_of, (x, delta, b, c_out))
-    ad, sd = per_row(a), per_row(skip)
-    dtype = np.result_type(xd, dd, ad, bd, cd, sd)
-    spans = [slice(t0, min(t0 + SCAN_BLOCK, l)) for t0 in range(0, l, SCAN_BLOCK)]
-    rows = min(SCAN_BLOCK, l)
-    a_t = np.ascontiguousarray(ad.transpose(0, 2, 1))
-    abuf, hbuf = (np.empty((rows, p, n, c), dtype=dtype) for _ in range(2))
-    carries = np.empty((len(spans), p, n, c), dtype=dtype)
-    carries[0] = 0.0
-    y = np.empty((p, l, c), dtype=dtype)
-    for j, s in enumerate(spans):
-        abar, h, _ = _block_terms(xd, dd, a_t, bd, s, abuf, hbuf)
-        _block_states(abar, h, carries[j])
-        # readout y_t = <C_t, h_t> as a batched [1, N] @ [N, C] matmul
-        np.matmul(cd[:, s, None, :].swapaxes(0, 1), h, out=y[:, s, None, :].swapaxes(0, 1))
-        y[:, s] += sd[:, None, :] * xd[:, s]
-        if j + 1 < len(spans):
-            carries[j + 1] = h[-1]
+    y, carries = _stream_forward(xd, dd, per_row(a), bd, cd, per_row(skip), block)
+    dtype = y.dtype
+    spans, rows = _spans(l, block), min(block, l)
 
     def backward(grad):
         # reads inputs through their tensors so the closure holds only carries

@@ -174,16 +174,8 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -276,25 +268,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self), self)
-
     def __neg__(self):
         return neg(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 def constant(data, like: Tensor | None = None) -> Tensor:
@@ -641,7 +616,7 @@ def merge_kernels(kernels) -> Tensor:
     return record_op(out, kernels, backward, "merge_kernels")
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Full 2D cross-correlation with 'same' zero padding.
 
     x: [..., H, W, Cin], weight: [Cout, Cin, kh, kw] with odd kh, kw.  Only
@@ -661,9 +636,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     for i in range(kh):
         for j in range(kw):
             out += np.tensordot(xp[:, i:i + h, j:j + w], weight.data[:, :, i, j], axes=([3], [1]))
-    if bias is not None:
-        out += bias.data
-    x_shape, maps_shape, has_bias = x.shape, x4.shape, bias is not None
+    out += bias.data
+    x_shape, maps_shape = x.shape, x4.shape
     out_shape = x_shape[:-1] + (cout,)
     wd = weight.data
 
@@ -680,12 +654,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             for j in range(kw):
                 gx += np.tensordot(gp[:, kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w],
                                    wd[:, :, i, j], axes=([3], [0]))
-        gb = g4.sum(axis=(0, 1, 2)) if has_bias else None
-        gx = gx.reshape(x_shape)
-        return (gx, gw, gb) if has_bias else (gx, gw)
+        return gx.reshape(x_shape), gw, g4.sum(axis=(0, 1, 2))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return record_op(out.reshape(out_shape), parents, backward, "conv2d")
+    return record_op(out.reshape(out_shape), (x, weight, bias), backward, "conv2d")
 
 
 # variance offset of every layer and batch norm
@@ -730,12 +701,10 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
 
 def softmax_channels(x: Tensor) -> Tensor:
     """Probabilities over the class extent of [..., K, H, W] logits (axis -3),
-    stabilized by max-subtraction.  An input of rank below three is [K, ...]
-    with its class axis first."""
-    axis = -min(3, x.data.ndim)
-    shift = x.data.max(axis=axis, keepdims=True)
+    stabilized by max-subtraction."""
+    shift = x.data.max(axis=-3, keepdims=True)
     e = exp(x - constant(shift, like=x))
-    return div(e, tsum(e, axis=axis, keepdims=True))
+    return div(e, tsum(e, axis=-3, keepdims=True))
 
 
 # -- module / parameter plumbing -------------------------------------------------
@@ -823,21 +792,21 @@ class Rng:
 
 # -- parameter initializers --------------------------------------------------------
 
-def init_trunc_normal(rng: Rng, shape, std: float = 0.02, dtype=np.float32) -> Tensor:
-    return Tensor(rng.trunc_normal(shape, std).astype(dtype), requires_grad=True)
+def init_trunc_normal(rng: Rng, shape, std: float = 0.02) -> Tensor:
+    return Tensor(rng.trunc_normal(shape, std).astype(np.float32), requires_grad=True)
 
 
-def init_kaiming_uniform(rng: Rng, shape, fan_in: int, dtype=np.float32) -> Tensor:
+def init_kaiming_uniform(rng: Rng, shape, fan_in: int) -> Tensor:
     bound = math.sqrt(6.0 / fan_in)
-    return Tensor(rng.uniform(-bound, bound, shape).astype(dtype), requires_grad=True)
+    return Tensor(rng.uniform(-bound, bound, shape).astype(np.float32), requires_grad=True)
 
 
-def init_zeros(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+def init_zeros(shape) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
 
 
-def init_ones(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+def init_ones(shape) -> Tensor:
+    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
 
 
 # -- gradient checking ---------------------------------------------------------------

@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, artifact determinism."""
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,14 +88,42 @@ class TestExitCodes:
         (["gen-data", "--n", "0"], "--n"),
         (["gen-data", "--n", "-1"], "--n"),
         (["gen-data", "--size", "0"], "--size"),
-    ], ids=["length-0", "length-neg", "state-size-0", "channels-0", "n-0", "n-neg", "size-0"])
+        (["gradcheck", "--op-seeds", "0"], "--op-seeds"),
+        (["gradcheck", "--op-seeds", "-2"], "--op-seeds"),
+        (["gradcheck", "--block-seeds", "0"], "--block-seeds"),
+    ], ids=["length-0", "length-neg", "state-size-0", "channels-0", "n-0", "n-neg", "size-0",
+            "op-seeds-0", "op-seeds-neg", "block-seeds-0"])
     def test_size_below_one_is_invalid_args(self, argv, flag, tmp_path, capsys):
         # small valid sizes for the other arguments; argparse keeps the last value
         small = {"bench-scan": ["--lengths", "8", "--state-size", "2", "--channels", "2"],
-                 "gen-data": ["--n", "1", "--size", "32"]}[argv[0]]
+                 "gen-data": ["--n", "1", "--size", "32"],
+                 "gradcheck": ["--op-seeds", "1", "--block-seeds", "1", "--skip-model"]}[argv[0]]
         out = tmp_path / "out"
         assert run([argv[0], *small, *argv[1:], "--out-dir", str(out)]) == 1
         assert f"error: {flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lengths", ["8,,16", "8,x", "8.5", ""],
+                             ids=["empty-entry", "word", "fraction", "empty"])
+    def test_malformed_lengths_name_the_flag(self, lengths, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["bench-scan", "--lengths", lengths, "--state-size", "2", "--channels", "2",
+                    "--out-dir", str(out)]) == 1
+        assert "error: --lengths must be comma-separated integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("classes", ["13", "14"])
+    def test_class_count_without_a_palette_is_invalid_args(self, classes, tmp_path):
+        # its own interpreter with a timeout, so an endless palette search fails the test
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "msvseg", "gen-data", "--classes", classes,
+                               "--n", "1", "--size", "16", "--out-dir", str(out)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert f"error: no palette of {classes} classes" in proc.stderr
         assert not out.exists()
 
     def test_bad_override_format(self, dataset_dir, tmp_path):

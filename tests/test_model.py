@@ -12,7 +12,7 @@ from msvseg.model import (ModelConfig, TINY224_PRESET, TOY_PRESET, VSSUNet, buil
                           channel_mean_heatmap, count_flops, count_params,
                           export_stage_features, write_pgm)
 from msvseg.serial import load_checkpoint, save_checkpoint
-from msvseg.tensor import Rng, Tensor, softmax_channels
+from msvseg.tensor import Rng, Tensor, softmax_channels, tsum
 
 
 def micro_cfg(**kw):
@@ -105,7 +105,7 @@ class TestGradientFlow:
         img = Tensor(Rng(20).random((3, 32, 32)).astype(np.float32))
         logits = model.forward(img)
         model.zero_grad()
-        (logits * logits).sum().backward()
+        tsum(logits * logits).backward()
         for name, p in model.named_parameters():
             assert p.grad is not None, name
             assert np.isfinite(p.grad).all(), name
@@ -113,7 +113,7 @@ class TestGradientFlow:
     def test_zero_grad_unsets_every_gradient(self):
         model = build_model(micro_cfg(), Rng(19))
         logits = model.forward(Tensor(Rng(20).random((3, 32, 32)).astype(np.float32)))
-        (logits * logits).sum().backward()
+        tsum(logits * logits).backward()
         model.zero_grad()
         for name, p in model.named_parameters():
             assert p.grad is None, name

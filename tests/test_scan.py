@@ -117,6 +117,16 @@ class TestChunkedScan:
         y_seq, _, _ = S._scan_forward_core(*arrays)
         assert np.max(np.abs(y.data - y_seq)) <= 1e-12 * np.max(np.abs(y_seq))
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_chunked_reference_is_the_streamed_op(self, chunk, monkeypatch):
+        # the blocked-versus-sequential contract checks the recurrence the model runs
+        arrays = _raw_scan_inputs(8, 2, 40, 3, 4)
+        y_chunked, h, abar = S._scan_forward_core(*arrays, chunk)
+        assert h is None and abar is None
+        monkeypatch.setattr(S, "SCAN_BLOCK", chunk)
+        y = S._scan_op(*[Tensor(v, dtype=np.float64) for v in arrays])
+        assert np.array_equal(y_chunked, y.data)
+
     def test_chunk_one_is_exact(self, monkeypatch):
         # block length 1 and the model's block give bit-identical outputs
         tensors = [Tensor(v, dtype=np.float64) for v in _raw_scan_inputs(10, 1, 12, 2, 2)]

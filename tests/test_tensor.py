@@ -293,13 +293,13 @@ class TestSoftmax:
         assert np.array_equal(p.data, np.ones((1, 3, 3)))
 
     def test_symmetry(self):
-        p = T.softmax_channels(Tensor(np.zeros((2, 1)), dtype=np.float64))
+        p = T.softmax_channels(Tensor(np.zeros((2, 1, 1)), dtype=np.float64))
         assert np.allclose(p.data, 0.5)
 
     @given(st.floats(min_value=-50, max_value=50))
     @settings(max_examples=25, deadline=None)
     def test_shift_invariance(self, c):
-        x = Rng(13).normal((4, 5))
+        x = Rng(13).normal((4, 5, 1))
         p1 = T.softmax_channels(Tensor(x, dtype=np.float64)).data
         p2 = T.softmax_channels(Tensor(x + c, dtype=np.float64)).data
         assert np.max(np.abs(p1 - p2)) <= 1e-12
@@ -526,7 +526,7 @@ class TestRng:
 
 class TestDtypePolicy:
     def test_default_dtype_is_f32(self):
-        assert Tensor([1, 2, 3]).dtype == np.float32
+        assert Tensor([1, 2, 3]).data.dtype == np.float32
 
     def test_contiguity_after_transpose(self):
         x = randt(29, (2, 3, 4))
