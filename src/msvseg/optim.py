@@ -17,7 +17,14 @@ ADAM_EPS = 1e-8
 
 class AdamW:
     """Bias-corrected Adam moments with weight decay applied directly to the
-    parameters, separately from the gradient-based update."""
+    parameters, separately from the gradient-based update.
+
+    ``step`` forms its temporaries in two scratch buffers per parameter
+    dtype, each the size of the largest parameter, allocated here, so a step
+    allocates nothing; its values are those of the textbook expression
+    p -= lr * (m / corr1) / (sqrt(v / corr2) + eps), operation for operation.
+    ``lr`` is a Python float, as ``cosine_lr`` returns.
+    """
 
     def __init__(self, params, weight_decay: float = 0.0):
         self.params: list[Tensor] = list(params)
@@ -25,6 +32,11 @@ class AdamW:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        largest = {}
+        for m in self.m:
+            largest[m.dtype] = max(largest.get(m.dtype, 0), m.size)
+        self._scratch = {dtype: (np.empty(size, dtype), np.empty(size, dtype))
+                         for dtype, size in largest.items()}
 
     def step(self, lr: float):
         """One update of every parameter at learning rate ``lr``."""
@@ -36,13 +48,22 @@ class AdamW:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
+            num, den = (buf[:m.size].reshape(m.shape) for buf in self._scratch[m.dtype])
             if self.weight_decay:
                 p.data *= 1.0 - lr * self.weight_decay
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=num)
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            p.data -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+            np.multiply(g, g, out=num)
+            num *= 1.0 - b2
+            v += num
+            np.divide(m, corr1, out=num)
+            num *= lr
+            np.divide(v, corr2, out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            num /= den
+            p.data -= num
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:

@@ -2,8 +2,15 @@
 
 ``SS2D`` is the scan's one entry point: it holds the four paths'
 parameters, flattens a feature map along the paths, projects each path's
-step inputs, runs the recurrence op ``_scan_op`` on the stack and merges
-the paths back.
+step inputs, runs the streamed recurrence on the stack and merges the paths
+back, all recorded as one graph node named "selective_scan".  That node
+keeps only the input map, the parameters and the recurrence's block-entry
+states.  Its backward forms the four-path copy and the projections again
+from the map (cheap next to the recurrence), never the recurrence's
+forward, and runs each step's backward by hand.  So the [4, ..., L, C]
+four-path copy, the step-size pre-activation and delta do not outlive the
+forward, as they did when each step was an op of its own (Gu & Dao 2023
+recompute the scan's intermediates in backward the same way).
 
 The 1D scan is the standard selective state-space recurrence: per-step
 transition Abar = exp(delta * A) with A = -exp(A_log) kept strictly negative,
@@ -21,7 +28,7 @@ sequences is one batched matmul per quantity.  The scan op folds the leading
 batch axes into its row axis: [4, B, L, C] runs as P = 4B rows, path p's
 parameters repeated for each of its B maps.
 
-The autodiff op streams the recurrence in blocks of SCAN_BLOCK time steps
+The recurrence streams in blocks of SCAN_BLOCK time steps
 in time-major buffers, [T, P, N, C] with C contiguous, so each step of the
 recurrence reads and writes one contiguous [P, N, C] row.  Forward writes
 one block's Abar and Bbar*x into two such buffers (allocated once per
@@ -30,7 +37,8 @@ y_t = <C_t, h_t> as a batched [1, N] @ [N, C] matmul.  The op's inputs and
 outputs stay [P, L, ·]; each block reads and writes them through [T, P, ·]
 views, so no whole-sequence transpose is made.  It keeps only the state
 entering each block, [ceil(L/T), P, N, C], instead of the full history h
-and Abar, 2 x [P, L, C, N].  Backward walks the blocks in reverse,
+and Abar, 2 x [P, L, C, N].  Backward (``_stacked_scan_backward``, which
+SS2D and the recorded op ``_scan_op`` both call) walks the blocks in reverse,
 recomputes each block's Abar, Bbar*x and h from its saved state with the
 forward's own functions (so bit-identical to the forward's states), runs the
 reverse recurrence over that block, and takes its sums over N or C as batched
@@ -52,7 +60,8 @@ import time
 
 import numpy as np
 
-from .tensor import Module, Rng, Tensor, exp, init_ones, linear, record_op, softplus
+from .tensor import (Module, Rng, Tensor, _linear, _sigmoid, _softplus, check_finite, init_ones,
+                     record_op)
 
 __all__ = ["dt_rank", "cross_scan", "cross_merge", "SS2D", "run_scan_benchmark"]
 
@@ -185,84 +194,96 @@ def _stream_forward(x, delta, a, b, c_out, skip, block):
     return y, carries
 
 
-def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
-             skip: Tensor) -> Tensor:
-    """Autodiff-recorded scan over stacked paths.
+def _stacked_scan(x, delta, a, b, c_out, skip, block):
+    """The streamed recurrence over stacked paths, on arrays.
 
     x, delta: [Q, ..., L, C]; b, c_out: [Q, ..., L, N]; a: [Q, C, N] and
     skip: [Q, C] are shared by the B sequences of each path q.  The
-    sequences run as P = Q*B rows, with A and D repeated per sequence and
-    their gradients summed back.  Streams the recurrence in blocks of
-    SCAN_BLOCK steps, read at call time, and keeps only the state entering
-    each block for backward.  Inputs and outputs stay [P, L, ·]; each block
-    reads and writes them through [T, P, ·] views.
+    sequences run as P = Q*B rows, with A and D repeated per sequence.
+    Returns y shaped as x and the state entering each block of ``block``
+    steps, [ceil(L/T), P, N, C].
     """
-    q, *_, l, c = x.data.shape
-    n = a.data.shape[-1]
-    p = x.data.size // (l * c)
+    q, *_, l, c = x.shape
+    p = x.size // (l * c)
+    # [Q, ..., L, K] -> [P, L, K], a view of the contiguous buffer
+    xd, dd, bd, cd = (v.reshape(p, l, -1) for v in (x, delta, b, c_out))
+    y, carries = _stream_forward(xd, dd, np.repeat(a, p // q, axis=0), bd, cd,
+                                 np.repeat(skip, p // q, axis=0), block)
+    return y.reshape(x.shape), carries
+
+
+def _stacked_scan_backward(grad, x, delta, a, b, c_out, skip, carries, block):
+    """Gradients of every input of ``_stacked_scan`` for the output gradient
+    ``grad``, each shaped as its input; A's and D's are summed back per path.
+
+    Walks the blocks in reverse and recomputes each block's Abar, Bbar*x and
+    h from ``carries`` with the forward's own functions, so bit-identical to
+    the forward's states, then runs the reverse recurrence over the block.
+    """
+    q, *_, l, c = x.shape
+    n = a.shape[-1]
+    p = x.size // (l * c)
     reps = p // q
+    xd, dd, bd, cd = (v.reshape(p, l, -1) for v in (x, delta, b, c_out))
+    sd = np.repeat(skip, reps, axis=0)
+    grad = grad.reshape(p, l, c)
+    dtype = np.result_type(x, delta, a, b, c_out, skip)
+    a_t = np.ascontiguousarray(np.repeat(a, reps, axis=0).transpose(0, 2, 1))
+    spans = _spans(l, block)
+    abuf, hbuf, gbuf = (np.empty((min(block, l), p, n, c), dtype=dtype) for _ in range(3))
+    g_a = np.zeros((p, n, c), dtype=dtype)
+    g_b = np.empty((p, l, n), dtype=dtype)
+    g_c = np.empty((p, l, n), dtype=dtype)
+    gbx_b = np.empty((p, l, c), dtype=dtype)     # sum_n g_bx * b
+    gabar_a = np.empty((p, l, c), dtype=dtype)   # sum_n g_abar * a
+    gh_carry = np.zeros((p, n, c), dtype=dtype)  # state gradient entering from the next block
+    for j in range(len(spans) - 1, -1, -1):
+        s, h0 = spans[j], carries[j]
+        abar, h, dx = _block_terms(xd, dd, a_t, bd, s, abuf, hbuf)
+        _block_states(abar, h, h0)
+        gy = grad[:, s].swapaxes(0, 1)
+        # the sums over N or C run as batched matmuls: [N, C] @ [C, 1], [1, N] @ [N, C]
+        np.matmul(h, gy[..., None], out=g_c[:, s, :, None].swapaxes(0, 1))
+        # after the loop g_bx[t] holds the total state gradient at step t
+        g_bx = gbuf[:len(h)]
+        np.multiply(cd[:, s, :, None].swapaxes(0, 1), gy[:, :, None, :], out=g_bx)
+        for t in range(len(h) - 1, -1, -1):
+            gh = g_bx[t]
+            gh += gh_carry
+            np.multiply(gh, abar[t], out=gh_carry)
+        # dL/d(delta * a) summands g_bx_t * h_{t-1} * abar_t, formed in abar's buffer
+        g_abar = abar
+        g_abar[1:] *= h[:-1]
+        g_abar[0] *= h0
+        g_abar *= g_bx
+        g_a += np.einsum("tpnc,ptc->pnc", g_abar, dd[:, s])
+        np.einsum("tpnc,pnc->ptc", g_abar, a_t, out=gabar_a[:, s])
+        np.matmul(bd[:, s, None, :].swapaxes(0, 1), g_bx, out=gbx_b[:, s, None, :].swapaxes(0, 1))
+        np.matmul(g_bx, dx[..., None], out=g_b[:, s, :, None].swapaxes(0, 1))
+    g_delta = gabar_a + gbx_b * xd
+    g_x = grad * sd[:, None, :] + gbx_b * dd
+    g_skip = (grad * xd).sum(axis=1)
+    g_a = g_a.reshape(q, reps, n, c).sum(axis=1).transpose(0, 2, 1)
+    g_skip = g_skip.reshape(q, reps, c).sum(axis=1)
+    return (g_x.reshape(x.shape), g_delta.reshape(delta.shape), np.ascontiguousarray(g_a),
+            g_b.reshape(b.shape), g_c.reshape(c_out.shape), g_skip)
 
-    def rows_of(t):
-        # [Q, ..., L, K] -> [P, L, K], a view of the contiguous buffer
-        return t.data.reshape(p, l, -1)
 
-    def per_row(t):
-        # [Q, ...] -> [P, ...]: path q's row repeated for each of its sequences
-        return np.repeat(t.data, reps, axis=0)
-
+def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
+             skip: Tensor) -> Tensor:
+    """``_stacked_scan`` recorded as one op, shapes as there.  Streams the
+    recurrence in blocks of SCAN_BLOCK steps, read at call time, and keeps
+    only the state entering each block for backward.
+    """
+    inputs = (x, delta, a, b, c_out, skip)
     block = SCAN_BLOCK
-    xd, dd, bd, cd = map(rows_of, (x, delta, b, c_out))
-    y, carries = _stream_forward(xd, dd, per_row(a), bd, cd, per_row(skip), block)
-    dtype = y.dtype
-    spans, rows = _spans(l, block), min(block, l)
+    y, carries = _stacked_scan(*(t.data for t in inputs), block)
 
     def backward(grad):
         # reads inputs through their tensors so the closure holds only carries
-        xd, dd, bd, cd = map(rows_of, (x, delta, b, c_out))
-        ad, sd = per_row(a), per_row(skip)
-        grad = grad.reshape(p, l, c)
-        a_t = np.ascontiguousarray(ad.transpose(0, 2, 1))
-        abuf, hbuf, gbuf = (np.empty((rows, p, n, c), dtype=dtype) for _ in range(3))
-        g_a = np.zeros((p, n, c), dtype=dtype)
-        g_b = np.empty((p, l, n), dtype=dtype)
-        g_c = np.empty((p, l, n), dtype=dtype)
-        gbx_b = np.empty((p, l, c), dtype=dtype)     # sum_n g_bx * b
-        gabar_a = np.empty((p, l, c), dtype=dtype)   # sum_n g_abar * a
-        gh_carry = np.zeros((p, n, c), dtype=dtype)  # state gradient entering from the next block
-        for j in range(len(spans) - 1, -1, -1):
-            s, h0 = spans[j], carries[j]
-            abar, h, dx = _block_terms(xd, dd, a_t, bd, s, abuf, hbuf)
-            _block_states(abar, h, h0)
-            gy = grad[:, s].swapaxes(0, 1)
-            # the sums over N or C run as batched matmuls: [N, C] @ [C, 1], [1, N] @ [N, C]
-            np.matmul(h, gy[..., None], out=g_c[:, s, :, None].swapaxes(0, 1))
-            # after the loop g_bx[t] holds the total state gradient at step t
-            g_bx = gbuf[:len(h)]
-            np.multiply(cd[:, s, :, None].swapaxes(0, 1), gy[:, :, None, :], out=g_bx)
-            for t in range(len(h) - 1, -1, -1):
-                gh = g_bx[t]
-                gh += gh_carry
-                np.multiply(gh, abar[t], out=gh_carry)
-            # dL/d(delta * a) summands g_bx_t * h_{t-1} * abar_t, formed in abar's buffer
-            g_abar = abar
-            g_abar[1:] *= h[:-1]
-            g_abar[0] *= h0
-            g_abar *= g_bx
-            g_a += np.einsum("tpnc,ptc->pnc", g_abar, dd[:, s])
-            np.einsum("tpnc,pnc->ptc", g_abar, a_t, out=gabar_a[:, s])
-            np.matmul(bd[:, s, None, :].swapaxes(0, 1), g_bx, out=gbx_b[:, s, None, :].swapaxes(0, 1))
-            np.matmul(g_bx, dx[..., None], out=g_b[:, s, :, None].swapaxes(0, 1))
-        g_delta = gabar_a + gbx_b * xd
-        g_x = grad * sd[:, None, :] + gbx_b * dd
-        g_skip = (grad * xd).sum(axis=1)
-        g_a = g_a.reshape(q, reps, n, c).sum(axis=1).transpose(0, 2, 1)
-        g_skip = g_skip.reshape(q, reps, c).sum(axis=1)
-        return (g_x.reshape(x.data.shape), g_delta.reshape(delta.data.shape),
-                np.ascontiguousarray(g_a), g_b.reshape(b.data.shape),
-                g_c.reshape(c_out.data.shape), g_skip)
+        return _stacked_scan_backward(grad, *(t.data for t in inputs), carries, block)
 
-    return record_op(y.reshape(x.data.shape), (x, delta, a, b, c_out, skip), backward,
-                     "selective_scan")
+    return record_op(y, inputs, backward, "selective_scan")
 
 
 # -- 2D cross scan --------------------------------------------------------------
@@ -320,6 +341,13 @@ class SS2D(Module):
     ``dt_rank(C)`` projection followed by softplus, B and C from direct linear
     projections of the input.  The paths are projected and scanned stacked,
     so the time loop is shared, and the four restored outputs are summed.
+
+    A forward records one op, "selective_scan", whose node keeps the input
+    map, the seven parameters and the recurrence's block-entry states, and
+    nothing of the four-path copy, the projections or delta: backward
+    recomputes those from the map and the parameters.  Outputs and
+    gradients are bit-identical to those of the cross-scan, linear,
+    softplus, exp, neg, scan and merge ops it replaced.
     """
 
     def __init__(self, rng: Rng, channels: int, n_state: int = 16):
@@ -347,13 +375,58 @@ class SS2D(Module):
         self.dt_bias = per_path(dt_bias)
 
     def forward(self, fmap: Tensor) -> Tensor:
-        h, w = fmap.data.shape[-3:-1]
-        seqs = cross_scan(fmap)
+        """Runs the cross-scan, the projections, softplus, A = -exp(A_log),
+        the streamed recurrence and the merge on arrays, in the order the
+        composed ops ran, checking each result for non-finite values under
+        that op's name.  Backward adds the four contributions to the paths'
+        gradient in the order the graph walk added them: scan, dt, B, C."""
+        fm = fmap.data
+        h, w = fm.shape[-3:-1]
+        params = (self.a_log, self.skip, self.w_b, self.w_c, self.w_dt_down, self.w_dt_up,
+                  self.dt_bias)
+        a_log, skip, w_b, w_c, w_down, w_up, dt_bias = (t.data for t in params)
+        block = SCAN_BLOCK
         # path p of the stack is projected with path p of each parameter
-        delta = softplus(linear(linear(seqs, self.w_dt_down), self.w_dt_up, self.dt_bias))
-        y = _scan_op(seqs, delta, -exp(self.a_log), linear(seqs, self.w_b),
-                     linear(seqs, self.w_c), self.skip)
-        return cross_merge(y, h, w)
+        seqs = check_finite(_paths(fm), "cross_scan")
+        dt_low = check_finite(_linear(seqs, w_down), "linear")
+        delta = check_finite(_softplus(check_finite(_linear(dt_low, w_up, dt_bias), "linear")),
+                             "softplus")
+        a = check_finite(-check_finite(np.exp(a_log), "exp"), "neg")
+        b = check_finite(_linear(seqs, w_b), "linear")
+        c_out = check_finite(_linear(seqs, w_c), "linear")
+        y, carries = _stacked_scan(seqs, delta, a, b, c_out, skip, block)
+        out = check_finite(_merge(check_finite(y, "selective_scan"), h, w), "cross_merge")
+
+        def backward(grad):
+            xs = _paths(fm)
+            low = _linear(xs, w_down)
+            pre = _linear(low, w_up, dt_bias)
+            exp_a = np.exp(a_log)
+            g_xs, g_delta, g_a, g_b, g_c, g_skip = _stacked_scan_backward(
+                _paths(grad), xs, _softplus(pre), -exp_a, _linear(xs, w_b), _linear(xs, w_c),
+                skip, carries, block)
+            g_pre = g_delta * _sigmoid(pre)
+            g_low, g_up = _linear_grads(g_pre, low, w_up)
+            g_dt_bias = g_pre.reshape(len(dt_bias), -1, dt_bias.shape[-1]).sum(axis=-2)
+            g_xs_dt, g_down = _linear_grads(g_low, xs, w_down)
+            g_xs += g_xs_dt
+            g_xs_b, g_w_b = _linear_grads(g_b, xs, w_b)
+            g_xs += g_xs_b
+            g_xs_c, g_w_c = _linear_grads(g_c, xs, w_c)
+            g_xs += g_xs_c
+            return (_merge(g_xs, h, w), -g_a * exp_a, g_skip, g_w_b, g_w_c, g_down, g_up,
+                    g_dt_bias)
+
+        return record_op(out, (fmap,) + params, backward, "selective_scan")
+
+
+def _linear_grads(grad, x, weight):
+    """The input and weight gradients of ``tensor.linear`` with a
+    path-stacked weight [P, K, M], formed as its backward forms them."""
+    p, k, m = weight.shape
+    g3 = grad.reshape(p, -1, m)
+    gx = (g3 @ weight.swapaxes(-1, -2)).reshape(x.shape)
+    return gx, x.reshape(p, -1, k).swapaxes(-1, -2) @ g3
 
 
 # -- benchmark -------------------------------------------------------------------

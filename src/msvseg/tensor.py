@@ -39,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 __all__ = [
-    "Tensor", "NonFiniteError", "no_grad", "record_op", "constant",
+    "Tensor", "NonFiniteError", "no_grad", "check_finite", "record_op", "constant",
     "linear", "depthwise_conv2d", "merge_kernels", "conv2d",
     "normalize", "softmax_channels",
     "relu", "silu", "gelu", "softplus", "exp", "log",
@@ -284,6 +284,14 @@ def _coerce(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
+def check_finite(data: np.ndarray, name: str) -> np.ndarray:
+    """``data``, after raising NonFiniteError naming op ``name`` if it holds
+    NaN or Inf while finite checks are on."""
+    if _finite_checks and not np.isfinite(data).all():
+        raise NonFiniteError(f"op '{name}' produced non-finite values")
+    return data
+
+
 def record_op(out_data, parents, backward_fn, name: str) -> Tensor:
     """Create the output tensor of an op, recording ``backward_fn`` when needed.
 
@@ -292,9 +300,7 @@ def record_op(out_data, parents, backward_fn, name: str) -> Tensor:
     shape or flag: whatever it holds lives until its backward has run.
     Every forward result is checked for non-finite values.
     """
-    if _finite_checks and not np.isfinite(out_data).all():
-        raise NonFiniteError(f"op '{name}' produced non-finite values")
-    out = Tensor(out_data)
+    out = Tensor(check_finite(out_data, name))
     if _grad_enabled:
         nodes = tuple(p._node for p in parents)
         if any(node is not None for node in nodes):
@@ -409,10 +415,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, s, 1.0 - s)
 
 
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + e^x), stable for large |x|."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def softplus(a: Tensor) -> Tensor:
-    # log(1 + e^x), stable for large |x|
     a_in = a.data
-    out = np.maximum(a_in, 0.0) + np.log1p(np.exp(-np.abs(a_in)))
+    out = _softplus(a_in)
 
     def backward(grad):
         # d/dx softplus = sigmoid(x), formed only when a gradient is asked for
@@ -519,10 +529,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(f"linear: weight {weight.data.shape} needs input [{paths[0]}, ..., {k}], "
                          f"got {x.data.shape}")
     x3 = x.data.reshape(paths + (-1, k))
-    out3 = x3 @ weight.data
-    if bias is not None:
-        out3 = _add_into(out3, bias.data[..., None, :])
-    out = out3.reshape(x.data.shape[:-1] + (m,))
+    out = _linear(x.data, weight.data, None if bias is None else bias.data)
     x_shape, has_bias = x.shape, bias is not None
     # x is read only for the weight's gradient and the weight only for x's
     x_in = x3 if weight.requires_grad else None
@@ -537,7 +544,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         return (gx, gw, gb) if has_bias else (gx, gw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return record_op(np.ascontiguousarray(out), parents, backward, "linear")
+    return record_op(out, parents, backward, "linear")
+
+
+def _linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """linear's output on arrays, contiguous."""
+    paths = weight.shape[:-2]
+    k, m = weight.shape[-2:]
+    out3 = x.reshape(paths + (-1, k)) @ weight
+    if bias is not None:
+        out3 = _add_into(out3, bias[..., None, :])
+    return np.ascontiguousarray(out3.reshape(x.shape[:-1] + (m,)))
 
 
 def _maps(x: np.ndarray, name: str) -> np.ndarray:

@@ -1,10 +1,15 @@
-"""Shared brute-force oracles, independent of the library's compute paths."""
+"""Shared brute-force oracles, independent of the library's compute paths, and
+a count of the arrays a recorded graph holds for backward."""
 
+import collections
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+
+from msvseg.tensor import Tensor
 
 
 def dwconv_bruteforce(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -147,6 +152,58 @@ def ce_scalar_oracle(logits: np.ndarray, mask: np.ndarray) -> float:
             lse = m + math.log(sum(math.exp(v - m) for v in col))
             total += lse - col[mask[i, j]]
     return total / (h * w)
+
+
+def _base(arr: np.ndarray) -> np.ndarray:
+    """The array that owns ``arr``'s memory."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def held_bytes(out, params=()) -> collections.Counter:
+    """Bytes of the distinct arrays that the backward closures of ``out``'s
+    recorded graph hold, by op name, besides the data of ``params``.
+
+    Walks every node once and each closure's cells, following tensors to
+    their data and nested functions, tuples and lists to their contents.
+    Arrays count once by the buffer that owns them, so views of one buffer
+    count once, under the first op found holding it.
+    """
+    skip = {id(_base(p.data)) for p in params}
+    counted = set()
+    by_op = collections.Counter()
+    nodes, seen, stack = [], set(), [out._node]
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node.parents)
+
+    def visit(obj, op, done):
+        if id(obj) in done:
+            return
+        done.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            base = _base(obj)
+            if id(base) not in counted and id(base) not in skip:
+                counted.add(id(base))
+                by_op[op] += base.nbytes
+        elif isinstance(obj, Tensor):
+            visit(obj.data, op, done)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                visit(cell.cell_contents, op, done)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                visit(item, op, done)
+
+    for node in nodes:
+        if node.backward is not None:
+            visit(node.backward, node.op, set())
+    return by_op
 
 
 @pytest.fixture

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corrupt_bytes
-from msvseg.data import (AugmentConfig, SegSample, _rotate_image, _rotate_mask, augment,
-                         gen_synthetic_dataset, load_dataset, save_dataset)
+from msvseg.data import (AugmentConfig, SegSample, _class_palette, _palette_separation,
+                         _rotate_image, _rotate_mask, augment, gen_synthetic_dataset,
+                         load_dataset, save_dataset)
 from msvseg.serial import save_tensor
 from msvseg.tensor import Rng, Tensor
 
@@ -51,6 +52,31 @@ class TestGenerator:
     def test_too_few_classes_rejected(self):
         with pytest.raises(ValueError):
             gen_synthetic_dataset(1, 1, 32, Rng(0))
+
+    # two 32x32 samples, images then masks per sample, recorded before the
+    # palette's separation shrank above nine classes: the benchmark's 4- and
+    # 9-class data must not move
+    @pytest.mark.parametrize("classes,seed,digest", [
+        (4, 0, "5ddcbcbd3746000a1e9921beebaac5d794cb2de4e70b9828ed4ec7e32657278c"),
+        (4, 1, "acd4a791e635006aae85692578ded40e5eacb05a25a6e54661450853e94badef"),
+        (9, 0, "c6f617420e47571ffed0df738b0eb95bd296a47f07cc966fcf42148368e8f365"),
+        (9, 1, "f53d6cf93f8c06ad1d2433c3df77febe3857b2376ce3d7788d9daf6c7d94981f"),
+    ])
+    def test_output_pinned_up_to_nine_classes(self, classes, seed, digest):
+        h = hashlib.sha256()
+        for s in gen_synthetic_dataset(2, classes, 32, Rng(seed)):
+            h.update(s.image.data.tobytes())
+            h.update(s.mask.tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("classes", [10, 13, 14, 20, 40])
+    def test_palettes_above_nine_classes_keep_their_separation(self, classes):
+        separation = _palette_separation(classes)
+        assert separation < _palette_separation(9)
+        for seed in range(4):
+            shades = _class_palette(Rng(seed).child(0xC01), classes)[1:]
+            gaps = np.linalg.norm(shades[:, None] - shades[None], axis=-1)
+            assert gaps[~np.eye(len(shades), dtype=bool)].min() > separation
 
 
 def _coins(seed):

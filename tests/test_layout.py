@@ -7,6 +7,7 @@ import collections
 import numpy as np
 import pytest
 
+from conftest import held_bytes
 from msvseg import scan, tensor
 from msvseg.gradcheck import _f64_params
 from msvseg.losses import total_loss
@@ -106,7 +107,10 @@ def test_toy_forward_and_loss_record_ten_transposes():
     assert counts["sqrt"] == 0
     # each subtraction is one op: softmax shift, CE shift, lse - picked, 1 - dice
     assert counts["sub"] == 4
-    assert counts["neg"] == 7  # A = -exp(A_log), once per scan
+    # each SS2D is one recorded op: its cross-scan, projections, softplus,
+    # A = -exp(A_log) and merge record nothing of their own
+    assert counts["neg"] == 0
+    assert counts["cross_scan"] == 0 and counts["cross_merge"] == 0 and counts["softplus"] == 0
     # each of the three decoder MS-FFNs merges its branch kernels and the
     # identity into one kernel: one depthwise conv, no branch adds
     assert counts["merge_kernels"] == 3
@@ -116,7 +120,7 @@ def test_toy_forward_and_loss_record_ten_transposes():
     # picks the true-class logit through the one-hot target: no re-stacking
     # or gather ops
     assert counts["stack"] == 0 and counts["take_flat"] == 0
-    assert sum(counts.values()) == 245
+    assert sum(counts.values()) == 182
 
 
 def test_toy_batch_of_eight_records_the_graph_of_one_image():
@@ -126,4 +130,21 @@ def test_toy_batch_of_eight_records_the_graph_of_one_image():
     assert counts["normalize"] == 33
     assert counts["selective_scan"] == 7
     assert counts["merge_kernels"] == 3
-    assert sum(counts.values()) == 245
+    assert sum(counts.values()) == 182
+
+
+# Distinct arrays, parameters aside, that the toy graph of a batch of eight
+# holds for backward: 38.9 MB when each SS2D recorded its cross-scan,
+# projections, softplus and exp/neg as ops of their own (the four-path copy,
+# the dt pre-activation and delta stayed alive), 27.2 MB with SS2D as one op
+# that keeps only its input map and the scan's block-entry states.
+TOY_HELD_MB_BOUND = 33.0
+
+
+def test_toy_graph_holds_less_than_the_bound_at_backward():
+    model = build_model(TOY_PRESET, Rng(0))
+    img = Tensor(Rng(1).random((8, 3, 64, 64)).astype(np.float32))
+    mask = Rng(2).integers(0, 4, (8, 64, 64)).astype(np.int32)
+    loss = total_loss(model.forward(img), mask, TOY_PRESET.alpha)
+    by_op = held_bytes(loss, model.parameters())
+    assert sum(by_op.values()) / 2 ** 20 < TOY_HELD_MB_BOUND, by_op

@@ -1,11 +1,12 @@
 """AdamW and the cosine schedule against scalar references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from msvseg.optim import AdamW, cosine_lr
+from msvseg.optim import ADAM_BETAS, ADAM_EPS, AdamW, cosine_lr
 from msvseg.tensor import Rng, Tensor
 
 
@@ -63,6 +64,46 @@ class TestAdamW:
             p.grad = g.copy()
             opt.step(lr)
         assert np.max(np.abs(p.data - ref)) <= 1e-12
+
+    def test_decayed_steps_equal_the_expression_form_bit_for_bit(self):
+        # each update as one expression per moment and one for the
+        # parameter, every temporary a fresh array
+        rng = Rng(3)
+        shapes = [(4, 5, 6), (7,), (3, 3)]
+        params = [Tensor(rng.normal(s).astype(np.float32), requires_grad=True) for s in shapes]
+        ref = [p.data.copy() for p in params]
+        m = [np.zeros_like(r) for r in ref]
+        v = [np.zeros_like(r) for r in ref]
+        lr, wd, (b1, b2), eps = 3e-3, 0.05, ADAM_BETAS, ADAM_EPS
+        opt = AdamW(params, weight_decay=wd)
+        for t in range(1, 6):
+            grads = [rng.normal(s).astype(np.float32) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step(lr)
+            for i, g in enumerate(grads):
+                ref[i] *= 1.0 - lr * wd
+                m[i] = m[i] * b1 + (1.0 - b1) * g
+                v[i] = v[i] * b2 + (1.0 - b2) * (g * g)
+                ref[i] -= lr * (m[i] / (1.0 - b1 ** t)) / (np.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
+        for p, r in zip(params, ref):
+            assert p.data.dtype == np.float32 and np.array_equal(p.data, r)
+
+    def test_step_allocates_no_parameter_sized_temporaries(self):
+        params = [param(Rng(i).normal((256, 256))) for i in range(3)]
+        for i, p in enumerate(params):
+            p.grad = Rng(10 + i).normal(p.data.shape)
+        opt = AdamW(params, weight_decay=0.01)
+        opt.step(1e-3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            opt.step(1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the expression form peaks at three temporaries of one parameter
+        assert peak - base < params[0].data.nbytes // 4
 
     def test_none_grad_treated_as_zero(self):
         p = Tensor(np.ones(3), dtype=np.float64, requires_grad=True)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scan_scalar_loop
+from conftest import held_bytes, scan_scalar_loop
 from msvseg import scan as S
 from msvseg import tensor as T
 from msvseg.gradcheck import _f64_params
@@ -392,6 +392,17 @@ def _ss2d_oracle(ss, fmap):
     return out
 
 
+def _composed_ss2d(ss, fmap):
+    """SS2D recorded as the engine ops it is made of: cross-scan, the dt, B
+    and C projections, softplus, A = -exp(A_log), the scan op and the merge."""
+    h, w = fmap.data.shape[-3:-1]
+    seqs = cross_scan(fmap)
+    delta = T.softplus(T.linear(T.linear(seqs, ss.w_dt_down), ss.w_dt_up, ss.dt_bias))
+    y = S._scan_op(seqs, delta, -T.exp(ss.a_log), T.linear(seqs, ss.w_b), T.linear(seqs, ss.w_c),
+                   ss.skip)
+    return cross_merge(y, h, w)
+
+
 class TestSS2D:
     def test_parameters_are_four_one_path_sets_stacked(self):
         c, n, rank = 5, 3, S.dt_rank(5)
@@ -431,6 +442,49 @@ class TestSS2D:
             results.append([y.data] + [t.grad for t in [fmap] + params])
         for got, ref in zip(*results):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5, 4, 6), (2, 9, 8, 3)])
+    def test_one_op_equals_the_composed_ops_bit_for_bit(self, shape, dtype):
+        ss = SS2D(Rng(45), channels=shape[-1], n_state=4)
+        params = _f64_params(ss, jitter_rng=Rng(46))
+        for p in params:
+            p.data = p.data.astype(dtype)
+        fmap = Tensor(Rng(47).normal(shape), dtype=dtype, requires_grad=True)
+        weight = Tensor(Rng(48).normal(shape), dtype=dtype)
+        results = []
+        for run in (ss, lambda f: _composed_ss2d(ss, f)):
+            for t in [fmap] + params:
+                t.grad = None
+            y = run(fmap)
+            T.tsum(T.mul(y, weight)).backward()
+            results.append([y.data] + [t.grad for t in [fmap] + params])
+        for got, ref in zip(*results):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_op_keeps_only_its_map_and_block_states(self):
+        b, h, w, c, n = 2, 6, 7, 3, 4
+        ss = SS2D(Rng(49), channels=c, n_state=n)
+        fmap = Tensor(Rng(50).normal((b, h, w, c)).astype(np.float32), requires_grad=True)
+        y = ss(fmap)
+        assert y._node.op == "selective_scan" and len(y._node.parents) == 8
+        blocks = -(-h * w // S.SCAN_BLOCK)
+        carries = 4 * b * blocks * n * c * 4
+        assert sum(held_bytes(y, ss.parameters()).values()) == fmap.data.nbytes + carries
+
+    @pytest.mark.parametrize("name,op", [("dt_bias", "linear"), ("a_log", "exp"),
+                                         ("w_c", "linear"), ("skip", "selective_scan")])
+    def test_non_finite_step_names_its_op(self, name, op):
+        ss = SS2D(Rng(51), channels=2, n_state=3)
+        getattr(ss, name).data[...] = {"a_log": 1e3}.get(name, np.inf)
+        fmap = Tensor(Rng(52).normal((3, 4, 2)).astype(np.float32), requires_grad=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(T.NonFiniteError, match=f"op '{op}' produced"):
+                ss(fmap)
+        fmap.data[0, 0, 0] = np.nan
+        with pytest.raises(T.NonFiniteError, match="op 'cross_scan' produced"):
+            ss(fmap)
+
     def test_zero_input_zero_output(self):
         ss = SS2D(Rng(18), channels=3, n_state=4)
         y = ss(Tensor(np.zeros((4, 4, 3))))
