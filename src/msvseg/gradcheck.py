@@ -20,7 +20,7 @@ from .blocks import (
 )
 from .losses import ce_loss, dice_loss, total_loss
 from .model import ModelConfig, build_model
-from .scan import SS2D, _scan_op
+from .scan import SS2D
 from .tensor import Rng, Tensor, finite_diff_grad_check
 
 __all__ = ["CheckResult", "run_gradient_suite", "OP_TOL", "BLOCK_TOL", "MODEL_TOL"]
@@ -110,8 +110,7 @@ def _op_cases(seed: int):
     bn_inputs = [_t(r.child(33), (2, 4, 4, 3))] + _f64_params(bn, jitter_rng=r.child(34))
     yield "op.batch_norm2d_batched", OP_TOL, (lambda xb, *_: _square_sum(bn(xb))), bn_inputs
 
-    for name, fn in (("silu", T.silu), ("gelu", T.gelu), ("relu", T.relu),
-                     ("softplus", T.softplus)):
+    for name, fn in (("silu", T.silu), ("gelu", T.gelu), ("relu", T.relu)):
         # crc32, not hash(): str hashes are salted per process (PYTHONHASHSEED)
         xa = _t(r.child(20 + zlib.crc32(name.encode()) % 100), (3, 5), away_from_zero=True)
         yield f"op.{name}", TIGHT_TOL, (lambda xa, fn=fn: _square_sum(fn(xa))), [xa]
@@ -119,7 +118,6 @@ def _op_cases(seed: int):
     xs1 = _t(r.child(30), (4, 3))
     xs2 = _t(r.child(31), (3,))
     yield "op.sub", TIGHT_TOL, (lambda xs1, xs2: _square_sum(xs1 - xs2) + _square_sum(xs2 - xs1)), [xs1, xs2]
-    yield "op.neg", TIGHT_TOL, (lambda xs1, xs2: _square_sum(-xs1 * xs2)), [xs1, xs2]
 
     xp = _t(r.child(13), (4, 3), positive=True)
     yield "op.log", TIGHT_TOL, (lambda xp: _square_sum(T.log(xp))), [xp]
@@ -132,17 +130,6 @@ def _op_cases(seed: int):
         return T.tsum(T.mul(T.softmax_channels(xs), T.constant(ww.data, like=xs)))
 
     yield "op.softmax_channels", OP_TOL, softmax_fn, [xs]
-
-    # the scan op on two paths of two sequences each, [2, 2, L, C], so that
-    # repeating A and D per sequence and summing their gradients back per
-    # path are checked too; delta > 0 and A < 0, as the model feeds them
-    xq = _t(r.child(19), (2, 2, 6, 3))
-    dq = _t(r.child(37), (2, 2, 6, 3), positive=True)
-    aq = _t(r.child(38), (2, 3, 4), positive=True)
-    aq.data = -aq.data
-    bq, cq = _t(r.child(39), (2, 2, 6, 4)), _t(r.child(40), (2, 2, 6, 4))
-    sq = _t(r.child(41), (2, 3))
-    yield "op.selective_scan", OP_TOL, (lambda *args: _square_sum(_scan_op(*args))), [xq, dq, aq, bq, cq, sq]
 
     ss = SS2D(Rng(seed + 3), channels=3, n_state=4)
     fm = _t(r.child(21), (4, 5, 3))

@@ -24,9 +24,9 @@ same after an H<->W swap, and the two reverse paths are flips of those.  Each
 path is scanned with its own parameters, then restored and summed.  Each
 parameter quantity of the four paths is one stacked [4, ...] tensor (A_log
 [4, C, N], the B projection [4, C, N], ...), so projecting the stacked
-sequences is one batched matmul per quantity.  The scan op folds the leading
-batch axes into its row axis: [4, B, L, C] runs as P = 4B rows, path p's
-parameters repeated for each of its B maps.
+sequences is one batched matmul per quantity.  The recurrence folds the
+leading batch axes into its row axis: [4, B, L, C] runs as P = 4B rows,
+path p's parameters repeated for each of its B maps.
 
 The recurrence streams in blocks of SCAN_BLOCK time steps
 in time-major buffers, [T, P, N, C] with C contiguous, so each step of the
@@ -37,11 +37,11 @@ y_t = <C_t, h_t> as a batched [1, N] @ [N, C] matmul.  The op's inputs and
 outputs stay [P, L, ·]; each block reads and writes them through [T, P, ·]
 views, so no whole-sequence transpose is made.  It keeps only the state
 entering each block, [ceil(L/T), P, N, C], instead of the full history h
-and Abar, 2 x [P, L, C, N].  Backward (``_stacked_scan_backward``, which
-SS2D and the recorded op ``_scan_op`` both call) walks the blocks in reverse,
-recomputes each block's Abar, Bbar*x and h from its saved state with the
-forward's own functions (so bit-identical to the forward's states), runs the
-reverse recurrence over that block, and takes its sums over N or C as batched
+and Abar, 2 x [P, L, C, N].  Backward (``_stacked_scan_backward``, whose one
+recorded caller is SS2D) walks the blocks in reverse, recomputes each
+block's Abar, Bbar*x and h from its saved state with the forward's own
+functions (so bit-identical to the forward's states), runs the reverse
+recurrence over that block, and takes its sums over N or C as batched
 matmuls and its sums over time and against A as einsums.
 _scan_forward_core/_scan_backward_core keep the full history and stay as the
 reference the streamed op is tested against.  Both read out with a matmul,
@@ -269,23 +269,6 @@ def _stacked_scan_backward(grad, x, delta, a, b, c_out, skip, carries, block):
             g_b.reshape(b.shape), g_c.reshape(c_out.shape), g_skip)
 
 
-def _scan_op(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c_out: Tensor,
-             skip: Tensor) -> Tensor:
-    """``_stacked_scan`` recorded as one op, shapes as there.  Streams the
-    recurrence in blocks of SCAN_BLOCK steps, read at call time, and keeps
-    only the state entering each block for backward.
-    """
-    inputs = (x, delta, a, b, c_out, skip)
-    block = SCAN_BLOCK
-    y, carries = _stacked_scan(*(t.data for t in inputs), block)
-
-    def backward(grad):
-        # reads inputs through their tensors so the closure holds only carries
-        return _stacked_scan_backward(grad, *(t.data for t in inputs), carries, block)
-
-    return record_op(y, inputs, backward, "selective_scan")
-
-
 # -- 2D cross scan --------------------------------------------------------------
 
 def _paths(fmap: np.ndarray) -> np.ndarray:
@@ -345,9 +328,7 @@ class SS2D(Module):
     A forward records one op, "selective_scan", whose node keeps the input
     map, the seven parameters and the recurrence's block-entry states, and
     nothing of the four-path copy, the projections or delta: backward
-    recomputes those from the map and the parameters.  Outputs and
-    gradients are bit-identical to those of the cross-scan, linear,
-    softplus, exp, neg, scan and merge ops it replaced.
+    recomputes those from the map and the parameters.
     """
 
     def __init__(self, rng: Rng, channels: int, n_state: int = 16):
@@ -376,10 +357,10 @@ class SS2D(Module):
 
     def forward(self, fmap: Tensor) -> Tensor:
         """Runs the cross-scan, the projections, softplus, A = -exp(A_log),
-        the streamed recurrence and the merge on arrays, in the order the
-        composed ops ran, checking each result for non-finite values under
-        that op's name.  Backward adds the four contributions to the paths'
-        gradient in the order the graph walk added them: scan, dt, B, C."""
+        the streamed recurrence and the merge on arrays, checking each
+        result for non-finite values under that step's name.  Backward adds
+        the four contributions to the paths' gradient in the order scan, dt,
+        B, C."""
         fm = fmap.data
         h, w = fm.shape[-3:-1]
         params = (self.a_log, self.skip, self.w_b, self.w_c, self.w_dt_down, self.w_dt_up,
@@ -391,7 +372,7 @@ class SS2D(Module):
         dt_low = check_finite(_linear(seqs, w_down), "linear")
         delta = check_finite(_softplus(check_finite(_linear(dt_low, w_up, dt_bias), "linear")),
                              "softplus")
-        a = check_finite(-check_finite(np.exp(a_log), "exp"), "neg")
+        a = -check_finite(np.exp(a_log), "exp")
         b = check_finite(_linear(seqs, w_b), "linear")
         c_out = check_finite(_linear(seqs, w_c), "linear")
         y, carries = _stacked_scan(seqs, delta, a, b, c_out, skip, block)
@@ -437,7 +418,7 @@ _GATE_CHANNELS = 8
 
 
 def run_scan_benchmark(lengths, n_state: int, channels: int, seed: int) -> list[dict]:
-    """Time the streamed scan op, at the model's block length SCAN_BLOCK,
+    """Time the streamed recurrence, at the model's block length SCAN_BLOCK,
     against the sequential reference in float32, over the four stacked paths
     of SS2D.
 
@@ -450,7 +431,7 @@ def run_scan_benchmark(lengths, n_state: int, channels: int, seed: int) -> list[
     paths = 4
 
     def streamed(arrays):
-        return _scan_op(*map(Tensor, arrays)).data
+        return _stacked_scan(*arrays, SCAN_BLOCK)[0]
 
     rows = []
     for length in lengths:

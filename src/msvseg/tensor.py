@@ -42,7 +42,7 @@ __all__ = [
     "Tensor", "NonFiniteError", "no_grad", "check_finite", "record_op", "constant",
     "linear", "depthwise_conv2d", "merge_kernels", "conv2d",
     "normalize", "softmax_channels",
-    "relu", "silu", "gelu", "softplus", "exp", "log",
+    "relu", "silu", "gelu", "exp", "log",
     "tsum", "tmean", "reshape", "transpose",
     "Module", "Rng", "finite_diff_grad_check",
 ]
@@ -268,9 +268,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
 
 def constant(data, like: Tensor | None = None) -> Tensor:
     """A non-recorded tensor, dtype-matched to ``like`` when given."""
@@ -355,13 +352,6 @@ def sub(a: Tensor, b) -> Tensor:
     return record_op(out, (a, b), backward, "sub")
 
 
-def neg(a: Tensor) -> Tensor:
-    def backward(grad):
-        return (-grad,)
-
-    return record_op(-a.data, (a,), backward, "neg")
-
-
 def mul(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
     out = a.data * b.data
@@ -420,17 +410,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def softplus(a: Tensor) -> Tensor:
-    a_in = a.data
-    out = _softplus(a_in)
-
-    def backward(grad):
-        # d/dx softplus = sigmoid(x), formed only when a gradient is asked for
-        return (grad * _sigmoid(a_in),)
-
-    return record_op(out, (a,), backward, "softplus")
-
-
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
 
@@ -442,12 +421,12 @@ def relu(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    a_in = a.data
-    sig = _sigmoid(a_in)
-    out = a_in * sig
+    sig = _sigmoid(a.data)
+    out = a.data * sig
 
     def backward(grad):
-        return (grad * (sig + a_in * sig * (1.0 - sig)),)
+        # keeps the output, which the next op usually holds too, not the input
+        return (grad * (sig + out * (1.0 - sig)),)
 
     return record_op(out, (a,), backward, "silu")
 

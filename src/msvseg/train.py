@@ -41,8 +41,14 @@ class TrainConfig:
     stop_dsc: float | None = None
 
     def validate(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        size = self.augment.target_size
+        if size is not None and (len(size) != 2 or min(size) < 1):
+            raise ValueError("target_size must be none or two positive integers, "
+                             f"got {','.join(map(str, size))}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.eval_every < 1:
             raise ValueError("batch_size, max_epochs and eval_every must be >= 1")
         if self.max_steps is not None and self.max_steps < 1:

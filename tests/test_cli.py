@@ -72,6 +72,18 @@ class TestExitCodes:
         assert "max_steps" in capsys.readouterr().err
         assert not (tmp_path / "checkpoint.msvc").exists()
 
+    @pytest.mark.parametrize("item", ["train.lr=nan", "train.lr=inf", "train.lr=0",
+                                      "train.weight_decay=nan", "train.weight_decay=-5",
+                                      "train.augment.target_size=64",
+                                      "train.augment.target_size=0,0",
+                                      "train.augment.target_size=32,32,32"])
+    def test_invalid_train_value_names_its_key(self, item, dataset_dir, tmp_path, capsys):
+        assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
+                    "--set", item]) == 1
+        key = item.partition("=")[0].rpartition(".")[2]
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.msvc").exists()
+
     @pytest.mark.parametrize("item", ["model.state_size=0", "model.base_channels=0",
                                       "model.input_size=0,0", "model.input_size=64",
                                       "model.input_size=64,64,64"])

@@ -1,17 +1,23 @@
 """Channels-last activation layout: equivalence with the channels-first
-model it replaced, and a guard on the recorded graph: no transpose pairs or
-composed norms coming back."""
+model it replaced, and guards on the recorded graph: no transpose pairs or
+composed norms coming back, and no engine op that the model stopped using."""
 
+import ast
 import collections
+import contextlib
+import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import held_bytes
 from msvseg import scan, tensor
+from msvseg.blocks import _UPSAMPLERS
 from msvseg.gradcheck import _f64_params
 from msvseg.losses import total_loss
-from msvseg.model import TOY_PRESET, ModelConfig, build_model
+from msvseg.model import _DECODER_BLOCKS, TOY_PRESET, ModelConfig, build_model
 from msvseg.tensor import Rng, Tensor
 
 # Recorded with the last channels-first implementation ([C, H, W] activations,
@@ -71,29 +77,78 @@ def test_matches_channels_first_model(upsampler):
     assert abs(projection - ref_projection) <= 1e-12 * abs(ref_projection)
 
 
-def _toy_op_counts(lead=()):
-    """Recorded ops, by name, of one toy forward plus loss over images of
-    leading shape ``lead``."""
+@contextlib.contextmanager
+def _recorded_ops():
+    """Counts the ops recorded inside the block by (module, function that
+    called ``record_op``, op name)."""
     counts = collections.Counter()
     originals = {module: module.record_op for module in (tensor, scan)}
 
     def counting(record_op):
         def counted(out_data, parents, backward_fn, name):
-            counts[name] += 1
+            caller = sys._getframe(1)
+            counts[caller.f_globals["__name__"], caller.f_code.co_name, name] += 1
             return record_op(out_data, parents, backward_fn, name)
         return counted
 
     for module, record_op in originals.items():
         module.record_op = counting(record_op)
     try:
+        yield counts
+    finally:
+        for module, record_op in originals.items():
+            module.record_op = record_op
+
+
+def _toy_op_counts(lead=()):
+    """Recorded ops, by name, of one toy forward plus loss over images of
+    leading shape ``lead``."""
+    with _recorded_ops() as sites:
         model = build_model(TOY_PRESET, Rng(0))
         img = Tensor(Rng(1).random(lead + (3, 64, 64)).astype(np.float32))
         mask = Rng(2).integers(0, 4, lead + (64, 64)).astype(np.int32)
         total_loss(model.forward(img), mask, TOY_PRESET.alpha)
-    finally:
-        for module, record_op in originals.items():
-            module.record_op = record_op
+    counts = collections.Counter()
+    for (_, _, name), n in sites.items():
+        counts[name] += n
     return counts
+
+
+def _record_op_sites(module):
+    """(module, function, op name) of every ``record_op`` call in the
+    module's source that names its op with a literal."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    sites = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        # calls in fn's own body, not in the functions nested in it
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "record_op"
+                    and isinstance(node.args[-1], ast.Constant)):
+                sites.add((module.__name__, fn.name, node.args[-1].value))
+            todo.extend(ast.iter_child_nodes(node))
+    return sites
+
+
+def test_every_engine_op_is_recorded_by_the_model():
+    # cross_scan and cross_merge stay for the acceptance module, which calls them
+    kept = {(scan.__name__, name, name) for name in ("cross_scan", "cross_merge")}
+    with _recorded_ops() as used:
+        for upsampler, block in itertools.product(sorted(_UPSAMPLERS), sorted(_DECODER_BLOCKS)):
+            cfg = ModelConfig(base_channels=8, stage_depths=(1, 1, 1, 1), num_classes=3,
+                              input_size=(32, 32), state_size=4, upsampler=upsampler,
+                              decoder_block=block)
+            img = Tensor(Rng(6).random((3, 32, 32)).astype(np.float32))
+            mask = Rng(7).integers(0, 3, (32, 32)).astype(np.int32)
+            total_loss(build_model(cfg, Rng(5)).forward(img), mask, cfg.alpha)
+    sites = _record_op_sites(tensor) | _record_op_sites(scan)
+    assert len(sites) > 15, sites
+    assert sites - kept - set(used) == set()
 
 
 def test_toy_forward_and_loss_record_ten_transposes():
@@ -109,8 +164,7 @@ def test_toy_forward_and_loss_record_ten_transposes():
     assert counts["sub"] == 4
     # each SS2D is one recorded op: its cross-scan, projections, softplus,
     # A = -exp(A_log) and merge record nothing of their own
-    assert counts["neg"] == 0
-    assert counts["cross_scan"] == 0 and counts["cross_merge"] == 0 and counts["softplus"] == 0
+    assert counts["cross_scan"] == 0 and counts["cross_merge"] == 0
     # each of the three decoder MS-FFNs merges its branch kernels and the
     # identity into one kernel: one depthwise conv, no branch adds
     assert counts["merge_kernels"] == 3

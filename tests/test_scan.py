@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from conftest import held_bytes, scan_scalar_loop
 from msvseg import scan as S
@@ -84,8 +85,8 @@ class TestDiscretize:
 class TestSequentialScan:
     def test_zero_input_zero_output(self):
         x, *rest = _raw_scan_inputs(2, 2, 6, 3, 4)
-        y = S._scan_op(*[Tensor(v, dtype=np.float64) for v in [np.zeros_like(x)] + rest])
-        assert np.array_equal(y.data, np.zeros_like(x))
+        y, _ = S._stacked_scan(np.zeros_like(x), *rest, BLOCK)
+        assert np.array_equal(y, np.zeros_like(x))
 
     def test_degenerate_cumulative_sum(self):
         # Abar=1, Bbar*x=x, C=1, D=0 reduces the recurrence to a cumsum
@@ -97,7 +98,7 @@ class TestSequentialScan:
 
     def test_matches_scalar_loop_oracle(self):
         rows, stacked = _two_paths_of_two(4, 7, 2, 3)
-        y = S._scan_op(*[Tensor(v, dtype=np.float64) for v in stacked]).data.reshape(4, 7, 2)
+        y = S._stacked_scan(*stacked, BLOCK)[0].reshape(4, 7, 2)
         for r in range(4):
             expected = scan_scalar_loop(*(v[r] for v in rows))
             assert np.max(np.abs(y[r] - expected)) < 1e-12
@@ -105,34 +106,29 @@ class TestSequentialScan:
     def test_gradients_match_fd(self):
         _, stacked = _two_paths_of_two(6, 5, 2, 3)
         inputs = [Tensor(v, dtype=np.float64, requires_grad=True) for v in stacked]
-        assert finite_diff_grad_check(_scan_square_sum, inputs) <= 1e-4
+        assert finite_diff_grad_check(_scan_square_sum(BLOCK), inputs) <= 1e-4
 
 
 class TestChunkedScan:
     @pytest.mark.parametrize("block", [1, 2, 7, 64, 40])
-    def test_matches_sequential(self, block, monkeypatch):
-        monkeypatch.setattr(S, "SCAN_BLOCK", block)
+    def test_matches_sequential(self, block):
         arrays = _raw_scan_inputs(8, 1, 40, 3, 4)
-        y = S._scan_op(*[Tensor(v, dtype=np.float64) for v in arrays])
+        y, _ = S._stacked_scan(*arrays, block)
         y_seq, _, _ = S._scan_forward_core(*arrays)
-        assert np.max(np.abs(y.data - y_seq)) <= 1e-12 * np.max(np.abs(y_seq))
+        assert np.max(np.abs(y - y_seq)) <= 1e-12 * np.max(np.abs(y_seq))
 
     @pytest.mark.parametrize("chunk", [1, 2, 7])
-    def test_chunked_reference_is_the_streamed_op(self, chunk, monkeypatch):
+    def test_chunked_reference_is_the_streamed_op(self, chunk):
         # the blocked-versus-sequential contract checks the recurrence the model runs
         arrays = _raw_scan_inputs(8, 2, 40, 3, 4)
         y_chunked, h, abar = S._scan_forward_core(*arrays, chunk)
         assert h is None and abar is None
-        monkeypatch.setattr(S, "SCAN_BLOCK", chunk)
-        y = S._scan_op(*[Tensor(v, dtype=np.float64) for v in arrays])
-        assert np.array_equal(y_chunked, y.data)
+        assert np.array_equal(y_chunked, S._stacked_scan(*arrays, chunk)[0])
 
-    def test_chunk_one_is_exact(self, monkeypatch):
+    def test_chunk_one_is_exact(self):
         # block length 1 and the model's block give bit-identical outputs
-        tensors = [Tensor(v, dtype=np.float64) for v in _raw_scan_inputs(10, 1, 12, 2, 2)]
-        y_model = S._scan_op(*tensors).data
-        monkeypatch.setattr(S, "SCAN_BLOCK", 1)
-        assert np.array_equal(S._scan_op(*tensors).data, y_model)
+        arrays = _raw_scan_inputs(10, 1, 12, 2, 2)
+        assert np.array_equal(S._stacked_scan(*arrays, 1)[0], S._stacked_scan(*arrays, BLOCK)[0])
 
     @given(st.integers(min_value=1, max_value=96), st.integers(min_value=2, max_value=96))
     @settings(max_examples=30, deadline=None)
@@ -181,29 +177,40 @@ def _two_paths_of_two(seed, length, c, n):
     return rows, (x2, d2, a, b2, c2, skip)
 
 
-def _scan_square_sum(*args):
-    y = S._scan_op(*args)
-    return T.tsum(T.mul(y, y))
+def _scan_square_sum(block):
+    """Sum of squares of the streamed recurrence's output at ``block`` steps
+    per block, the recurrence recorded as an op so that the finite-difference
+    checker can differentiate it."""
+    def fn(*inputs):
+        y, carries = S._stacked_scan(*(t.data for t in inputs), block)
+
+        def backward(grad):
+            return S._stacked_scan_backward(grad, *(t.data for t in inputs), carries, block)
+
+        y = T.record_op(y, inputs, backward, "streamed_scan")
+        return T.tsum(T.mul(y, y))
+    return fn
 
 
 BLOCK = S.SCAN_BLOCK
 
 
 class TestStreamedScan:
-    """The autodiff op against the full-history reference pair."""
+    """The streamed forward and backward pair against the full-history
+    reference pair."""
 
     @staticmethod
-    def _check_against_core(arrays):
-        y = S._scan_op(*[Tensor(v, dtype=np.float64, requires_grad=True) for v in arrays])
+    def _check_against_core(arrays, block=BLOCK):
+        y, carries = S._stacked_scan(*arrays, block)
         y_ref, h, abar = S._scan_forward_core(*arrays)
         # the matmul readout sums over N in another order than the reference
-        assert np.max(np.abs(y.data - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
+        assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
         grad_y = Rng(y_ref.size).normal(y_ref.shape)
         expected = S._scan_backward_core(grad_y, *arrays, h, abar)
-        for g, ref in zip(y._node.backward(grad_y), expected):
+        for g, ref in zip(S._stacked_scan_backward(grad_y, *arrays, carries, block), expected):
             assert g.shape == ref.shape
             assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
-        return y.data
+        return y
 
     # around the first and the second block boundary, and several blocks plus a partial one
     @pytest.mark.parametrize("length", [1, BLOCK - 1, BLOCK, BLOCK + 1,
@@ -215,53 +222,41 @@ class TestStreamedScan:
             _raw_scan_inputs(length * 97 + p * 11 + c * 3 + n, p, length, c, n))
 
     @pytest.mark.parametrize("block", [1, 7, 200])
-    def test_block_length_changes_no_result(self, block, monkeypatch):
-        monkeypatch.setattr(S, "SCAN_BLOCK", block)
-        self._check_against_core(_raw_scan_inputs(31, 2, 50, 3, 4))
+    def test_block_length_changes_no_result(self, block):
+        self._check_against_core(_raw_scan_inputs(31, 2, 50, 3, 4), block)
 
     def test_backward_keeps_only_block_boundary_state(self):
         p, length, c, n = 4, 3 * BLOCK + 5, 3, 4
-        arrays = _raw_scan_inputs(33, p, length, c, n)
-        y = S._scan_op(*[Tensor(v, dtype=np.float64, requires_grad=True) for v in arrays])
-        held = [cell.cell_contents for cell in y._node.backward.__closure__
-                if isinstance(cell.cell_contents, np.ndarray)]
-        assert held, "the closure should keep the block-start states"
-        for arr in held:
-            assert not (arr.ndim == 4 and arr.shape[1] == length), arr.shape
-        n_blocks = -(-length // BLOCK)
-        assert sum(arr.nbytes for arr in held) == p * n_blocks * c * n * 8
+        _, carries = S._stacked_scan(*_raw_scan_inputs(33, p, length, c, n), BLOCK)
+        assert carries.shape == (-(-length // BLOCK), p, n, c)
 
-    def test_chunked_gradients_match_fd(self, monkeypatch):
-        monkeypatch.setattr(S, "SCAN_BLOCK", 2)
+    def test_chunked_gradients_match_fd(self):
         _, stacked = _two_paths_of_two(34, 9, 2, 3)
         inputs = [Tensor(v, dtype=np.float64, requires_grad=True) for v in stacked]
-        assert finite_diff_grad_check(_scan_square_sum, inputs) <= 1e-4
+        assert finite_diff_grad_check(_scan_square_sum(2), inputs) <= 1e-4
 
     @pytest.mark.parametrize("p", [1, 4])
     def test_inputs_left_unchanged(self, p):
         # at P = 1 the [L, P, ·] view of an input is the input itself
         arrays = _raw_scan_inputs(40 + p, p, 3 * BLOCK + 5, 3, 4)
-        tensors = [Tensor(v, dtype=np.float64, requires_grad=True) for v in arrays]
-        y = S._scan_op(*tensors)
-        y._node.backward(Rng(42).normal(y.data.shape))
-        for t, original in zip(tensors, arrays):
-            assert np.array_equal(t.data, original)
+        originals = [v.copy() for v in arrays]
+        y, carries = S._stacked_scan(*arrays, BLOCK)
+        S._stacked_scan_backward(Rng(42).normal(y.shape), *arrays, carries, BLOCK)
+        for v, original in zip(arrays, originals):
+            assert np.array_equal(v, original)
 
 
 class TestStreamedScanRandomShapes:
-    """The op the model runs, on 200 seeded random shapes and block lengths."""
+    """The recurrence the model runs, on 200 seeded random shapes and block
+    lengths."""
 
     @pytest.mark.parametrize("case", range(200))
-    def test_matches_full_history_core(self, case, monkeypatch):
+    def test_matches_full_history_core(self, case):
         rng = Rng(5000 + case)
         p, length = int(rng.integers(1, 5)), int(rng.integers(1, 513))
         c, n = int(rng.integers(1, 9)), int(rng.integers(1, 17))
-        monkeypatch.setattr(S, "SCAN_BLOCK", int(rng.integers(1, length + 2)))
-        arrays = _raw_scan_inputs(case, p, length, c, n)
-        y = TestStreamedScan._check_against_core(arrays)
-        with no_grad():
-            y_inference = S._scan_op(*[Tensor(v, dtype=np.float64) for v in arrays])
-        assert np.array_equal(y_inference.data, y)
+        block = int(rng.integers(1, length + 2))
+        TestStreamedScan._check_against_core(_raw_scan_inputs(case, p, length, c, n), block)
 
 
 class TestCrossScan:
@@ -347,6 +342,17 @@ def _core_op(x, delta, a, b, c_out, skip):
     return T.record_op(y[0], (x, delta, a, b, c_out, skip), backward, "oracle_scan")
 
 
+def _softplus(a):
+    """Oracle softplus, log(1 + e^x) as np.logaddexp(0, x), recorded as an op
+    whose backward multiplies by the logistic function."""
+    z = a.data
+
+    def backward(grad):
+        return (grad * special.expit(z),)
+
+    return T.record_op(np.logaddexp(0.0, z), (a,), backward, "oracle_softplus")
+
+
 def _gather(a, flat_index):
     """Oracle gather: out.flat[i] = a.flat[flat_index.flat[i]], recorded as an
     op whose backward scatter-adds."""
@@ -384,23 +390,12 @@ def _ss2d_oracle(ss, fmap):
         p = {name: _path(getattr(ss, name), i) for name in SCAN_QUANTITIES}
         idx = perm[:, None] * c + np.arange(c)[None, :]  # seq[t, ch] = fmap[..., ch].flat[perm[t]]
         seq = _gather(fmap, idx)
-        delta = T.softplus(T.linear(T.linear(seq, p["w_dt_down"]), p["w_dt_up"]) + p["dt_bias"])
+        delta = _softplus(T.linear(T.linear(seq, p["w_dt_down"]), p["w_dt_up"]) + p["dt_bias"])
         a = T.mul(T.exp(p["a_log"]), -1.0)
         y = _core_op(seq, delta, a, T.linear(seq, p["w_b"]), T.linear(seq, p["w_c"]), p["skip"])
         restored = _gather(y, np.argsort(idx.ravel()).reshape(h, w, c))
         out = restored if out is None else out + restored
     return out
-
-
-def _composed_ss2d(ss, fmap):
-    """SS2D recorded as the engine ops it is made of: cross-scan, the dt, B
-    and C projections, softplus, A = -exp(A_log), the scan op and the merge."""
-    h, w = fmap.data.shape[-3:-1]
-    seqs = cross_scan(fmap)
-    delta = T.softplus(T.linear(T.linear(seqs, ss.w_dt_down), ss.w_dt_up, ss.dt_bias))
-    y = S._scan_op(seqs, delta, -T.exp(ss.a_log), T.linear(seqs, ss.w_b), T.linear(seqs, ss.w_c),
-                   ss.skip)
-    return cross_merge(y, h, w)
 
 
 class TestSS2D:
@@ -442,25 +437,6 @@ class TestSS2D:
             results.append([y.data] + [t.grad for t in [fmap] + params])
         for got, ref in zip(*results):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(5, 4, 6), (2, 9, 8, 3)])
-    def test_one_op_equals_the_composed_ops_bit_for_bit(self, shape, dtype):
-        ss = SS2D(Rng(45), channels=shape[-1], n_state=4)
-        params = _f64_params(ss, jitter_rng=Rng(46))
-        for p in params:
-            p.data = p.data.astype(dtype)
-        fmap = Tensor(Rng(47).normal(shape), dtype=dtype, requires_grad=True)
-        weight = Tensor(Rng(48).normal(shape), dtype=dtype)
-        results = []
-        for run in (ss, lambda f: _composed_ss2d(ss, f)):
-            for t in [fmap] + params:
-                t.grad = None
-            y = run(fmap)
-            T.tsum(T.mul(y, weight)).backward()
-            results.append([y.data] + [t.grad for t in [fmap] + params])
-        for got, ref in zip(*results):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
     def test_op_keeps_only_its_map_and_block_states(self):
         b, h, w, c, n = 2, 6, 7, 3, 4
@@ -506,8 +482,8 @@ class TestSS2D:
         fmap = Rng(22).normal((3, 4, 2))
         seqs = np.stack([fmap[::-1, ::-1].reshape(-1, 2), fmap.reshape(-1, 2)[::-1]])
         delta, a, b, c_out, skip = _projected(ss, 0, seqs)
-        y = S._scan_op(*[Tensor(v[None], dtype=np.float64) for v in (seqs, delta, a, b, c_out, skip)])
-        fwd_on_flipped, rev_on_original = y.data[0]
+        y, _ = S._stacked_scan(*(v[None] for v in (seqs, delta, a, b, c_out, skip)), BLOCK)
+        fwd_on_flipped, rev_on_original = y[0]
         assert np.max(np.abs(fwd_on_flipped - rev_on_original)) <= 1e-12
 
     def test_gradient_matches_fd(self):
@@ -528,23 +504,24 @@ class TestBenchmark:
             assert row["wall_ns"] > 0
 
     def test_gate_aborts_on_a_deviating_streamed_op(self, monkeypatch):
-        real_op = S._scan_op
-        monkeypatch.setattr(S, "_scan_op", lambda *args: T.mul(real_op(*args), 1.0 + 1e-9))
+        real_scan = S._stacked_scan
+        monkeypatch.setattr(S, "_stacked_scan",
+                            lambda *args: (real_scan(*args)[0] * (1.0 + 1e-9), None))
         with pytest.raises(AssertionError, match="benchmark gate failed"):
             run_scan_benchmark(lengths=(64,), n_state=4, channels=2, seed=3)
 
     def test_gate_checks_every_channel_group(self, monkeypatch):
         # 18 channels span several reference groups, the last one partial; a
         # 1e-9 relative deviation on the last channel alone must trip the gate
-        real_op = S._scan_op
+        real_scan = S._stacked_scan
 
         def last_channel_off(*args):
-            y = real_op(*args).data.copy()
+            y, carries = real_scan(*args)
             y[..., -1] *= 1.0 + 1e-9
-            return Tensor(y)
+            return y, carries
 
         run_scan_benchmark(lengths=(64,), n_state=4, channels=18, seed=3)
-        monkeypatch.setattr(S, "_scan_op", last_channel_off)
+        monkeypatch.setattr(S, "_stacked_scan", last_channel_off)
         with pytest.raises(AssertionError, match="benchmark gate failed"):
             run_scan_benchmark(lengths=(64,), n_state=4, channels=18, seed=3)
 
