@@ -19,11 +19,11 @@ from .config import (apply_overrides, build_configs, config_to_text, parse_kv_te
                      preset_model_config)
 from .data import gen_synthetic_dataset, load_dataset, save_dataset
 from .gradcheck import run_gradient_suite
-from .model import (ModelConfig, build_model, count_flops, count_params,
+from .model import (ModelConfig, VSSUNet, build_model, count_flops, count_params,
                     export_stage_features)
 from .scan import run_scan_benchmark
 from .serial import load_checkpoint, save_checkpoint
-from .tensor import NonFiniteError, Rng
+from .tensor import NonFiniteError, Rng, deferred_fills
 from .train import TrainConfig, evaluate, train_loop
 
 # published full-model reference for the tiny encoder at 224x224 (diagnostic only)
@@ -45,7 +45,9 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="override the configured seed")
     p.add_argument("--out-dir", default="out", help="directory for artifacts")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (only 1 is implemented; higher values warn)")
+                   help="step workers: threads that run training and evaluation steps (only 1 "
+                        "is implemented; higher values warn). Parameter initialisation uses "
+                        "the available CPUs whatever this says")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,10 +113,17 @@ def _load_configs(args) -> tuple[ModelConfig, TrainConfig]:
     return model_cfg, train_cfg
 
 
+def _undrawn_model(model_cfg: ModelConfig) -> VSSUNet:
+    """The module tree with its parameters allocated and their draws
+    discarded, for a caller that overwrites or only counts them."""
+    with deferred_fills():
+        return VSSUNet(model_cfg, Rng(0))
+
+
 def _restore_model(checkpoint_path):
     config_text, tensors = load_checkpoint(checkpoint_path)
     model_cfg, _ = build_configs(parse_kv_text(config_text))
-    model = build_model(model_cfg, Rng(0))
+    model = _undrawn_model(model_cfg)  # every parameter is overwritten below
     names = [n for n, _ in model.named_parameters()]
     missing = [n for n in names if n not in tensors]
     extra = [n for n in tensors if n not in names]
@@ -251,7 +260,7 @@ def _cmd_export_features(args) -> int:
 
 def _cmd_count(args) -> int:
     model_cfg, _ = _load_configs(args)
-    model = build_model(model_cfg, Rng(0))
+    model = _undrawn_model(model_cfg)
     params = count_params(model)
     flops = count_flops(model)
     h, w = model_cfg.input_size
@@ -287,7 +296,7 @@ def main(argv=None) -> int:
         if args.threads < 1:
             print("error: --threads must be >= 1", file=sys.stderr)
             return 1
-        print("note: within-op parallelism is not implemented; running single-threaded",
+        print("note: step workers are not implemented; steps run single-threaded",
               file=sys.stderr)
     try:
         return _COMMANDS[args.command](args)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Module, Rng, Tensor, no_grad
+from .tensor import Module, Rng, Tensor, deferred_fills, fill_workers, no_grad
 from .blocks import (
     _UPSAMPLERS, DWCONV_KERNEL, FFN_EXPAND, BlockConfig, FLKPE, MSVSSBlock, PatchEmbed, PatchMerge,
     VSSBlock, make_upsampler,
@@ -151,7 +151,12 @@ class VSSUNet(Module):
 
 
 def build_model(cfg: ModelConfig, rng: Rng) -> VSSUNet:
-    return VSSUNet(cfg, rng)
+    """``VSSUNet(cfg, rng)`` with its parameter draws run on ``fill_workers()``
+    threads; every parameter is bit-identical to the serial build's."""
+    with deferred_fills() as pending:
+        model = VSSUNet(cfg, rng)
+    pending.run(fill_workers())
+    return model
 
 
 def count_params(model: VSSUNet) -> int:

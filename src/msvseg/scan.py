@@ -61,7 +61,7 @@ import time
 import numpy as np
 
 from .tensor import (Module, Rng, Tensor, _linear, _sigmoid, _softplus, check_finite, init_ones,
-                     record_op)
+                     record_op, schedule_fill, trunc_normal_draw, uniform_draw)
 
 __all__ = ["dt_rank", "cross_scan", "cross_merge", "SS2D", "run_scan_benchmark"]
 
@@ -335,25 +335,29 @@ class SS2D(Module):
         rngs = [rng.child(i) for i in range(4)]
         rank = dt_rank(channels)
 
-        def per_path(draw):
-            return Tensor(np.stack([draw(r) for r in rngs]).astype(np.float32), requires_grad=True)
+        def per_path(stream, shape, draw, bound=None):
+            # path i's slice is filled from rngs[i].child(stream)
+            param = Tensor(np.empty((len(rngs), *shape), np.float32), requires_grad=True)
+            for r, out in zip(rngs, param.data):
+                schedule_fill(r.child(stream), out, draw, bound)
+            return param
 
         self.a_log = Tensor(
             np.tile(np.log(np.arange(1, n_state + 1, dtype=np.float32)), (len(rngs), channels, 1)),
             requires_grad=True)
         self.skip = init_ones((len(rngs), channels))
-        self.w_b = per_path(lambda r: r.child(1).trunc_normal((channels, n_state), 0.02))
-        self.w_c = per_path(lambda r: r.child(2).trunc_normal((channels, n_state), 0.02))
-        self.w_dt_down = per_path(lambda r: r.child(3).trunc_normal((channels, rank), 0.02))
+        self.w_b = per_path(1, (channels, n_state), *trunc_normal_draw(0.02))
+        self.w_c = per_path(2, (channels, n_state), *trunc_normal_draw(0.02))
+        self.w_dt_down = per_path(3, (channels, rank), *trunc_normal_draw(0.02))
         bound = rank ** -0.5
-        self.w_dt_up = per_path(lambda r: r.child(4).uniform(-bound, bound, (rank, channels)))
+        self.w_dt_up = per_path(4, (rank, channels), uniform_draw(-bound, bound))
 
-        def dt_bias(r):
+        def dt_bias(r, n):
             # softplus(dt_bias) lands in [1e-3, 1e-1], log-uniform
-            dt = np.exp(r.child(5).uniform(math.log(1e-3), math.log(1e-1), channels))
+            dt = np.exp(r.uniform(math.log(1e-3), math.log(1e-1), n))
             return np.log(np.expm1(dt))
 
-        self.dt_bias = per_path(dt_bias)
+        self.dt_bias = per_path(5, (channels,), dt_bias)
 
     def forward(self, fmap: Tensor) -> Tensor:
         """Runs the cross-scan, the projections, softplus, A = -exp(A_log),

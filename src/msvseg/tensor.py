@@ -30,8 +30,11 @@ and by default glibc returns them to the kernel and faults them in again.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -434,7 +437,11 @@ def silu(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     # exact Gaussian-CDF form: x * Phi(x), no tanh approximation
     a_in = a.data
-    phi_cdf = 0.5 * (1.0 + special.erf(a_in / math.sqrt(2.0)))
+    # Phi = 0.5 * (1 + erf(x / sqrt(2))), each step in place in one buffer
+    phi_cdf = np.divide(a_in, math.sqrt(2.0))
+    special.erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
     out = a_in * phi_cdf
 
     def backward(grad):
@@ -778,23 +785,125 @@ class Rng:
 
     def trunc_normal(self, shape, std: float = 1.0):
         """Normal samples rejected outside two standard deviations."""
-        out = self._gen.normal(0.0, std, shape)
-        bad = np.abs(out) > 2.0 * std
-        while bad.any():
-            out[bad] = self._gen.normal(0.0, std, int(bad.sum()))
-            bad = np.abs(out) > 2.0 * std
-        return out
+        return fill_draws(self, np.empty(shape), *trunc_normal_draw(std))
 
 
 # -- parameter initializers --------------------------------------------------------
+#
+# Every drawn parameter is filled by ``fill_draws`` from a generator of its
+# own.  Philox is counter-based and no two fills share a generator, so the
+# fills can run in any order, on any thread, and give the same bytes.
+
+FILL_CHUNK = 1 << 16    # values per draw of a fill: its float64 scratch is 512 KiB
+FILL_WORKER_CAP = 8     # most threads ``PendingFills.run`` starts
+
+
+def trunc_normal_draw(std: float):
+    """(draw, bound) of a normal(0, std) fill rejected outside two std."""
+    return (lambda rng, n: rng.normal(n, 0.0, std)), 2.0 * std
+
+
+def uniform_draw(low: float, high: float):
+    return lambda rng, n: rng.uniform(low, high, n)
+
+
+def fill_draws(rng: Rng, out: np.ndarray, draw, bound: float | None = None) -> np.ndarray:
+    """Write ``draw(rng, n)`` float64 values into ``out`` in flat order,
+    ``FILL_CHUNK`` at a time, casting each chunk as it lands.
+
+    With ``bound``, a value with |x| > bound (tested before the cast) is
+    redrawn, the rejected flat indices in ascending order, until none remain.
+    A stream is consumed exactly as by one full-size draw followed by
+    whole-array rejection passes, so the values do not depend on the chunk.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("fill_draws: out must be C-contiguous")
+    flat = out.reshape(-1)
+    rejected = []
+    for start in range(0, flat.size, FILL_CHUNK):
+        values = draw(rng, min(FILL_CHUNK, flat.size - start))
+        flat[start:start + values.size] = values
+        if bound is not None:
+            rejected.append(start + np.flatnonzero(np.abs(values) > bound))
+    redo = np.concatenate(rejected) if rejected else np.empty(0, np.intp)
+    while redo.size:
+        values = draw(rng, redo.size)
+        flat[redo] = values
+        redo = redo[np.abs(values) > bound]
+    return out
+
+
+def fill_workers() -> int:
+    """Threads for a batch of fills: the CPUs this process may run on, capped."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, FILL_WORKER_CAP))
+
+
+class PendingFills:
+    """The fills scheduled inside a ``deferred_fills`` block, not yet run."""
+
+    def __init__(self):
+        self.fills = []           # (size, fill)
+        self._generators = set()  # ids; the pending fills keep the generators alive
+
+    def add(self, rng: Rng, fill, size: int):
+        if id(rng._gen) in self._generators:
+            raise RuntimeError("two parameter fills draw from one generator, so their "
+                               "values would depend on which runs first")
+        self._generators.add(id(rng._gen))
+        self.fills.append((size, fill))
+
+    def run(self, workers: int):
+        """Run every fill on at most ``workers`` threads, largest first.  Each
+        thread is joined before this returns, also when a fill raises."""
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            for job in [pool.submit(fill) for _, fill in sorted(self.fills, key=lambda f: -f[0])]:
+                job.result()
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+_deferred = threading.local()
+
+
+@contextmanager
+def deferred_fills():
+    """Collect the parameter fills scheduled inside the block, on this
+    thread, into the ``PendingFills`` it yields instead of running them."""
+    outer = getattr(_deferred, "fills", None)
+    _deferred.fills = pending = PendingFills()
+    try:
+        yield pending
+    finally:
+        _deferred.fills = outer
+
+
+def schedule_fill(rng: Rng, out: np.ndarray, draw, bound: float | None = None):
+    """``fill_draws(rng, out, draw, bound)``, run now or, inside
+    ``deferred_fills``, by whoever runs the pending fills."""
+    fill = functools.partial(fill_draws, rng, out, draw, bound)
+    pending = getattr(_deferred, "fills", None)
+    if pending is None:
+        fill()
+    else:
+        pending.add(rng, fill, out.size)
+
+
+def init_drawn(rng: Rng, shape, draw, bound: float | None = None) -> Tensor:
+    """A float32 parameter filled by ``schedule_fill``."""
+    param = Tensor(np.empty(shape, np.float32), requires_grad=True)
+    schedule_fill(rng, param.data, draw, bound)
+    return param
+
 
 def init_trunc_normal(rng: Rng, shape, std: float = 0.02) -> Tensor:
-    return Tensor(rng.trunc_normal(shape, std).astype(np.float32), requires_grad=True)
+    return init_drawn(rng, shape, *trunc_normal_draw(std))
 
 
 def init_kaiming_uniform(rng: Rng, shape, fan_in: int) -> Tensor:
     bound = math.sqrt(6.0 / fan_in)
-    return Tensor(rng.uniform(-bound, bound, shape).astype(np.float32), requires_grad=True)
+    return init_drawn(rng, shape, uniform_draw(-bound, bound))
 
 
 def init_zeros(shape) -> Tensor:

@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError("batch_size, max_epochs and eval_every must be >= 1")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1 or none, got {self.max_steps}")
+        if self.stop_dsc is not None and not 0.0 <= self.stop_dsc <= 1.0:
+            raise ValueError(f"stop_dsc must be none or a value in [0, 1], got {self.stop_dsc}")
         return self
 
 

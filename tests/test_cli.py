@@ -9,10 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from msvseg import tensor
 from msvseg.cli import _build_parser, main
 from msvseg.config import config_to_text
-from msvseg.model import ModelConfig
+from msvseg.data import load_dataset
+from msvseg.model import ModelConfig, build_model
 from msvseg.serial import load_checkpoint, load_tensor, save_checkpoint, save_tensor
+from msvseg.tensor import Rng
+from msvseg.train import evaluate
 
 
 def run(args):
@@ -76,7 +80,9 @@ class TestExitCodes:
                                       "train.weight_decay=nan", "train.weight_decay=-5",
                                       "train.augment.target_size=64",
                                       "train.augment.target_size=0,0",
-                                      "train.augment.target_size=32,32,32"])
+                                      "train.augment.target_size=32,32,32",
+                                      "train.stop_dsc=nan", "train.stop_dsc=5",
+                                      "train.stop_dsc=-0.1"])
     def test_invalid_train_value_names_its_key(self, item, dataset_dir, tmp_path, capsys):
         assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
                     "--set", item]) == 1
@@ -231,6 +237,35 @@ class TestArtifacts:
             assert run(["eval", "--checkpoint", str(trained_dir / "checkpoint.msvc"),
                         "--data", str(dataset_dir), "--out-dir", str(d)]) == 0
         assert (a_dir / "metrics.txt").read_bytes() == (b_dir / "metrics.txt").read_bytes()
+
+    def test_eval_restores_without_drawing(self, trained_dir, dataset_dir, tmp_path,
+                                           monkeypatch):
+        assert run(["eval", "--checkpoint", str(trained_dir / "checkpoint.msvc"),
+                    "--data", str(dataset_dir), "--out-dir", str(tmp_path / "a")]) == 0
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("restoring a checkpoint drew initial values")
+
+        for name in ("normal", "uniform", "random", "integers", "permutation", "trunc_normal"):
+            monkeypatch.setattr(tensor.Rng, name, no_draw)
+        monkeypatch.setattr(tensor, "fill_draws", no_draw)
+        for command in ("eval", "export-features"):
+            assert run([command, "--checkpoint", str(trained_dir / "checkpoint.msvc"),
+                        "--data", str(dataset_dir), "--out-dir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "metrics.txt").read_bytes() == \
+            (tmp_path / "b" / "metrics.txt").read_bytes()
+
+    def test_eval_metrics_equal_the_trained_model(self, dataset_dir, tmp_path):
+        # the restored model evaluates exactly as the one that wrote the checkpoint
+        cfg = ModelConfig()
+        built = build_model(cfg, Rng(14))
+        ckpt = tmp_path / "built.msvc"
+        save_checkpoint(ckpt, config_to_text(cfg), [(n, p.data) for n, p in built.named_parameters()])
+        samples, _ = load_dataset(dataset_dir)
+        report = evaluate(built, samples, alpha=cfg.alpha)
+        assert run(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+                    "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "metrics.txt").read_text() == "\n".join(report.lines()) + "\n"
 
     def test_eval_truncated_checkpoint_is_invalid_input(self, trained_dir, dataset_dir, tmp_path):
         truncated = tmp_path / "truncated.msvc"

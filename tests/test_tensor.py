@@ -1,6 +1,7 @@
 """Tensor engine: op examples, gradient oracles, graph semantics."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from conftest import dwconv_bruteforce, dwconv_per_tap
 from msvseg import tensor as T
@@ -261,6 +263,32 @@ class TestActivations:
         x = np.linspace(-3, 3, 13)
         y = T.gelu(Tensor(x, dtype=np.float64)).data
         assert np.allclose(y, x * norm.cdf(x), atol=1e-12)
+
+    @staticmethod
+    def _composed_gelu(a):
+        # the composed form gelu's in-place forward replaced
+        a_in = a.data
+        phi_cdf = 0.5 * (1.0 + special.erf(a_in / math.sqrt(2.0)))
+        return T.record_op(a_in * phi_cdf, (a,), lambda grad: (grad * phi_cdf,), "gelu")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_forward_equals_the_composed_form(self, dtype):
+        x = np.concatenate([Rng(56).normal((4096,)) * 4.0, [0.0, -0.0, 1e-30, -40.0, 40.0]])
+        x = Tensor(x, dtype=dtype)
+        got, expected = T.gelu(x).data, self._composed_gelu(x).data
+        assert got.dtype == expected.dtype == dtype and np.array_equal(got, expected)
+
+    def test_toy_logits_equal_the_composed_gelu(self, monkeypatch):
+        from msvseg import blocks
+        from msvseg.model import ModelConfig, build_model
+
+        model = build_model(ModelConfig(), Rng(57))
+        img = Tensor(Rng(58).random((2, 3, 64, 64)).astype(np.float32))
+        with T.no_grad():
+            got = model(img).data
+            monkeypatch.setattr(blocks, "gelu", self._composed_gelu)
+            expected = model(img).data
+        assert got.dtype == np.float32 and np.array_equal(got, expected)
 
     @pytest.mark.parametrize("kind", ["silu", "gelu", "relu"])
     def test_gradients_match_fd(self, kind):

@@ -167,6 +167,10 @@ class TestTrainLoop:
             TrainConfig(max_steps=max_steps).validate()
         TrainConfig(max_steps=None).validate()  # bounded by max_epochs
 
+    @pytest.mark.parametrize("stop_dsc", [None, 0.0, 1.0])
+    def test_stop_dsc_bounds_are_valid(self, stop_dsc):
+        TrainConfig(stop_dsc=stop_dsc).validate()
+
     def test_max_epochs_bounds_an_unbounded_step_count(self):
         # 3 samples in batches of 2: two steps per epoch, the second a partial batch
         samples = gen_synthetic_dataset(3, 4, 32, Rng(6))
