@@ -115,7 +115,7 @@ def _load_configs(args) -> tuple[ModelConfig, TrainConfig]:
 
 def _undrawn_model(model_cfg: ModelConfig) -> VSSUNet:
     """The module tree with its parameters allocated and their draws
-    discarded, for a caller that overwrites or only counts them."""
+    discarded, for a caller that replaces or only counts them."""
     with deferred_fills():
         return VSSUNet(model_cfg, Rng(0))
 
@@ -123,7 +123,7 @@ def _undrawn_model(model_cfg: ModelConfig) -> VSSUNet:
 def _restore_model(checkpoint_path):
     config_text, tensors = load_checkpoint(checkpoint_path)
     model_cfg, _ = build_configs(parse_kv_text(config_text))
-    model = _undrawn_model(model_cfg)  # every parameter is overwritten below
+    model = _undrawn_model(model_cfg)  # every parameter is replaced below
     names = [n for n, _ in model.named_parameters()]
     missing = [n for n in names if n not in tensors]
     extra = [n for n in tensors if n not in names]
@@ -134,9 +134,10 @@ def _restore_model(checkpoint_path):
             raise ValueError(f"checkpoint tensor {name} has shape {tensors[name].shape}, "
                              f"expected {p.data.shape}")
         with np.errstate(over="ignore"):  # a float64 value beyond float32 range becomes inf
-            p.data[...] = tensors[name]
-        if not np.isfinite(p.data).all():
-            raise ValueError(f"checkpoint tensor {name} has non-finite values as {p.data.dtype}")
+            arr = tensors[name].astype(p.data.dtype, copy=False)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint tensor {name} has non-finite values as {arr.dtype}")
+        p.data = arr  # adopt the loaded array: the parameters are held once
     return model, model_cfg
 
 
@@ -194,7 +195,8 @@ def _cmd_eval(args) -> int:
     model, model_cfg = _restore_model(args.checkpoint)
     samples, num_classes = load_dataset(args.data)
     if num_classes != model_cfg.num_classes:
-        raise ValueError("dataset class count does not match the checkpointed model")
+        raise ValueError(f"dataset has {num_classes} classes but the checkpointed model "
+                         f"expects {model_cfg.num_classes}")
     with _restored_forward(args.checkpoint):
         report = evaluate(model, samples, alpha=model_cfg.alpha)
     text = "\n".join(report.lines()) + "\n"

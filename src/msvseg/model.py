@@ -21,10 +21,10 @@ import numpy as np
 
 from .tensor import Module, Rng, Tensor, deferred_fills, fill_workers, no_grad
 from .blocks import (
-    _UPSAMPLERS, DWCONV_KERNEL, FFN_EXPAND, BlockConfig, FLKPE, MSVSSBlock, PatchEmbed, PatchMerge,
-    VSSBlock, make_upsampler,
+    _UPSAMPLERS, BlockConfig, DepthwiseConv2d, FLKPE, Linear, MSVSSBlock, PatchEmbed, PatchMerge,
+    UpsampleConv, VSSBlock, make_upsampler,
 )
-from .scan import dt_rank
+from .scan import SS2D
 
 __all__ = ["ModelConfig", "FeatureBundle", "VSSUNet", "build_model",
            "count_params", "count_flops", "export_stage_features",
@@ -165,61 +165,46 @@ def count_params(model: VSSUNet) -> int:
 
 # -- analytic FLOP accounting --------------------------------------------------------
 
-def _scan_block_macs(length: int, channels: int, state_size: int,
-                     ffn_kernels: tuple[int, ...]) -> int:
-    """Multiply-adds of one scan block on a ``length``-pixel map whose FFN
-    adds depthwise convolutions of ``ffn_kernels`` (``()``: a plain MLP)."""
-    inner = 2 * channels
-    rank = dt_rank(inner)
-    macs = length * channels * inner                     # proj_in
-    macs += inner * DWCONV_KERNEL ** 2 * length          # depthwise conv
-    # delta/B/C projections
-    per_path = length * (inner * rank + rank * inner + 2 * inner * state_size)
-    per_path += length * state_size * inner              # scan recurrence convention
-    macs += 4 * per_path
-    macs += length * inner * channels                    # proj_out
-    hidden = channels * FFN_EXPAND
-    macs += length * channels * hidden                   # ffn expand
-    macs += sum(hidden * k * k * length for k in ffn_kernels)
-    macs += length * hidden * channels                   # ffn reduce
-    return macs
-
-
-def _upsampler_macs(kind: str, length: int, channels: int) -> int:
-    if kind == "lkpe":
-        return length * channels * 2 * channels + 2 * channels * DWCONV_KERNEL ** 2 * length
-    if kind in ("patch_expand", "transposed_conv"):
-        return length * channels * 2 * channels
-    if kind == "upsample_block":
-        return 4 * length * channels * (channels // 2) * 9
-    raise ValueError(kind)
+def _macs(module, pixels: int) -> int:
+    """Multiply-adds of ``module`` (a module, a list of modules or any other
+    attribute value) on a ``pixels``-pixel map: each element of a layer's
+    weight counts once per pixel at the resolution the layer runs at.  SS2D's
+    ``a_log`` [4, C, N] stands for the recurrence; norms, biases, ``skip`` and
+    ``dt_bias`` count nothing."""
+    if isinstance(module, Linear):
+        return pixels * module.weight.size
+    if isinstance(module, DepthwiseConv2d):
+        return pixels * module.kernel.size
+    if isinstance(module, UpsampleConv):
+        return 4 * pixels * module.weight.size
+    if isinstance(module, SS2D):
+        scan = (module.w_dt_down, module.w_dt_up, module.w_b, module.w_c, module.a_log)
+        return pixels * sum(p.size for p in scan)
+    if isinstance(module, PatchEmbed):
+        return _macs(module.proj, pixels // 16)
+    if isinstance(module, PatchMerge):
+        return _macs(module.proj, pixels // 4)
+    if isinstance(module, FLKPE):
+        return (_macs(module.expand, pixels) + _macs(module.dwconv, pixels)
+                + _macs(module.head, 16 * pixels))
+    if isinstance(module, Module):
+        return sum(_macs(value, pixels) for value in vars(module).values())
+    if isinstance(module, (list, tuple)):
+        return sum(_macs(item, pixels) for item in module)
+    return 0
 
 
 def count_flops(model: VSSUNet, input_size: tuple[int, int] | None = None) -> int:
     """FLOPs of the forward pass of one image, with 1 multiply-add = 2 FLOPs
     and the scan recurrence counted as L*N*C multiply-adds per path.  Norms,
     activations and residual additions are not counted."""
-    cfg = model.cfg
-    h, w = input_size or cfg.input_size
-    widths = cfg.stage_channels()
-    lengths = [(h // s) * (w // s) for s in (4, 8, 16, 32)]
-
-    macs = lengths[0] * 48 * widths[0]  # patch embedding
-    for i, (width, depth) in enumerate(zip(widths, cfg.stage_depths)):
-        if i > 0:
-            macs += lengths[i] * 4 * widths[i - 1] * width  # patch merge
-        macs += depth * _scan_block_macs(lengths[i], width, cfg.state_size, ())
-
-    dec = ((widths[3], lengths[3]), (widths[2], lengths[2]), (widths[1], lengths[1]))
-    ffn_kernels = cfg.kernel_set if cfg.decoder_block == "msvss" else ()
-    for width, length in dec:
-        macs += _upsampler_macs(cfg.upsampler, length, width)
-        macs += _scan_block_macs(length * 4, width // 2, cfg.state_size, ffn_kernels)
-
-    macs += lengths[0] * widths[0] * 16 * widths[0]                 # head expand
-    macs += 16 * widths[0] * DWCONV_KERNEL ** 2 * lengths[0]        # head depthwise
-    macs += 16 * lengths[0] * widths[0] * cfg.num_classes           # head 1x1
-    return 2 * macs
+    h, w = input_size or model.cfg.input_size
+    p1, p2, p3, p4 = (h * w // 16 // 4 ** i for i in range(4))
+    stages = ((model.patch_embed, h * w), (model.enc1, p1), (model.merge1, p1),
+              (model.enc2, p2), (model.merge2, p2), (model.enc3, p3), (model.merge3, p3),
+              (model.enc4, p4), (model.up1, p4), (model.dec1, p3), (model.up2, p3),
+              (model.dec2, p2), (model.up3, p2), (model.dec3, p1), (model.head, p1))
+    return 2 * sum(_macs(stage, pixels) for stage, pixels in stages)
 
 
 # -- feature export --------------------------------------------------------------------

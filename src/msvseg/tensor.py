@@ -502,31 +502,25 @@ def transpose(a: Tensor, axes) -> Tensor:
 # -- neural-net primitives ------------------------------------------------------
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """y[..., j] = sum_i x[..., i] * W[i, j] + b[j].
-
-    A weight [P, K, M] with a leading path axis maps a stacked input
-    [P, ..., K] path by path, with bias [P, M]: y[p] = x[p] @ W[p] + b[p].
-    """
-    paths = weight.data.shape[:-2]
-    k, m = weight.data.shape[-2:]
+    """y[..., j] = sum_i x[..., i] * W[i, j] + b[j], for a weight W [K, M]."""
+    if weight.data.ndim != 2:
+        raise ValueError(f"linear: weight must be [K, M], got {weight.data.shape}")
+    k, m = weight.data.shape
     if x.data.shape[-1] != k:
         raise ValueError(f"linear: trailing extent {x.data.shape[-1]} != weight rows {k}")
-    if paths and (x.data.ndim < 2 or x.data.shape[0] != paths[0]):
-        raise ValueError(f"linear: weight {weight.data.shape} needs input [{paths[0]}, ..., {k}], "
-                         f"got {x.data.shape}")
-    x3 = x.data.reshape(paths + (-1, k))
+    x2 = x.data.reshape(-1, k)
     out = _linear(x.data, weight.data, None if bias is None else bias.data)
     x_shape, has_bias = x.shape, bias is not None
     # x is read only for the weight's gradient and the weight only for x's
-    x_in = x3 if weight.requires_grad else None
+    x_in = x2 if weight.requires_grad else None
     w_in = weight.data if x.requires_grad else None
     b_grad = has_bias and bias.requires_grad
 
     def backward(grad):
-        g3 = grad.reshape(paths + (-1, m))
-        gx = (g3 @ w_in.swapaxes(-1, -2)).reshape(x_shape) if w_in is not None else None
-        gw = x_in.swapaxes(-1, -2) @ g3 if x_in is not None else None
-        gb = g3.sum(axis=-2) if b_grad else None
+        g2 = grad.reshape(-1, m)
+        gx = (g2 @ w_in.T).reshape(x_shape) if w_in is not None else None
+        gw = x_in.T @ g2 if x_in is not None else None
+        gb = g2.sum(axis=0) if b_grad else None
         return (gx, gw, gb) if has_bias else (gx, gw)
 
     parents = (x, weight) if bias is None else (x, weight, bias)

@@ -58,15 +58,6 @@ def test_layer_maps_every_leading_index_on_its_own(name):
         assert np.max(np.abs(batched[idx] - one)) <= 1e-12 * max(1.0, np.max(np.abs(one)))
 
 
-def test_path_stacked_linear_takes_leading_axes():
-    x, w, b = _k(21, (4, 2, 5, 3)), _k(22, (4, 3, 6)), _k(23, (4, 6))
-    y = T.linear(x, w, b).data
-    for p in range(4):
-        for i in range(2):
-            expected = x.data[p, i] @ w.data[p] + b.data[p]
-            assert np.max(np.abs(y[p, i] - expected)) <= 1e-12
-
-
 def test_one_hot_of_a_batch_stacks_the_planes():
     masks = Rng(24).integers(0, 3, LEAD + (4, 5))
     planes = one_hot(masks, 3)

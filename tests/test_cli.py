@@ -289,6 +289,36 @@ class TestArtifacts:
                     "--out-dir", str(tmp_path)]) == 1
         assert name in capsys.readouterr().err
 
+    def test_eval_f64_record_beyond_float32_is_invalid_input(self, trained_dir, dataset_dir,
+                                                              tmp_path, capsys):
+        text, tensors = load_checkpoint(trained_dir / "checkpoint.msvc")
+        name = next(iter(tensors))
+        tensors[name] = np.full(tensors[name].shape, 1e300)
+        ckpt = tmp_path / "f64.msvc"
+        save_checkpoint(ckpt, text, tensors.items())
+        assert run(["eval", "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+                    "--out-dir", str(tmp_path)]) == 1
+        assert f"checkpoint tensor {name} has non-finite values as float32" in \
+            capsys.readouterr().err
+
+    def test_restore_adopts_the_loaded_arrays(self, trained_dir, monkeypatch):
+        # f32 records become the parameters themselves: no second copy is held
+        from msvseg import cli as cli_mod
+        text, tensors = load_checkpoint(trained_dir / "checkpoint.msvc")
+        monkeypatch.setattr(cli_mod, "load_checkpoint", lambda path: (text, tensors))
+        model, _ = cli_mod._restore_model(trained_dir / "checkpoint.msvc")
+        for name, p in model.named_parameters():
+            assert p.data is tensors[name]
+
+    def test_eval_class_count_mismatch_names_both_counts(self, trained_dir, tmp_path, capsys):
+        data = tmp_path / "data3"
+        assert run(["gen-data", "--out-dir", str(data), "--n", "1", "--classes", "3",
+                    "--size", "64"]) == 0
+        assert run(["eval", "--checkpoint", str(trained_dir / "checkpoint.msvc"),
+                    "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "dataset has 3 classes but the checkpointed model expects 4" in \
+            capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("command", ["eval", "export-features"])
     def test_overflowing_checkpoint_is_invalid_input(self, trained_dir, dataset_dir,

@@ -208,6 +208,27 @@ class TestAccounting:
         model = build_model(cfg, Rng(0))
         assert (count_flops(model), count_params(model)) == (flops, params)
 
+    @pytest.mark.parametrize("kw, flops, params", [
+        (dict(upsampler="lkpe", decoder_block="msvss"), 26_984_448, 581_364),
+        (dict(upsampler="lkpe", decoder_block="vss"), 24_977_408, 565_684),
+        (dict(upsampler="patch_expand", decoder_block="msvss"), 26_855_424, 575_988),
+        (dict(upsampler="patch_expand", decoder_block="vss"), 24_848_384, 560_308),
+        (dict(upsampler="transposed_conv", decoder_block="msvss"), 26_855_424, 576_212),
+        (dict(upsampler="transposed_conv", decoder_block="vss"), 24_848_384, 560_532),
+        (dict(upsampler="upsample_block", decoder_block="msvss"), 33_146_880, 629_636),
+        (dict(upsampler="upsample_block", decoder_block="vss"), 31_139_840, 613_956),
+        (dict(stage_depths=(1, 2, 1, 2), kernel_set=(3, 5, 7), input_size=(64, 96)),
+         51_723_264, 885_300),
+        (dict(upsampler="upsample_block", stage_depths=(2, 1, 1, 3), kernel_set=(1, 3),
+              input_size=(96, 64), state_size=4), 53_302_272, 1_086_692),
+    ], ids=["lkpe-msvss", "lkpe-vss", "patch_expand-msvss", "patch_expand-vss",
+            "transposed_conv-msvss", "transposed_conv-vss", "upsample_block-msvss",
+            "upsample_block-vss", "depths1212-k357-64x96", "upsample_block-depths2113-96x64"])
+    def test_variant_counts_pinned(self, kw, flops, params):
+        # toy width; every upsampler and decoder block, and non-square maps
+        model = build_model(replace(TOY_PRESET, **kw), Rng(0))
+        assert (count_flops(model), count_params(model)) == (flops, params)
+
     # sha256 over every parameter's name and bytes: the initialization bit for
     # bit; a deliberate change of it re-records these
     @pytest.mark.parametrize("cfg, digest", [

@@ -39,31 +39,14 @@ class TestLinear:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             T.linear(randt(0, (4, 5)), randt(1, (4, 3)))
+        with pytest.raises(ValueError):  # a stacked [P, K, M] weight is not a linear layer's
+            T.linear(randt(46, (3, 5, 4)), randt(47, (3, 4, 2)))
 
     def test_gradients_match_fd(self):
         x, w, b = randt(2, (4, 8)), randt(3, (8, 3)), randt(4, (3,))
         err = finite_diff_grad_check(
             lambda x, w, b: T.tsum(T.mul(T.linear(x, w, b), T.linear(x, w, b))), [x, w, b])
         assert err <= 1e-6
-
-    def test_path_axis_maps_each_path_with_its_weight(self):
-        x, w, b = randt(40, (3, 5, 4)), randt(41, (3, 4, 2)), randt(42, (3, 2))
-        y = T.linear(x, w, b)
-        for p in range(3):
-            expected = T.linear(Tensor(x.data[p]), Tensor(w.data[p]), Tensor(b.data[p])).data
-            assert np.max(np.abs(y.data[p] - expected)) <= 1e-14
-
-    def test_path_axis_gradients_match_fd(self):
-        x, w, b = randt(43, (2, 4, 3)), randt(44, (2, 3, 5)), randt(45, (2, 5))
-        err = finite_diff_grad_check(
-            lambda x, w, b: T.tsum(T.mul(T.linear(x, w, b), T.linear(x, w, b))), [x, w, b])
-        assert err <= 1e-6
-
-    def test_path_count_mismatch(self):
-        with pytest.raises(ValueError):
-            T.linear(randt(46, (3, 5, 4)), randt(47, (2, 4, 2)))
-        with pytest.raises(ValueError):
-            T.linear(randt(48, (5, 4)), randt(49, (2, 4, 2)))
 
 
 class TestDepthwiseConv:
