@@ -27,7 +27,7 @@ __all__ = [
     "ChannelLayerNorm", "BatchNorm2d", "pixel_shuffle", "space_to_depth", "upsample_nearest2x",
     "SS2DBlock", "MultiScaleFFN", "MLPFFN", "MSVSSBlock", "VSSBlock",
     "PatchEmbed", "PatchMerge", "LKPE", "PatchExpand", "TransposedConvUp",
-    "UpsampleConv", "FLKPE", "make_upsampler",
+    "UpsampleConv", "FLKPE",
 ]
 
 
@@ -324,14 +324,6 @@ _UPSAMPLERS = {
     "transposed_conv": TransposedConvUp,
     "upsample_block": UpsampleConv,
 }
-
-
-def make_upsampler(kind: str, rng: Rng, channels: int) -> Module:
-    try:
-        cls = _UPSAMPLERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown upsampler '{kind}' (choose from {sorted(_UPSAMPLERS)})") from None
-    return cls(rng, channels)
 
 
 class FLKPE(Module):

@@ -102,11 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_configs(args) -> tuple[ModelConfig, TrainConfig]:
-    base_model = preset_model_config(getattr(args, "preset", "toy") or "toy")
-    kv = {}
-    if getattr(args, "config", None):
-        kv = parse_kv_text(Path(args.config).read_text())
-    kv = apply_overrides(kv, getattr(args, "set", []))
+    base_model = preset_model_config(args.preset)
+    kv = parse_kv_text(Path(args.config).read_text()) if args.config else {}
+    kv = apply_overrides(kv, args.set)
     model_cfg, train_cfg = build_configs(kv, model_base=base_model)
     if args.seed is not None:
         train_cfg.seed = args.seed
@@ -294,7 +292,7 @@ def main(argv=None) -> int:
     except _InvalidArgs as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "threads", 1) != 1:
+    if args.threads != 1:
         if args.threads < 1:
             print("error: --threads must be >= 1", file=sys.stderr)
             return 1

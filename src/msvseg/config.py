@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .data import AugmentConfig
-from .model import ModelConfig, TINY224_PRESET
+from .model import ModelConfig, TINY224_PRESET, TOY_PRESET
 from .train import TrainConfig
 
 __all__ = ["parse_kv_text", "build_configs", "config_to_text", "apply_overrides",
@@ -121,7 +121,7 @@ def config_to_text(model: ModelConfig) -> str:
 
 
 def preset_model_config(name: str) -> ModelConfig:
-    presets = {"toy": ModelConfig(), "tiny224": TINY224_PRESET}
+    presets = {"toy": TOY_PRESET, "tiny224": TINY224_PRESET}
     try:
         return replace(presets[name])
     except KeyError:

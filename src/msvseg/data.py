@@ -39,12 +39,15 @@ class SegSample:
     sample_id: str
 
     def validate(self, num_classes: int):
-        c, h, w = self.image.data.shape
-        if c != 3 or self.mask.shape != (h, w):
-            raise ValueError("image/mask extents do not match")
-        if self.mask.min() < 0 or self.mask.max() >= num_classes:
-            raise ValueError(f"mask ids must lie in [0, {num_classes})")
         img = self.image.data
+        if img.ndim != 3 or img.shape[0] != 3 or img.size == 0:
+            raise ValueError(f"sample {self.sample_id}: image must be [3, H, W] with H, W >= 1, "
+                             f"got {img.shape}")
+        if self.mask.shape != img.shape[1:]:
+            raise ValueError(f"sample {self.sample_id}: mask is {self.mask.shape} but the "
+                             f"image's [H, W] is {img.shape[1:]}")
+        if self.mask.min() < 0 or self.mask.max() >= num_classes:
+            raise ValueError(f"sample {self.sample_id}: mask ids must lie in [0, {num_classes})")
         if not np.isfinite(img).all():
             raise ValueError(f"sample {self.sample_id}: image has non-finite values")
         if img.min() < 0 or img.max() > 1:
@@ -150,8 +153,8 @@ class AugmentConfig:
     enabled: bool = False
 
     @classmethod
-    def all_on(cls, target_size=None) -> "AugmentConfig":
-        return cls(target_size=target_size, enabled=True)
+    def all_on(cls) -> "AugmentConfig":
+        return cls(enabled=True)
 
 
 def augment(sample: SegSample, rng: Rng, cfg: AugmentConfig) -> SegSample:
@@ -324,8 +327,13 @@ def load_dataset(in_dir) -> tuple[list[SegSample], int]:
                 raise ValueError(f"manifest line {lineno}: {key} is already given on line "
                                  f"{given[key]}")
             given[key] = lineno
+            try:
+                number = int(value)
+            except ValueError:
+                raise ValueError(f"manifest line {lineno}: {key} must be an integer, "
+                                 f"got {value!r}") from None
         if key == "num_classes":
-            num_classes = int(value)
+            num_classes = number
             if num_classes < 1:
                 raise ValueError(f"manifest line {lineno}: num_classes must be at least 1, "
                                  f"got {num_classes}")
@@ -335,8 +343,8 @@ def load_dataset(in_dir) -> tuple[list[SegSample], int]:
                                  f"listed on line {ids[value]}")
             ids[_checked_id(value)] = lineno
         elif key == "version":
-            if int(value) != 1:
-                raise ValueError(f"unsupported dataset version {value}")
+            if number != 1:
+                raise ValueError(f"manifest line {lineno}: unsupported dataset version {value}")
         else:
             raise ValueError(f"manifest line {lineno}: unknown key {key!r}")
     if num_classes is None:

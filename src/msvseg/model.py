@@ -22,7 +22,7 @@ import numpy as np
 from .tensor import Module, Rng, Tensor, deferred_fills, fill_workers, no_grad
 from .blocks import (
     _UPSAMPLERS, BlockConfig, DepthwiseConv2d, FLKPE, Linear, MSVSSBlock, PatchEmbed, PatchMerge,
-    UpsampleConv, VSSBlock, make_upsampler,
+    UpsampleConv, VSSBlock,
 )
 from .scan import SS2D
 
@@ -100,7 +100,7 @@ class VSSUNet(Module):
         cfg.validate()
         self.cfg = cfg
         widths = cfg.stage_channels()
-        block_cls = _DECODER_BLOCKS[cfg.decoder_block]
+        up_cls, block_cls = _UPSAMPLERS[cfg.upsampler], _DECODER_BLOCKS[cfg.decoder_block]
 
         # encoder stage i draws from stream 10 + i (child 0 its patch merge, child
         # 1 + d its block d), decoder stage i from 20 + i (child 0 its upsampler,
@@ -114,7 +114,7 @@ class VSSUNet(Module):
 
         def decoder(i):
             stream, width = rng.child(20 + i), widths[3 - i]
-            return (make_upsampler(cfg.upsampler, stream.child(0), width),
+            return (up_cls(stream.child(0), width),
                     block_cls(stream.child(1), cfg.block_config(width // 2)))
 
         # attributes are assigned in checkpoint order; the generic walk names them
@@ -194,11 +194,11 @@ def _macs(module, pixels: int) -> int:
     return 0
 
 
-def count_flops(model: VSSUNet, input_size: tuple[int, int] | None = None) -> int:
-    """FLOPs of the forward pass of one image, with 1 multiply-add = 2 FLOPs
-    and the scan recurrence counted as L*N*C multiply-adds per path.  Norms,
-    activations and residual additions are not counted."""
-    h, w = input_size or model.cfg.input_size
+def count_flops(model: VSSUNet) -> int:
+    """FLOPs of one image's forward pass at ``cfg.input_size``, with 1
+    multiply-add = 2 FLOPs and the recurrence as L*N*C multiply-adds per
+    path.  Norms, activations and residual additions are not counted."""
+    h, w = model.cfg.input_size
     p1, p2, p3, p4 = (h * w // 16 // 4 ** i for i in range(4))
     stages = ((model.patch_embed, h * w), (model.enc1, p1), (model.merge1, p1),
               (model.enc2, p2), (model.merge2, p2), (model.enc3, p3), (model.merge3, p3),

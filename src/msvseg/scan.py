@@ -361,10 +361,13 @@ class SS2D(Module):
 
     def forward(self, fmap: Tensor) -> Tensor:
         """Runs the cross-scan, the projections, softplus, A = -exp(A_log),
-        the streamed recurrence and the merge on arrays, checking each
-        result for non-finite values under that step's name.  Backward adds
-        the four contributions to the paths' gradient in the order scan, dt,
-        B, C."""
+        the streamed recurrence and the merge on arrays.  The cross-scan, the
+        projections and exp are checked for non-finite values under those
+        names; softplus of a finite value is finite, and a non-finite
+        recurrence output leaves the merged sum non-finite, so record_op's
+        check of that sum names both "selective_scan".  Backward adds the
+        four contributions to the paths' gradient in the order scan, dt, B,
+        C."""
         fm = fmap.data
         h, w = fm.shape[-3:-1]
         params = (self.a_log, self.skip, self.w_b, self.w_c, self.w_dt_down, self.w_dt_up,
@@ -374,13 +377,11 @@ class SS2D(Module):
         # path p of the stack is projected with path p of each parameter
         seqs = check_finite(_paths(fm), "cross_scan")
         dt_low = check_finite(_linear(seqs, w_down), "linear")
-        delta = check_finite(_softplus(check_finite(_linear(dt_low, w_up, dt_bias), "linear")),
-                             "softplus")
+        delta = _softplus(check_finite(_linear(dt_low, w_up, dt_bias), "linear"))
         a = -check_finite(np.exp(a_log), "exp")
         b = check_finite(_linear(seqs, w_b), "linear")
         c_out = check_finite(_linear(seqs, w_c), "linear")
         y, carries = _stacked_scan(seqs, delta, a, b, c_out, skip, block)
-        out = check_finite(_merge(check_finite(y, "selective_scan"), h, w), "cross_merge")
 
         def backward(grad):
             xs = _paths(fm)
@@ -402,12 +403,12 @@ class SS2D(Module):
             return (_merge(g_xs, h, w), -g_a * exp_a, g_skip, g_w_b, g_w_c, g_down, g_up,
                     g_dt_bias)
 
-        return record_op(out, (fmap,) + params, backward, "selective_scan")
+        return record_op(_merge(y, h, w), (fmap,) + params, backward, "selective_scan")
 
 
 def _linear_grads(grad, x, weight):
-    """The input and weight gradients of ``tensor.linear`` with a
-    path-stacked weight [P, K, M], formed as its backward forms them."""
+    """The input and weight gradients of ``tensor._linear``'s stacked form,
+    x [P, ..., K] by a path-stacked weight [P, K, M]."""
     p, k, m = weight.shape
     g3 = grad.reshape(p, -1, m)
     gx = (g3 @ weight.swapaxes(-1, -2)).reshape(x.shape)

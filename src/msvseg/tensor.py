@@ -617,7 +617,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Full 2D cross-correlation with 'same' zero padding.
 
     x: [..., H, W, Cin], weight: [Cout, Cin, kh, kw] with odd kh, kw.  Only
-    H and W are padded; every leading index is a separate map.
+    H and W are padded; every leading index is a separate map.  Each tap
+    (i, j) is one tensordot of the window views at that tap; the input
+    gradient reads the taps of grad's windows flipped in H and W.
     """
     cout, cin, kh, kw = weight.data.shape
     x4 = _maps(x.data, "conv2d")
@@ -625,35 +627,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"conv2d: channel mismatch {x4.shape[-1]} != {cin}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("conv2d: kernel extents must be odd")
-    bsz, h, w, _ = x4.shape
-    ph, pw = kh // 2, kw // 2
-    pad = ((0, 0), (ph, ph), (pw, pw), (0, 0))
-    xp = np.pad(x4, pad)
-    out = np.zeros((bsz, h, w, cout), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out += np.tensordot(xp[:, i:i + h, j:j + w], weight.data[:, :, i, j], axes=([3], [1]))
-    out += bias.data
-    x_shape, maps_shape = x.shape, x4.shape
-    out_shape = x_shape[:-1] + (cout,)
     wd = weight.data
+    xw = _windows(x4, kh, kw)
+    out = np.zeros(x4.shape[:-1] + (cout,), dtype=x.data.dtype)
+    for i, j in np.ndindex(kh, kw):
+        out += np.tensordot(xw[..., i, j], wd[:, :, i, j], axes=([3], [1]))
+    out += bias.data
+    x_shape, maps_shape, out_shape = x.shape, x4.shape, out.shape
 
     def backward(grad):
-        g4 = grad.reshape((bsz, h, w, cout))
+        g4 = grad.reshape(out_shape)
+        gwin = _windows(g4, kh, kw)
         gw = np.empty_like(wd)
-        for i in range(kh):
-            for j in range(kw):
-                gw[:, :, i, j] = np.tensordot(g4, xp[:, i:i + h, j:j + w],
-                                              axes=([0, 1, 2], [0, 1, 2]))
-        gp = np.pad(g4, pad)
-        gx = np.zeros(maps_shape, dtype=xp.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gx += np.tensordot(gp[:, kh - 1 - i:kh - 1 - i + h, kw - 1 - j:kw - 1 - j + w],
-                                   wd[:, :, i, j], axes=([3], [0]))
+        gx = np.zeros(maps_shape, dtype=xw.dtype)
+        for i, j in np.ndindex(kh, kw):
+            gw[:, :, i, j] = np.tensordot(g4, xw[..., i, j], axes=([0, 1, 2], [0, 1, 2]))
+            gx += np.tensordot(gwin[..., kh - 1 - i, kw - 1 - j], wd[:, :, i, j], axes=([3], [0]))
         return gx.reshape(x_shape), gw, g4.sum(axis=(0, 1, 2))
 
-    return record_op(out.reshape(out_shape), (x, weight, bias), backward, "conv2d")
+    return record_op(out.reshape(x_shape[:-1] + (cout,)), (x, weight, bias), backward, "conv2d")
 
 
 # variance offset of every layer and batch norm
@@ -776,10 +768,6 @@ class Rng:
 
     def permutation(self, n: int):
         return self._gen.permutation(n)
-
-    def trunc_normal(self, shape, std: float = 1.0):
-        """Normal samples rejected outside two standard deviations."""
-        return fill_draws(self, np.empty(shape), *trunc_normal_draw(std))
 
 
 # -- parameter initializers --------------------------------------------------------

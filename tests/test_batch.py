@@ -7,7 +7,7 @@ import pytest
 
 from msvseg import tensor as T
 from msvseg.blocks import (
-    FLKPE, BatchNorm2d, BlockConfig, MSVSSBlock, PatchEmbed, PatchMerge, make_upsampler,
+    FLKPE, LKPE, BatchNorm2d, BlockConfig, MSVSSBlock, PatchEmbed, PatchMerge,
     pixel_shuffle, space_to_depth, upsample_nearest2x,
 )
 from msvseg.gradcheck import _f64_params
@@ -42,7 +42,7 @@ LAYERS = {
     "patch_merge": (_f64(PatchMerge(Rng(14), 4)), (4, 6, 4)),
     "ss2d": (_f64(SS2D(Rng(15), 4, n_state=3)), (3, 5, 4)),
     "msvss_block": (_f64(MSVSSBlock(Rng(16), BlockConfig(channels=8, state_size=4))), (4, 4, 8)),
-    "lkpe": (_f64(make_upsampler("lkpe", Rng(17), 8)), (3, 4, 8)),
+    "lkpe": (_f64(LKPE(Rng(17), 8)), (3, 4, 8)),
     "flkpe": (_f64(FLKPE(Rng(18), 4, 3)), (3, 4, 4)),
 }
 

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msvseg import tensor as T
-from msvseg.blocks import (BatchNorm2d, BlockConfig, FLKPE, LKPE, MSVSSBlock,
+from msvseg.blocks import (_UPSAMPLERS, BatchNorm2d, BlockConfig, FLKPE, LKPE, MSVSSBlock,
                            MultiScaleFFN, PatchEmbed, PatchExpand, PatchMerge,
                            SS2DBlock, TransposedConvUp, UpsampleConv, VSSBlock,
-                           make_upsampler, pixel_shuffle, space_to_depth,
-                           upsample_nearest2x)
+                           pixel_shuffle, space_to_depth, upsample_nearest2x)
 from msvseg.gradcheck import _f64_params
 from msvseg.tensor import Rng, Tensor
 
@@ -226,7 +225,7 @@ class TestPatchResamplers:
 class TestUpsamplers:
     @pytest.mark.parametrize("kind", ["lkpe", "patch_expand", "transposed_conv", "upsample_block"])
     def test_shape_contract(self, kind):
-        up = make_upsampler(kind, Rng(32), 8)
+        up = _UPSAMPLERS[kind](Rng(32), 8)
         y = up(rt(33, (4, 5, 8)))
         assert y.data.shape == (8, 10, 4)
 
@@ -237,11 +236,7 @@ class TestUpsamplers:
     def test_odd_channels_rejected(self):
         for kind in ("lkpe", "patch_expand", "transposed_conv", "upsample_block"):
             with pytest.raises(ValueError):
-                make_upsampler(kind, Rng(36), 7)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_upsampler("bilinear", Rng(37), 8)
+                _UPSAMPLERS[kind](Rng(36), 7)
 
     def test_lkpe_reduces_to_patch_expand(self):
         # with a delta depthwise kernel, LKPE is PatchExpand with the

@@ -58,6 +58,11 @@ class TestExitCodes:
                         "--set", item]) == 1
             key = item.partition("=")[0]
             assert f"unknown configuration key: '{key}'" in capsys.readouterr().err
+        # the preset names the base configuration, and no preset is named ''
+        for argv in (["train", "--data", str(dataset_dir)], ["count"]):
+            assert run([*argv, "--out-dir", str(tmp_path), "--preset", ""]) == 1
+            assert "error: unknown preset ''" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.msvc").exists()
 
     @pytest.mark.parametrize("item", ["train.augment.rotate=true", "train.augment.flip_h=on",
                                       "train.augment.max_rotate_deg=90"])
@@ -246,7 +251,7 @@ class TestArtifacts:
         def no_draw(*args, **kwargs):
             raise AssertionError("restoring a checkpoint drew initial values")
 
-        for name in ("normal", "uniform", "random", "integers", "permutation", "trunc_normal"):
+        for name in ("normal", "uniform", "random", "integers", "permutation"):
             monkeypatch.setattr(tensor.Rng, name, no_draw)
         monkeypatch.setattr(tensor, "fill_draws", no_draw)
         for command in ("eval", "export-features"):
@@ -343,6 +348,42 @@ class TestArtifacts:
                     "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert image.name.split(".")[0] in err and "checkpoint" not in err
+
+    @pytest.mark.parametrize("case", ["rank-2-image", "4-channel-image", "empty-image",
+                                      "mask-shape"])
+    def test_eval_malformed_sample_names_it(self, trained_dir, dataset_dir, tmp_path, capsys,
+                                            case):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        image, mask = data / "s0001.image.msvt", data / "s0001.mask.msvt"
+        img = load_tensor(image)
+        if case == "rank-2-image":
+            save_tensor(image, img[0])
+        elif case == "4-channel-image":
+            save_tensor(image, np.concatenate([img, img[:1]]))
+        elif case == "empty-image":
+            save_tensor(image, img[:, :0, :0])
+            save_tensor(mask, load_tensor(mask)[:0, :0])
+        else:
+            save_tensor(mask, load_tensor(mask)[:32])
+        assert run(["eval", "--checkpoint", str(trained_dir / "checkpoint.msvc"),
+                    "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "error: sample s0001: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["num_classes", "version"])
+    def test_eval_non_integer_manifest_value_names_the_line(self, trained_dir, dataset_dir,
+                                                           tmp_path, capsys, key):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = data / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key}="))
+        lines[lineno - 1] = f"{key}=x"
+        manifest.write_text("\n".join(lines) + "\n")
+        assert run(["eval", "--checkpoint", str(trained_dir / "checkpoint.msvc"),
+                    "--data", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"error: manifest line {lineno}: {key} must be an integer, got 'x'" in \
+            capsys.readouterr().err
 
     def test_eval_manifest_id_outside_dataset_is_invalid_input(self, trained_dir, dataset_dir,
                                                                tmp_path, capsys):

@@ -97,7 +97,6 @@ class TestAugment:
 
     def test_all_on_is_the_switch(self):
         assert AugmentConfig.all_on() == AugmentConfig(enabled=True)
-        assert AugmentConfig.all_on((32, 32)) == AugmentConfig((32, 32), enabled=True)
 
     @pytest.mark.parametrize("index, seed, digest", [
         (0, 9, "b9e9e7f5c3392270b28a99516534f0ea622365ae9d1a25989d419809f4e77aac"),

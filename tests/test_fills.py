@@ -72,12 +72,6 @@ class TestFillDraws:
         assert len(passes) > 4 + 2  # four chunks, then at least two redraw passes
         assert passes[4] > passes[5] > 0
 
-    def test_rng_trunc_normal_returns_float64(self):
-        vals = Rng(6).trunc_normal((3, 5), 0.1)
-        assert vals.dtype == np.float64 and vals.shape == (3, 5)
-        assert vals.tobytes() == _whole_array_trunc_normal(
-            np.random.Generator(np.random.Philox(6)), (3, 5), 0.1).tobytes()
-
     def test_non_contiguous_output_is_refused(self):
         with pytest.raises(ValueError, match="contiguous"):
             fill_draws(Rng(7), np.empty((4, 4), np.float32)[:, ::2], uniform_draw(0.0, 1.0))

@@ -196,8 +196,8 @@ class TestAccounting:
         assert sum(p.size for p in pe.parameters()) == 48 * 8 + 8 + 2 * 8
 
     def test_flops_positive_and_monotone_in_resolution(self, toy_model):
-        f64 = count_flops(toy_model, (64, 64))
-        f128 = count_flops(toy_model, (128, 128))
+        f64 = count_flops(toy_model)
+        f128 = count_flops(build_model(replace(TOY_PRESET, input_size=(128, 128)), Rng(0)))
         assert 0 < f64 < f128
 
     @pytest.mark.parametrize("cfg, flops, params", [

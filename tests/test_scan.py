@@ -11,7 +11,8 @@ from msvseg import scan as S
 from msvseg import tensor as T
 from msvseg.gradcheck import _f64_params
 from msvseg.scan import SS2D, cross_merge, cross_scan, run_scan_benchmark
-from msvseg.tensor import Rng, Tensor, finite_diff_grad_check, no_grad
+from msvseg.tensor import (Rng, Tensor, fill_draws, finite_diff_grad_check, no_grad,
+                           trunc_normal_draw)
 
 # the [4, ...] tensors of an SS2D, in named_parameters order
 SCAN_QUANTITIES = ("a_log", "skip", "w_b", "w_c", "w_dt_down", "w_dt_up", "dt_bias")
@@ -398,6 +399,11 @@ def _ss2d_oracle(ss, fmap):
     return out
 
 
+def _trunc_normal(rng, shape):
+    """normal(0, 0.02) draws rejected outside two std, as SS2D fills them."""
+    return fill_draws(rng, np.empty(shape), *trunc_normal_draw(0.02))
+
+
 class TestSS2D:
     def test_parameters_are_four_one_path_sets_stacked(self):
         c, n, rank = 5, 3, S.dt_rank(5)
@@ -413,9 +419,9 @@ class TestSS2D:
         for i in range(4):
             r = Rng(43).child(i)
             dt = np.exp(r.child(5).uniform(np.log(1e-3), np.log(1e-1), c))
-            drawn = {"w_b": r.child(1).trunc_normal((c, n), 0.02),
-                     "w_c": r.child(2).trunc_normal((c, n), 0.02),
-                     "w_dt_down": r.child(3).trunc_normal((c, rank), 0.02),
+            drawn = {"w_b": _trunc_normal(r.child(1), (c, n)),
+                     "w_c": _trunc_normal(r.child(2), (c, n)),
+                     "w_dt_down": _trunc_normal(r.child(3), (c, rank)),
                      "w_dt_up": r.child(4).uniform(-rank ** -0.5, rank ** -0.5, (rank, c)),
                      "dt_bias": np.log(np.expm1(dt))}
             for name, values in drawn.items():
@@ -460,6 +466,15 @@ class TestSS2D:
         fmap.data[0, 0, 0] = np.nan
         with pytest.raises(T.NonFiniteError, match="op 'cross_scan' produced"):
             ss(fmap)
+
+    def test_overflow_in_the_merge_names_the_scan(self):
+        # each path's y is finite (1.5e38 per pixel and channel); only the
+        # sum of the four paths overflows float32, and the op reports it
+        ss = SS2D(Rng(53), channels=2, n_state=3)
+        ss.skip.data[...] = 1.5e38
+        with np.errstate(over="ignore"):
+            with pytest.raises(T.NonFiniteError, match="op 'selective_scan' produced"):
+                ss(Tensor(np.ones((3, 4, 2), np.float32)))
 
     def test_zero_input_zero_output(self):
         ss = SS2D(Rng(18), channels=3, n_state=4)
