@@ -60,7 +60,11 @@ def _keep_freed_heap():
     threshold goes to the ceiling that the dynamic threshold climbs to
     (4 MiB times sizeof(long): 32 MiB on 64-bit) and the trim threshold to
     1 GiB, which keeps those pages mapped for reuse.  Setting either value
-    turns the dynamic threshold off, hence both.  Anywhere but glibc this
+    turns the dynamic threshold off, hence both.  The arena count goes to
+    one: the threads that draw the initial parameters (``PendingFills.run``)
+    would otherwise each take an arena of their own, whose scratch the trim
+    threshold then keeps mapped for the life of the process although the
+    main thread never allocates from it again.  Anywhere but glibc this
     does nothing.
     """
     try:
@@ -72,9 +76,10 @@ def _keep_freed_heap():
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3
+    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8
     mallopt(m_mmap_threshold, 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long))
     mallopt(m_trim_threshold, 1 << 30)
+    mallopt(m_arena_max, 1)
 
 
 _keep_freed_heap()
@@ -434,19 +439,38 @@ def silu(a: Tensor) -> Tensor:
     return record_op(out, (a,), backward, "silu")
 
 
+def _gauss_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), each step in place in one buffer."""
+    phi = np.divide(x, math.sqrt(2.0))
+    special.erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    return phi
+
+
 def gelu(a: Tensor) -> Tensor:
-    # exact Gaussian-CDF form: x * Phi(x), no tanh approximation
+    """x * Phi(x), the exact Gaussian-CDF form, no tanh approximation.
+
+    Keeps only its input.  The backward forms Phi again by the forward's own
+    steps, so its bits are the ones the forward used, and builds
+    grad * (Phi + x * pdf(x)) in one more buffer.
+    """
     a_in = a.data
-    # Phi = 0.5 * (1 + erf(x / sqrt(2))), each step in place in one buffer
-    phi_cdf = np.divide(a_in, math.sqrt(2.0))
-    special.erf(phi_cdf, out=phi_cdf)
-    phi_cdf += 1.0
-    phi_cdf *= 0.5
-    out = a_in * phi_cdf
+    out = _gauss_cdf(a_in)
+    out *= a_in
 
     def backward(grad):
-        pdf = np.exp(-0.5 * a_in * a_in) / math.sqrt(2.0 * math.pi)
-        return (grad * (phi_cdf + a_in * pdf),)
+        phi = _gauss_cdf(a_in)
+        # -0.5 * x * x, exp, / sqrt(2 pi), * x, + Phi, * grad: the order the
+        # expression grad * (Phi + x * pdf) rounds in, written in place
+        d = np.multiply(a_in, -0.5)
+        d *= a_in
+        np.exp(d, out=d)
+        d /= math.sqrt(2.0 * math.pi)
+        d *= a_in
+        d += phi
+        d *= grad
+        return (d,)
 
     return record_op(out, (a,), backward, "gelu")
 
@@ -650,6 +674,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 # variance offset of every layer and batch norm
 NORM_EPS = 1e-5
+# bytes of the rows normalize's backward works on at a time
+_NORM_CHUNK_BYTES = 1 << 20
 
 
 def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
@@ -661,7 +687,11 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
 
     One recorded op.  The backward keeps only x_hat and sigma: with
     g' = grad * gamma, dx = (g' - mean(g') - x_hat * mean(g' * x_hat)) / sigma
-    over ``axes`` (Ba et al. 2016; Ioffe & Szegedy 2015).
+    over ``axes`` (Ba et al. 2016; Ioffe & Szegedy 2015).  It forms the gamma
+    gradient first, from one grad * x_hat product that it then frees, and
+    builds dx in place in the g' buffer, ``_NORM_CHUNK_BYTES`` of rows of the
+    index range in front of ``axes`` at a time.  So it allocates the input
+    gradient plus one chunk, and rounds as the expression above does.
     """
     axes = (axes,) if isinstance(axes, int) else tuple(axes)
     count = math.prod(x.data.shape[ax] for ax in axes)
@@ -677,13 +707,30 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
     x_hat = np.divide(xc, sigma, out=xc)
     gamma_in, beta_shape = gamma.data, beta.shape
     out = _add_into(x_hat * gamma_in, beta.data)
+    # rows: the index range in front of the first reduced axis, flattened
+    ndim = x_hat.ndim
+    first = min(ax % ndim for ax in axes)
+    row_axes = tuple(ax % ndim - first + 1 for ax in axes)
+    row_shape = x_hat.shape[first:]
+    step = max(1, _NORM_CHUNK_BYTES // max(1, math.prod(row_shape) * x_hat.itemsize))
 
     def backward(grad):
-        g = grad * gamma_in
-        gx = (g - g.mean(axis=axes, keepdims=True)
-              - x_hat * (g * x_hat).mean(axis=axes, keepdims=True)) / sigma
-        return (gx, _unbroadcast(grad * x_hat, gamma_in.shape),
-                _unbroadcast(grad, beta_shape))
+        g_gamma = _unbroadcast(grad * x_hat, gamma_in.shape)
+        # row-major, so that the rows below are views into gx
+        gx = np.multiply(grad, gamma_in, order="C")
+        g_rows = gx.reshape((-1,) + row_shape)
+        x_rows = x_hat.reshape(g_rows.shape)
+        s_rows = sigma.reshape((-1,) + sigma.shape[first:])
+        scratch = np.empty((min(step, len(g_rows)),) + row_shape, gx.dtype)
+        for i in range(0, len(g_rows), step):
+            g, xh = g_rows[i:i + step], x_rows[i:i + step]
+            tmp = scratch[:len(g)]
+            mean_g = g.mean(axis=row_axes, keepdims=True)
+            mean_gx = np.multiply(g, xh, out=tmp).mean(axis=row_axes, keepdims=True)
+            g -= mean_g
+            g -= np.multiply(xh, mean_gx, out=tmp)
+            g /= s_rows[i:i + step]
+        return gx, g_gamma, _unbroadcast(grad, beta_shape)
 
     return record_op(out, (x, gamma, beta), backward, "normalize")
 

@@ -160,6 +160,7 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
     run_loss = run_dice = run_ce = 0.0
     run_count = 0
 
+    model.zero_grad()
     for step in range(total_steps):
         epoch, k = divmod(step, steps_per_epoch)
         if k == 0:
@@ -169,7 +170,6 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
                   for i in batch]
         images = Tensor(np.stack([sample.image.data for sample in picked]))
         masks = np.stack([sample.mask for sample in picked])
-        model.zero_grad()
         try:
             logits = model.forward(images)
             d = dice_loss(softmax_channels(logits), masks)
@@ -185,6 +185,9 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
         loss_tensor.backward()
         lr = cosine_lr(step, total_steps, cfg.lr)
         opt.step(lr)
+        # the applied gradients are dead: dropped here, they are not held
+        # through the evaluation below or by the model this returns
+        model.zero_grad()
 
         run_loss += loss_value
         run_dice += d.item()

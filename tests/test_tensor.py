@@ -666,12 +666,122 @@ class TestHeapPolicy:
 
         monkeypatch.setattr(T.ctypes, "CDLL", lambda name: Libc())
         T._keep_freed_heap()
-        # M_MMAP_THRESHOLD at glibc's ceiling for its dynamic threshold, M_TRIM_THRESHOLD 1 GiB
+        # M_MMAP_THRESHOLD at glibc's ceiling for its dynamic threshold, M_TRIM_THRESHOLD 1 GiB,
+        # M_ARENA_MAX 1
         ceiling = 4 * 1024 * 1024 * T.ctypes.sizeof(T.ctypes.c_long)
-        assert sorted(calls) == [(-3, ceiling), (-1, 1 << 30)]
+        assert sorted(calls) == [(-8, 1), (-3, ceiling), (-1, 1 << 30)]
 
     @pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
                              ids=["no_libc", "no_mallopt"])
     def test_quiet_without_mallopt(self, monkeypatch, cdll):
         monkeypatch.setattr(T.ctypes, "CDLL", cdll)
         assert T._keep_freed_heap() is None
+
+
+def _closure(fn) -> dict:
+    """The cells of a backward closure, by name."""
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+
+
+def _normalize_backward_unchunked(cells, axes, grad):
+    """normalize's backward as one expression over whole arrays, which the
+    chunked form must round exactly as."""
+    x_hat, sigma, gamma_in = cells["x_hat"], cells["sigma"], cells["gamma_in"]
+    g = grad * gamma_in
+    gx = (g - g.mean(axis=axes, keepdims=True)
+          - x_hat * (g * x_hat).mean(axis=axes, keepdims=True)) / sigma
+    return (gx, T._unbroadcast(grad * x_hat, gamma_in.shape),
+            T._unbroadcast(grad, cells["beta_shape"]))
+
+
+def _gelu_backward_keeping_phi(a_in, grad):
+    """gelu's backward from a kept Phi and a composed pdf."""
+    phi_cdf = np.divide(a_in, math.sqrt(2.0))
+    special.erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
+    pdf = np.exp(-0.5 * a_in * a_in) / math.sqrt(2.0 * math.pi)
+    return grad * (phi_cdf + a_in * pdf)
+
+
+def _norm_node(shape, axes, dtype, seed=60):
+    c = shape[-1]
+    x = Tensor(Rng(seed).normal(shape) * 1.7 + 0.4, dtype=dtype, requires_grad=True)
+    gamma = Tensor(Rng(seed + 1).normal(c), dtype=dtype, requires_grad=True)
+    beta = Tensor(Rng(seed + 2).normal(c), dtype=dtype, requires_grad=True)
+    y = T.normalize(x, gamma, beta, axes)
+    return y._node.backward, Rng(seed + 3).normal(shape).astype(dtype)
+
+
+class TestLeanBackwards:
+    """normalize's chunked backward and gelu's recomputing one give the bits
+    of the whole-array expressions, and hold or allocate only what they say."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batch3"])
+    @pytest.mark.parametrize("kind,axes,tail", [
+        ("layer", -1, (7, 5, 6)),
+        ("layer_c1", -1, (7, 5, 1)),
+        ("batch", (-3, -2), (5, 4, 6)),
+        ("batch_1x1", (-3, -2), (1, 1, 6)),
+        ("batch_positive_axes", (0, 1), (5, 4, 6)),
+    ])
+    @pytest.mark.parametrize("chunk_rows", [None, 2], ids=["default_chunk", "two_row_chunks"])
+    def test_normalize_gradients_equal_the_unchunked_expression(
+            self, monkeypatch, dtype, lead, kind, axes, tail, chunk_rows):
+        shape = lead + tail
+        if kind == "batch_positive_axes":
+            axes = tuple(len(lead) + ax for ax in axes)
+        if chunk_rows is not None:
+            first = min(ax % len(shape) for ax in ((axes,) if isinstance(axes, int) else axes))
+            row_bytes = math.prod(shape[first:]) * np.dtype(dtype).itemsize
+            # an odd row count in two-row chunks leaves a short last chunk
+            monkeypatch.setattr(T, "_NORM_CHUNK_BYTES", chunk_rows * row_bytes)
+        backward, grad = _norm_node(shape, axes, dtype)
+        got = backward(grad)
+        expected = _normalize_backward_unchunked(_closure(backward), axes, grad)
+        for name, g, e in zip(("x", "gamma", "beta"), got, expected):
+            assert g.dtype == e.dtype == dtype and g.shape == e.shape, name
+            assert np.array_equal(g, e), name
+
+    def test_normalize_backward_allocates_one_gradient_and_one_chunk(self):
+        import tracemalloc
+
+        def traced(fn, grad):
+            """fn(grad) and the bytes it allocated at its peak."""
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                result = fn(grad)
+                return result, tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        backward, grad = _norm_node((2, 96, 96, 32), -1, np.float32)
+        got, peak = traced(backward, grad)
+        expected, whole_peak = traced(
+            lambda g: _normalize_backward_unchunked(_closure(backward), -1, g), grad)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+        # slack for the per-row means, numpy's reduction buffers and the
+        # gamma and beta sums: about 230 KiB here
+        assert peak <= grad.nbytes + T._NORM_CHUNK_BYTES + (512 << 10), peak
+        # the whole-array expression, traced the same way, holds three at once
+        assert whole_peak >= 3 * grad.nbytes, whole_peak
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_input_gradient_equals_the_kept_phi_form(self, dtype):
+        x = np.concatenate([Rng(61).normal((4096,)) * 4.0, [0.0, -0.0, 1e-30, -40.0, 40.0]])
+        x = Tensor(x, dtype=dtype, requires_grad=True)
+        grad = Rng(62).normal(x.shape).astype(dtype)
+        got = T.gelu(x)._node.backward(grad)[0]
+        expected = _gelu_backward_keeping_phi(x.data, grad)
+        assert got.dtype == expected.dtype == dtype and np.array_equal(got, expected)
+
+    def test_gelu_holds_exactly_its_input(self):
+        from conftest import held_bytes
+
+        x = randt(63, (4, 9, 8), dtype=np.float32)
+        y = T.gelu(x)
+        assert held_bytes(y) == {"gelu": x.data.nbytes}
+        held = [v for v in _closure(y._node.backward).values() if isinstance(v, np.ndarray)]
+        assert len(held) == 1 and held[0] is x.data

@@ -118,6 +118,22 @@ class TestTrainLoop:
         for (name, a), (_, b) in zip(filled, unset):
             assert np.array_equal(a.data, b.data), name
 
+    def test_gradients_are_dropped_after_each_step(self, tiny_data, monkeypatch):
+        import msvseg.train as train_mod
+
+        model = build_model(ModelConfig(), Rng(6))
+        held_at_eval = []
+
+        def evaluate_spy(m, samples, *, alpha):
+            held_at_eval.append([p.grad is not None for p in m.parameters()])
+            return evaluate(m, samples, alpha=alpha)
+
+        monkeypatch.setattr(train_mod, "evaluate", evaluate_spy)
+        cfg = TrainConfig(max_steps=3, batch_size=2, eval_every=2, seed=11)
+        train_loop(model, tiny_data, cfg)
+        assert len(held_at_eval) == 2 and not any(map(any, held_at_eval))
+        assert all(p.grad is None for p in model.parameters())
+
     def test_determinism_same_seed(self, tiny_data):
         cfg = TrainConfig(max_epochs=3, max_steps=3, batch_size=2, eval_every=3, seed=11)
         r1 = train_loop(build_model(ModelConfig(), Rng(5)), tiny_data, cfg)
