@@ -5,7 +5,8 @@ parameters, flattens a feature map along the paths, projects each path's
 step inputs, runs the streamed recurrence on the stack and merges the paths
 back, all recorded as one graph node named "selective_scan".  That node
 keeps only the input map, the parameters and the recurrence's block-entry
-states.  Its backward forms the four-path copy and the projections again
+states, and the map as ``tensor._keep`` gives it: behind a SiLU, the SiLU's
+recompute of it rather than the array.  Its backward forms the four-path copy and the projections again
 from the map (cheap next to the recurrence), never the recurrence's
 forward, and runs each step's backward by hand.  So the [4, ..., L, C]
 four-path copy, the step-size pre-activation and delta do not outlive the
@@ -60,8 +61,8 @@ import time
 
 import numpy as np
 
-from .tensor import (Module, Rng, Tensor, _linear, _sigmoid, _softplus, check_finite, init_ones,
-                     record_op, schedule_fill, trunc_normal_draw, uniform_draw)
+from .tensor import (Module, Rng, Tensor, _keep, _kept, _linear, _sigmoid, _softplus, check_finite,
+                     init_ones, record_op, schedule_fill, trunc_normal_draw, uniform_draw)
 
 __all__ = ["dt_rank", "cross_scan", "cross_merge", "SS2D", "run_scan_benchmark"]
 
@@ -328,7 +329,9 @@ class SS2D(Module):
     A forward records one op, "selective_scan", whose node keeps the input
     map, the seven parameters and the recurrence's block-entry states, and
     nothing of the four-path copy, the projections or delta: backward
-    recomputes those from the map and the parameters.
+    recomputes those from the map and the parameters.  It keeps the map as
+    ``_keep`` gives it: after the block's SiLU, the SiLU's recompute, so no
+    array of its own.
     """
 
     def __init__(self, rng: Rng, channels: int, n_state: int = 16):
@@ -382,9 +385,10 @@ class SS2D(Module):
         b = check_finite(_linear(seqs, w_b), "linear")
         c_out = check_finite(_linear(seqs, w_c), "linear")
         y, carries = _stacked_scan(seqs, delta, a, b, c_out, skip, block)
+        fm_in = _keep(fmap)
 
         def backward(grad):
-            xs = _paths(fm)
+            xs = _paths(_kept(fm_in))
             low = _linear(xs, w_down)
             pre = _linear(low, w_up, dt_bias)
             exp_a = np.exp(a_log)

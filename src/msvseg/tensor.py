@@ -10,10 +10,12 @@ backward has run.  ``Tensor.backward()`` replays the recorded graph in
 reverse topological order, exactly once per forward recording, and releases
 it as it walks: a node that no tensor the caller holds refers to is freed,
 with its closure and gradient, once its parents have their gradients.
-Every gradient, a parameter's included, starts as None and takes an owned
-copy of the first contribution it receives; a tensor that the walk never
-reaches keeps None.  Buffers are row-major contiguous; reshapes and
-transposes copy.
+Every gradient, a parameter's included, starts as None and takes the first
+contribution it receives, without a copy when nothing else can hold that
+array; a tensor that the walk never reaches keeps None.  The outputs of
+normalize, gelu, silu and relu are formed again in their consumers'
+backward (``Tensor._remat``) rather than kept.  Buffers are row-major
+contiguous; reshapes and transposes copy.
 Feature maps are channels-last [..., H, W, C], any leading shape being a
 batch of maps (a single map has the leading shape ()): the convolutions pad
 and slide over H and W only, and linear acts on the trailing axis.  Layer
@@ -141,7 +143,17 @@ class _Node:
 
 
 class Tensor:
-    """N-dimensional float array, optionally recorded on the autodiff graph."""
+    """N-dimensional float array, optionally recorded on the autodiff graph.
+
+    ``_remat``, when set, is a zero-argument function that forms ``data``
+    again, bit for bit, from arrays its producer's backward keeps anyway.
+    ``normalize``, ``gelu``, ``silu`` and ``relu`` set it when they record a
+    node, and the ops that read such an input in their backward keep the
+    function rather than the array (``_keep``).  A tensor the caller holds
+    keeps what its recompute reads.
+    """
+
+    _remat = None
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         self._data = _as_array(data, dtype)
@@ -203,10 +215,12 @@ class Tensor:
         no tensor the caller holds refers to is freed, with its closure and
         gradient, as soon as its parents have their gradients; tensors the
         caller holds keep ``.grad``.  A gradient that is None, as every
-        parameter's is after ``Module.zero_grad``, becomes an owned copy of its
-        first contribution in the dtype of its tensor's data, and later ones
-        add into it; a tensor this one does not reach keeps the gradient it
-        had.  A tensor that requires no gradient has nothing to walk.
+        parameter's is after ``Module.zero_grad``, takes its first
+        contribution in the dtype of its tensor's data, and later ones add
+        into it: the contribution itself when nothing else can hold it
+        (``_adoptable``), an owned copy otherwise.  A tensor this one does not
+        reach keeps the gradient it had.  A tensor that requires no gradient
+        has nothing to walk.  No backward closure returns an array it keeps.
         """
         if self.data.size != 1:
             raise ValueError("backward target must be a scalar")
@@ -242,15 +256,20 @@ class Tensor:
             if node.backward is None:
                 continue
             grads = node.backward(node.grad)
+            handed = set()
             for parent, g in zip(node.parents, grads):
                 if g is None or parent is None:
                     continue
                 if parent.grad is None:
-                    # an owned copy: add hands one array to both parents and
-                    # reshape a view of its child's gradient
-                    parent.grad = np.array(g, dtype=parent.dtype)
+                    if _adoptable(g, parent.dtype, node.grad, handed):
+                        parent.grad = g
+                    else:
+                        # an owned copy: add hands its own gradient to both
+                        # parents and reshape a view of it
+                        parent.grad = np.array(g, dtype=parent.dtype)
                 else:
                     parent.grad += g.astype(parent.dtype, copy=False)
+                handed.add(id(g))
             node.backward = None
             node.parents = ()
             node.released = True
@@ -275,6 +294,17 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
+
+
+def _adoptable(g, dtype, own_grad, handed) -> bool:
+    """Whether a parent may take the contribution ``g`` of a node whose
+    gradient is ``own_grad`` as its gradient without a copy: ``g`` owns its
+    buffer, so it is no view of a gradient or of a kept array, it has the
+    parent's dtype, it is not the node's own gradient, and its id is not in
+    ``handed``, the contributions already given to the node's other
+    parents."""
+    return (isinstance(g, np.ndarray) and g.base is None and g.dtype == dtype
+            and g is not own_grad and id(g) not in handed)
 
 
 def constant(data, like: Tensor | None = None) -> Tensor:
@@ -311,6 +341,25 @@ def record_op(out_data, parents, backward_fn, name: str) -> Tensor:
         if any(node is not None for node in nodes):
             out._node = _Node(out.data.dtype, nodes, backward_fn, name)
     return out
+
+
+def _set_remat(out: Tensor, remat) -> Tensor:
+    """``out`` with its recompute set when a node was recorded for it; under
+    ``no_grad``, or with no parent on the graph, nothing reads it."""
+    if out._node is not None:
+        out._remat = remat
+    return out
+
+
+def _keep(t: Tensor):
+    """What a backward keeps to read ``t``'s data: the recompute its producer
+    set, which holds no array of its own, or else the array."""
+    return t.data if t._remat is None else t._remat
+
+
+def _kept(held) -> np.ndarray:
+    """The array that ``_keep`` returned ``held`` for, formed again if need be."""
+    return held() if callable(held) else held
 
 
 def _unbroadcast(grad, shape):
@@ -419,24 +468,46 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(x, 0).  Keeps what ``_keep`` gives for its input: after a norm,
+    the norm's recompute, so no array of its own.  The backward's mask is
+    x > 0, which holds exactly where the output is positive; the recompute
+    clips the input, in place when the input is itself recomputed."""
+    src = _keep(a)
     out = np.maximum(a.data, 0.0)
 
     def backward(grad):
-        # out > 0 exactly where a > 0, so the input need not be kept
-        return (grad * (out > 0),)
+        return (grad * (_kept(src) > 0),)
 
-    return record_op(out, (a,), backward, "relu")
+    def remat():
+        x = _kept(src)
+        # a recomputed input is a fresh array that nothing else reads
+        return np.maximum(x, 0.0, out=x) if callable(src) else np.maximum(x, 0.0)
+
+    return _set_remat(record_op(out, (a,), backward, "relu"), remat)
 
 
 def silu(a: Tensor) -> Tensor:
-    sig = _sigmoid(a.data)
-    out = a.data * sig
+    """x * sigmoid(x).  Keeps only its input.  The recompute hands its
+    sigmoid to the backward, which forms it only when no recompute ran, and
+    builds grad * (sig + out * (1 - sig)) with out = x * sig in place in
+    one buffer, in the order that expression rounds in."""
+    a_in = a.data
+    out = a_in * _sigmoid(a_in)
+    sig_box = []  # the sigmoid the recompute formed, until the backward takes it
 
     def backward(grad):
-        # keeps the output, which the next op usually holds too, not the input
-        return (grad * (sig + out * (1.0 - sig)),)
+        sig = sig_box.pop() if sig_box else _sigmoid(a_in)
+        d = np.multiply(a_in, sig)
+        d *= 1.0 - sig
+        d += sig
+        d *= grad
+        return (d,)
 
-    return record_op(out, (a,), backward, "silu")
+    def remat():
+        sig_box[:] = [_sigmoid(a_in)]
+        return a_in * sig_box[0]
+
+    return _set_remat(record_op(out, (a,), backward, "silu"), remat)
 
 
 def _gauss_cdf(x: np.ndarray) -> np.ndarray:
@@ -451,16 +522,19 @@ def _gauss_cdf(x: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """x * Phi(x), the exact Gaussian-CDF form, no tanh approximation.
 
-    Keeps only its input.  The backward forms Phi again by the forward's own
-    steps, so its bits are the ones the forward used, and builds
-    grad * (Phi + x * pdf(x)) in one more buffer.
+    Keeps only its input.  Phi is formed again by the forward's own steps
+    (``_gauss_cdf``), so its bits are the ones the forward used: by the
+    recompute, which hands it to the backward, or by the backward when no
+    recompute ran.  The backward builds grad * (Phi + x * pdf(x)) in one
+    more buffer.
     """
     a_in = a.data
     out = _gauss_cdf(a_in)
     out *= a_in
+    phi_box = []  # the Phi the recompute formed, until the backward takes it
 
     def backward(grad):
-        phi = _gauss_cdf(a_in)
+        phi = phi_box.pop() if phi_box else _gauss_cdf(a_in)
         # -0.5 * x * x, exp, / sqrt(2 pi), * x, + Phi, * grad: the order the
         # expression grad * (Phi + x * pdf) rounds in, written in place
         d = np.multiply(a_in, -0.5)
@@ -472,7 +546,11 @@ def gelu(a: Tensor) -> Tensor:
         d *= grad
         return (d,)
 
-    return record_op(out, (a,), backward, "gelu")
+    def remat():
+        phi_box[:] = [_gauss_cdf(a_in)]
+        return phi_box[0] * a_in
+
+    return _set_remat(record_op(out, (a,), backward, "gelu"), remat)
 
 
 # -- reductions / shape ops ----------------------------------------------------
@@ -526,24 +604,30 @@ def transpose(a: Tensor, axes) -> Tensor:
 # -- neural-net primitives ------------------------------------------------------
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """y[..., j] = sum_i x[..., i] * W[i, j] + b[j], for a weight W [K, M]."""
+    """y[..., j] = sum_i x[..., i] * W[i, j] + b[j], for a weight W [K, M].
+
+    For the weight's gradient it keeps what ``_keep`` gives for x: after a
+    norm or GELU, their recompute, so no array of its own."""
     if weight.data.ndim != 2:
         raise ValueError(f"linear: weight must be [K, M], got {weight.data.shape}")
     k, m = weight.data.shape
     if x.data.shape[-1] != k:
         raise ValueError(f"linear: trailing extent {x.data.shape[-1]} != weight rows {k}")
-    x2 = x.data.reshape(-1, k)
     out = _linear(x.data, weight.data, None if bias is None else bias.data)
     x_shape, has_bias = x.shape, bias is not None
     # x is read only for the weight's gradient and the weight only for x's
-    x_in = x2 if weight.requires_grad else None
+    x_in = _keep(x) if weight.requires_grad else None
     w_in = weight.data if x.requires_grad else None
     b_grad = has_bias and bias.requires_grad
 
     def backward(grad):
         g2 = grad.reshape(-1, m)
-        gx = (g2 @ w_in.T).reshape(x_shape) if w_in is not None else None
-        gw = x_in.T @ g2 if x_in is not None else None
+        gx = None
+        if w_in is not None:
+            # written through a 2D view, so that gx owns its buffer
+            gx = np.empty(x_shape, np.result_type(grad, w_in))
+            np.matmul(g2, w_in.T, out=gx.reshape(-1, k))
+        gw = _kept(x_in).reshape(-1, k).T @ g2 if x_in is not None else None
         gb = g2.sum(axis=0) if b_grad else None
         return (gx, gw, gb) if has_bias else (gx, gw)
 
@@ -586,7 +670,9 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     input gradient and the kernel gradient are one einsum each over the
     sliding windows of the padded maps, one pass with no per-tap
     temporaries.  The kernel enters as [kh, kw, C], so each tap's channel
-    row is contiguous, as is the maps' trailing axis.
+    row is contiguous, as is the maps' trailing axis.  For the kernel's
+    gradient it keeps what ``_keep`` gives for x: after a GELU or a ReLU,
+    their recompute, so no array of its own.
     """
     x4 = _maps(x.data, "depthwise_conv2d")
     c = x4.shape[-1]
@@ -597,15 +683,16 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise ValueError("depthwise_conv2d: kernel extents must be odd")
     taps = np.ascontiguousarray(kernel.data.transpose(1, 2, 0))
     out = np.einsum("bhwcij,ijc->bhwc", _windows(x4, kh, kw), taps)
-    x_shape = x.shape
+    x_shape, maps_shape, x_in = x.shape, x4.shape, _keep(x)
 
     def backward(grad):
-        g4 = grad.reshape(x4.shape)
+        g4 = grad.reshape(maps_shape)
         # x is padded again rather than kept padded by the closure
-        gk = np.einsum("bhwcij,bhwc->cij", _windows(x4, kh, kw), g4)
+        gk = np.einsum("bhwcij,bhwc->cij", _windows(_kept(x_in).reshape(maps_shape), kh, kw), g4)
         # the input gradient correlates grad with the kernel flipped in H and W
         gx = np.einsum("bhwcij,ijc->bhwc", _windows(g4, kh, kw), taps[::-1, ::-1])
-        return (gx.reshape(x_shape), gk)
+        # a batch of maps needs no reshape, which would return a view
+        return (gx if gx.shape == x_shape else gx.reshape(x_shape), gk)
 
     return record_op(out.reshape(x.data.shape), (x, kernel), backward, "depthwise_conv2d")
 
@@ -685,7 +772,8 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
     one element along ``axes`` normalizes to exactly zero, so its output is
     beta.
 
-    One recorded op.  The backward keeps only x_hat and sigma: with
+    One recorded op.  The backward keeps only x_hat and sigma, and the
+    output's recompute reads them with gamma and beta: with
     g' = grad * gamma, dx = (g' - mean(g') - x_hat * mean(g' * x_hat)) / sigma
     over ``axes`` (Ba et al. 2016; Ioffe & Szegedy 2015).  It forms the gamma
     gradient first, from one grad * x_hat product that it then frees, and
@@ -705,8 +793,8 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
     sigma = np.sqrt(var + np.asarray(NORM_EPS, dtype=var.dtype))
     # x_hat takes xc's buffer, and the output adds beta into gamma * x_hat
     x_hat = np.divide(xc, sigma, out=xc)
-    gamma_in, beta_shape = gamma.data, beta.shape
-    out = _add_into(x_hat * gamma_in, beta.data)
+    gamma_in, beta_in, beta_shape = gamma.data, beta.data, beta.shape
+    out = _add_into(x_hat * gamma_in, beta_in)
     # rows: the index range in front of the first reduced axis, flattened
     ndim = x_hat.ndim
     first = min(ax % ndim for ax in axes)
@@ -732,7 +820,10 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes) -> Tensor:
             g /= s_rows[i:i + step]
         return gx, g_gamma, _unbroadcast(grad, beta_shape)
 
-    return record_op(out, (x, gamma, beta), backward, "normalize")
+    def remat():
+        return _add_into(x_hat * gamma_in, beta_in)
+
+    return _set_remat(record_op(out, (x, gamma, beta), backward, "normalize"), remat)
 
 
 def softmax_channels(x: Tensor) -> Tensor:

@@ -1,9 +1,12 @@
-"""Shared brute-force oracles, independent of the library's compute paths, and
-a count of the arrays a recorded graph holds for backward."""
+"""Shared brute-force oracles, independent of the library's compute paths, a
+count of the arrays a recorded graph holds for backward, and a probe of
+where a training step's traced memory peaks."""
 
 import collections
 import math
+import tracemalloc
 import types
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -168,7 +171,9 @@ def held_bytes(out, params=()) -> collections.Counter:
     Walks every node once and each closure's cells, following tensors to
     their data and nested functions, tuples and lists to their contents.
     Arrays count once by the buffer that owns them, so views of one buffer
-    count once, under the first op found holding it.
+    count once, under the first op found holding it: first the ops whose
+    closures hold it outright, then those that reach it only through a
+    nested function, such as an input's recompute (``Tensor._remat``).
     """
     skip = {id(_base(p.data)) for p in params}
     counted = set()
@@ -182,7 +187,7 @@ def held_bytes(out, params=()) -> collections.Counter:
         nodes.append(node)
         stack.extend(node.parents)
 
-    def visit(obj, op, done):
+    def visit(obj, op, done, nested):
         if id(obj) in done:
             return
         done.add(id(obj))
@@ -192,18 +197,96 @@ def held_bytes(out, params=()) -> collections.Counter:
                 counted.add(id(base))
                 by_op[op] += base.nbytes
         elif isinstance(obj, Tensor):
-            visit(obj.data, op, done)
+            visit(obj.data, op, done, nested)
         elif isinstance(obj, types.FunctionType):
-            for cell in obj.__closure__ or ():
-                visit(cell.cell_contents, op, done)
+            if nested:
+                cells(obj, op, done, nested)
         elif isinstance(obj, (tuple, list)):
             for item in obj:
-                visit(item, op, done)
+                visit(item, op, done, nested)
 
-    for node in nodes:
-        if node.backward is not None:
-            visit(node.backward, node.op, set())
+    def cells(fn, op, done, nested):
+        for cell in fn.__closure__ or ():
+            visit(cell.cell_contents, op, done, nested)
+
+    for nested in (False, True):
+        for node in nodes:
+            if node.backward is not None:
+                cells(node.backward, node.op, set(), nested)
     return by_op
+
+
+def keep_arrays(monkeypatch):
+    """Make every op keep its inputs' arrays, as before the recompute
+    (``tensor._keep``): the reference that recomputing graphs must match bit
+    for bit."""
+    from msvseg import scan, tensor
+
+    def keep(t):
+        return t.data
+
+    for module in (tensor, scan):
+        monkeypatch.setattr(module, "_keep", keep)
+
+
+class Point(NamedTuple):
+    """One point of ``step_peaks``: MB above the step's start."""
+    peak_mb: float   # traced peak during the point
+    held_mb: float   # traced memory as it began
+    label: str
+
+
+def step_peaks(run) -> list[Point]:
+    """Where one training step's traced memory peaks, point by point.
+
+    ``run()`` records a forward plus loss and returns the scalar loss; the
+    caller should hold no other tensor of it.  tracemalloc starts just
+    before ``run``.  Every recorded node's backward closure is then wrapped
+    to read the traced memory as it begins and the traced peak while it
+    runs, and the loss's backward walks the graph.  Returns the points
+    ranked by peak, highest first: "forward" (the forward plus loss), one
+    "<op> <gradient shape>" per closure, and "walk", the highest peak of the
+    engine's own work between closures (gradient copies and sums).
+    """
+    points = []
+    walk = [0]
+
+    def wrapped(inner, label, start):
+        def backward(grad):
+            held, between = tracemalloc.get_traced_memory()
+            walk[0] = max(walk[0], between - start)
+            tracemalloc.reset_peak()
+            result = inner(grad)
+            points.append(Point(tracemalloc.get_traced_memory()[1] - start, held - start,
+                                f"{label} {list(grad.shape)}"))
+            tracemalloc.reset_peak()
+            return result
+        return backward
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        loss = run()
+        points.append(Point(tracemalloc.get_traced_memory()[1] - start, 0, "forward"))
+        # no reference to a node outlives this loop: the walk frees nodes as usual
+        stack, seen = [loss._node], set()
+        while stack:
+            node = stack.pop()
+            if node is None or id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(node.parents)
+            if node.backward is not None:
+                node.backward = wrapped(node.backward, node.op, start)
+        del stack, node
+        tracemalloc.reset_peak()
+        loss.backward()
+        walk[0] = max(walk[0], tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    points.append(Point(walk[0], 0, "walk"))
+    mb = 1 / 2 ** 20
+    return sorted((Point(p * mb, h * mb, label) for p, h, label in points), reverse=True)
 
 
 @pytest.fixture

@@ -7,17 +7,18 @@ import collections
 import contextlib
 import itertools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import held_bytes
+from conftest import held_bytes, step_peaks
 from msvseg import scan, tensor
 from msvseg.blocks import _UPSAMPLERS
 from msvseg.gradcheck import _f64_params
 from msvseg.losses import total_loss
-from msvseg.model import _DECODER_BLOCKS, TOY_PRESET, ModelConfig, build_model
+from msvseg.model import _DECODER_BLOCKS, TINY224_PRESET, TOY_PRESET, ModelConfig, build_model
 from msvseg.tensor import Rng, Tensor
 
 # Recorded with the last channels-first implementation ([C, H, W] activations,
@@ -192,14 +193,45 @@ def test_toy_batch_of_eight_records_the_graph_of_one_image():
 # projections, softplus and exp/neg as ops of their own (the four-path copy,
 # the dt pre-activation and delta stayed alive), 27.2 MB with SS2D as one op
 # that keeps only its input map and the scan's block-entry states, 24.5 MB
-# with gelu keeping only its input, not Phi(x) beside it.
-TOY_HELD_MB_BOUND = 27.0
+# with gelu keeping only its input, not Phi(x) beside it, 15.5 MB with the
+# outputs of normalize, gelu, silu and relu formed again in their
+# consumers' backward instead of kept.
+TOY_HELD_MB_BOUND = 17.0
+# The same for one 224x224 sample at width 48 (the wide224_train model):
+# 110.3 MB before the recompute, 69.1 MB with it.
+WIDE224_HELD_MB_BOUND = 75.0
+# Traced peak of a toy step on a batch of eight above its start
+# (``step_peaks``): 27.8 MB, set by the patch embed's layer-norm backward,
+# before the recompute; 21.8 MB, set by the last scan's backward, with it.
+TOY_STEP_PEAK_MB_BOUND = 24.0
+
+
+def _held_mb(cfg, lead):
+    size = cfg.input_size[0]
+    model = build_model(cfg, Rng(0))
+    img = Tensor(Rng(1).random(lead + (3, size, size)).astype(np.float32))
+    mask = Rng(2).integers(0, cfg.num_classes, lead + (size, size)).astype(np.int32)
+    loss = total_loss(model.forward(img), mask, cfg.alpha)
+    by_op = held_bytes(loss, model.parameters())
+    return sum(by_op.values()) / 2 ** 20, by_op
 
 
 def test_toy_graph_holds_less_than_the_bound_at_backward():
+    held, by_op = _held_mb(TOY_PRESET, (8,))
+    assert held < TOY_HELD_MB_BOUND, by_op
+
+
+def test_wide224_graph_holds_less_than_the_bound_at_backward():
+    cfg = replace(TINY224_PRESET, base_channels=48, stage_depths=(1, 1, 1, 1))
+    held, by_op = _held_mb(cfg, (1,))
+    assert held < WIDE224_HELD_MB_BOUND, by_op
+
+
+def test_toy_step_peaks_below_the_bound():
     model = build_model(TOY_PRESET, Rng(0))
     img = Tensor(Rng(1).random((8, 3, 64, 64)).astype(np.float32))
     mask = Rng(2).integers(0, 4, (8, 64, 64)).astype(np.int32)
-    loss = total_loss(model.forward(img), mask, TOY_PRESET.alpha)
-    by_op = held_bytes(loss, model.parameters())
-    assert sum(by_op.values()) / 2 ** 20 < TOY_HELD_MB_BOUND, by_op
+    points = step_peaks(lambda: total_loss(model.forward(img), mask, TOY_PRESET.alpha))
+    assert {p.label for p in points} >= {"forward", "walk"}
+    assert any(p.label.startswith("selective_scan ") for p in points)
+    assert points[0].peak_mb < TOY_STEP_PEAK_MB_BOUND, points[:5]

@@ -454,6 +454,62 @@ class TestSS2D:
         carries = 4 * b * blocks * n * c * 4
         assert sum(held_bytes(y, ss.parameters()).values()) == fmap.data.nbytes + carries
 
+    @staticmethod
+    def _silu_scan_step(dtype):
+        """silu then SS2D on a batch of maps, as in SS2DBlock: the silu's and
+        the scan's outputs, the parameters, and a function that runs the
+        backward and returns every gradient."""
+        ss = SS2D(Rng(60), channels=3, n_state=4)
+        params = list(ss.parameters())
+        for p in params:
+            p.data = p.data.astype(dtype)
+        x = Tensor(Rng(61).normal((2, 5, 6, 3)), dtype=dtype, requires_grad=True)
+        h = T.silu(x)
+        y = ss(h)
+        weight = T.constant(Rng(62).normal(y.shape), like=y)
+
+        def backward():
+            T.tsum(T.mul(y, weight)).backward()
+            return [x.grad] + [p.grad for p in params]
+
+        return h, y, params, backward
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_after_silu_gradients_equal_the_kept_map(self, monkeypatch, dtype):
+        from conftest import keep_arrays
+
+        _, y, _, backward = self._silu_scan_step(dtype)
+        got = backward()
+        keep_arrays(monkeypatch)
+        _, y_kept, _, backward = self._silu_scan_step(dtype)
+        expected = backward()
+        assert np.array_equal(y.data, y_kept.data)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype == dtype and np.array_equal(g, e)
+
+    def test_after_silu_holds_no_map_of_its_own(self, monkeypatch):
+        from conftest import keep_arrays
+
+        h, y, params, _ = self._silu_scan_step(np.float32)
+        silu_input = h.data.nbytes
+        assert held_bytes(h) == {"silu": silu_input}
+        carries = 4 * 2 * -(-5 * 6 // S.SCAN_BLOCK) * 4 * 3 * 4
+        assert held_bytes(y, params) == {"silu": silu_input, "selective_scan": carries}
+        # with arrays kept, the scan keeps the silu's output beside its input
+        keep_arrays(monkeypatch)
+        h, y, params, _ = self._silu_scan_step(np.float32)
+        assert held_bytes(y, params) == {"silu": silu_input,
+                                         "selective_scan": carries + h.data.nbytes}
+
+    def test_backward_forms_the_silu_sigmoid_once(self, monkeypatch):
+        calls = []
+        sigmoid = T._sigmoid
+        monkeypatch.setattr(T, "_sigmoid", lambda x: calls.append(x.shape) or sigmoid(x))
+        _, _, _, backward = self._silu_scan_step(np.float32)
+        assert len(calls) == 1  # the forward's; the scan's own sigmoid is S._sigmoid
+        backward()
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("name,op", [("dt_bias", "linear"), ("a_log", "exp"),
                                          ("w_c", "linear"), ("skip", "selective_scan")])
     def test_non_finite_step_names_its_op(self, name, op):

@@ -330,20 +330,25 @@ class TestActivations:
         assert err <= 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_silu_keeps_its_output_and_sigmoid(self, dtype):
-        # the output is the array the next op (SS2D) keeps anyway, not the input
+    def test_silu_keeps_exactly_its_input(self, dtype):
+        from conftest import held_bytes
+
         x = randt(54, (4, 5), dtype=dtype)
         y = T.silu(x)
-        held = [cell.cell_contents for cell in y._node.backward.__closure__
-                if isinstance(cell.cell_contents, np.ndarray)]
-        assert len(held) == 2 and any(arr is y.data for arr in held)
-        assert not any(np.shares_memory(arr, x.data) for arr in held)
-        # bit-identical to the gradient formed from the input
+        assert held_bytes(y) == {"silu": x.data.nbytes}
+        held = [v for v in _closure(y._node.backward).values() if isinstance(v, np.ndarray)]
+        assert len(held) == 1 and held[0] is x.data
+        # bit-identical to the gradient formed from a kept output and sigmoid,
+        # whether the backward forms the sigmoid or the recompute hands it over
         sig = T._sigmoid(x.data)
         grad = Rng(55).normal(x.shape).astype(dtype)
         expected = grad * (sig + x.data * sig * (1.0 - sig))
-        got = y._node.backward(grad)[0]
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        for remat_first in (False, True):
+            y = T.silu(x)
+            if remat_first:
+                assert np.array_equal(y._remat(), y.data)
+            got = y._node.backward(grad)[0]
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 class TestSubNeg:
@@ -482,7 +487,9 @@ class TestBackward:
         assert np.array_equal(w.grad, x.data.T @ np.ones((4, 3)))
         assert np.array_equal(z.grad, np.ones((4, 3)))
 
-    def test_relu_keeps_its_output_until_its_backward_ran(self):
+    def test_relu_keeps_its_input_until_its_backward_ran(self):
+        # mul sets no recompute, so relu keeps its input array; its output,
+        # which its recompute forms again, dies with its name
         x = randt(90, (3, 4))
         a = T.mul(x, 2.0)
         y = T.relu(a)
@@ -492,16 +499,16 @@ class TestBackward:
         seen = []
 
         def probe(grad, inner=node.backward):
-            seen.append(y_ref() is not None)
+            seen.append(a_ref() is not None)
             return inner(grad)
 
         node.backward = probe
         del a, y, probe
-        assert a_ref() is None  # relu's backward reads its output, not its input
-        assert y_ref() is not None
+        assert y_ref() is None
+        assert a_ref() is not None
         loss.backward()
         assert seen == [True]
-        assert y_ref() is None
+        assert a_ref() is None
         assert np.array_equal(x.grad, 2.0 * (x.data > 0))
 
     def test_leaf_gradient_follows_replaced_data_dtype(self):
@@ -785,3 +792,193 @@ class TestLeanBackwards:
         assert held_bytes(y) == {"gelu": x.data.nbytes}
         held = [v for v in _closure(y._node.backward).values() if isinstance(v, np.ndarray)]
         assert len(held) == 1 and held[0] is x.data
+
+
+def _norm_linear(x, p):
+    h = T.normalize(x, p["gamma"], p["beta"], -1)
+    return h, T.linear(h, p["w"], p["b"])
+
+
+def _gelu_linear(x, p):
+    h = T.gelu(x)
+    return h, T.linear(h, p["w"], p["b"])
+
+
+def _gelu_dwconv(x, p):
+    h = T.gelu(x)
+    return h, T.depthwise_conv2d(h, p["k"])
+
+
+def _bn_relu_dwconv(x, p):
+    # relu holds no array of its own either: held is counted from the norm
+    h = T.normalize(x, p["gamma"], p["beta"], (-3, -2))
+    return h, T.depthwise_conv2d(T.relu(h), p["k"])
+
+
+RECOMPUTED_PAIRS = {"norm_linear": _norm_linear, "gelu_linear": _gelu_linear,
+                    "gelu_dwconv": _gelu_dwconv, "bn_relu_dwconv": _bn_relu_dwconv}
+
+
+def _pair_step(pair, dtype):
+    """One forward and backward of a producer/consumer pair on [2, 5, 6, 8]
+    maps; returns the producer's and consumer's outputs, before backward,
+    and a function that runs the backward and returns every gradient."""
+    c = 8
+    x = Tensor(Rng(64).normal((2, 5, 6, c)) * 1.5, dtype=dtype, requires_grad=True)
+    shapes = {"gamma": (c,), "beta": (c,), "w": (c, 3), "b": (3,), "k": (c, 3, 3)}
+    params = {name: Tensor(Rng(65).child(i).normal(shape), dtype=dtype, requires_grad=True)
+              for i, (name, shape) in enumerate(shapes.items())}
+    h, y = RECOMPUTED_PAIRS[pair](x, params)
+    weight = T.constant(Rng(66).normal(y.shape), like=y)
+
+    def backward():
+        T.tsum(T.mul(y, weight)).backward()
+        return [x.grad] + [p.grad for p in params.values()]
+
+    return h, y, list(params.values()), backward
+
+
+class TestRecompute:
+    """normalize, gelu, silu and relu outputs are formed again in their
+    consumer's backward (``Tensor._remat``), bit for bit, and no consumer
+    keeps an array of its own for them."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("pair", sorted(RECOMPUTED_PAIRS))
+    def test_gradients_equal_the_kept_arrays(self, monkeypatch, pair, dtype):
+        from conftest import keep_arrays
+
+        _, y, _, backward = _pair_step(pair, dtype)
+        got = backward()
+        keep_arrays(monkeypatch)
+        _, y_kept, _, backward = _pair_step(pair, dtype)
+        expected = backward()
+        assert np.array_equal(y.data, y_kept.data)
+        for g, e in zip(got, expected):
+            assert (g is None) == (e is None)
+            if g is not None:
+                assert g.dtype == e.dtype == dtype and np.array_equal(g, e)
+
+    @pytest.mark.parametrize("pair", sorted(RECOMPUTED_PAIRS))
+    def test_consumer_holds_no_array_of_its_own(self, monkeypatch, pair):
+        from conftest import held_bytes, keep_arrays
+
+        h, y, params, _ = _pair_step(pair, np.float32)
+        producer = sum(held_bytes(h, params).values())
+        # a depthwise conv keeps its kernel's taps, [kh, kw, C], and nothing else
+        taps = params[-1].data.nbytes if pair.endswith("dwconv") else 0
+        assert producer > 0 and sum(held_bytes(y, params).values()) == producer + taps
+        # with arrays kept, the same count sees the consumer's own
+        keep_arrays(monkeypatch)
+        h, y, params, _ = _pair_step(pair, np.float32)
+        assert sum(held_bytes(y, params).values()) > sum(held_bytes(h, params).values()) + taps
+
+    @pytest.mark.parametrize("pair", ["gelu_linear", "gelu_dwconv"])
+    def test_backward_forms_phi_once(self, monkeypatch, pair):
+        calls = []
+        gauss_cdf = T._gauss_cdf
+        monkeypatch.setattr(T, "_gauss_cdf", lambda x: calls.append(x.shape) or gauss_cdf(x))
+        _, _, _, backward = _pair_step(pair, np.float32)
+        assert len(calls) == 1  # the forward's
+        backward()
+        assert len(calls) == 2
+
+    @staticmethod
+    def _producers(x, gamma, beta):
+        ln = T.normalize(x, gamma, beta, -1)
+        bn = T.normalize(x, gamma, beta, (-3, -2))
+        return {"layer_norm": ln, "batch_norm": bn, "gelu": T.gelu(x), "silu": T.silu(x),
+                "relu_after_norm": T.relu(bn), "relu_after_mul": T.relu(T.mul(x, 1.5))}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_recompute_is_a_fresh_copy_of_the_output(self, dtype):
+        x = randt(67, (2, 4, 5, 6), dtype=dtype)
+        gamma, beta = randt(68, (6,), dtype=dtype), randt(69, (6,), dtype=dtype)
+        outputs = self._producers(x, gamma, beta)
+        for name in list(outputs):
+            y = outputs.pop(name)
+            held = [v for v in _closure(y._node.backward).values() if isinstance(v, np.ndarray)]
+            before = [arr.copy() for arr in held]
+            again = y._remat()
+            assert again.dtype == y.data.dtype and np.array_equal(again, y.data), name
+            # a fresh array, formed without writing to what the backward reads
+            assert not any(np.shares_memory(again, arr) for arr in held + [y.data]), name
+            assert all(np.array_equal(arr, b) for arr, b in zip(held, before)), name
+            # the recompute does not keep the output alive
+            ref, remat = weakref.ref(y.data), y._remat
+            del y
+            assert ref() is None, name
+            assert np.array_equal(remat(), again), name
+
+    def test_no_grad_forward_sets_no_recompute(self):
+        x = randt(70, (2, 4, 5, 6), dtype=np.float32)
+        gamma, beta = randt(71, (6,), dtype=np.float32), randt(72, (6,), dtype=np.float32)
+        with T.no_grad():
+            outputs = self._producers(x, gamma, beta)
+        # nor does a forward whose inputs take no gradient
+        outputs.update({f"{k}_constant": v for k, v in self._producers(
+            Tensor(x.data), Tensor(gamma.data), Tensor(beta.data)).items()})
+        for name, y in outputs.items():
+            assert y._node is None and y._remat is None, name
+
+
+def _probe_op(parents, grads):
+    """An op whose backward hands ``grads`` to ``parents``."""
+    return T.record_op(np.zeros(()), parents, lambda g: grads, "probe")
+
+
+class TestGradientAdoption:
+    """A first contribution that nothing else can hold becomes the parent's
+    gradient without a copy; any other is copied."""
+
+    def test_owned_contribution_is_adopted(self):
+        x = randt(80, (3, 4))
+        g = np.full((3, 4), 2.0)
+        _probe_op((x,), (g,)).backward()
+        assert x.grad is g
+
+    @pytest.mark.parametrize("contribution", [
+        lambda grad, g: g[:, :],
+        lambda grad, g: g.astype(np.float32),
+        lambda grad, g: grad,
+    ], ids=["view", "other_dtype", "own_gradient"])
+    def test_other_contributions_are_copied(self, contribution):
+        x = randt(81, (3, 4))
+        g = np.full((3, 4), 2.0)
+        y = T.record_op(np.zeros((3, 4)), (x,), lambda grad: (contribution(grad, g),), "probe")
+        T.tsum(y).backward()
+        assert x.grad.dtype == np.float64
+        assert np.array_equal(x.grad, contribution(y.grad, g))
+        assert not np.shares_memory(x.grad, g) and not np.shares_memory(x.grad, y.grad)
+
+    def test_array_handed_to_two_parents_is_copied_for_the_second(self):
+        a, b = randt(82, (3,)), randt(83, (3,))
+        g = np.full(3, 2.0)
+        _probe_op((a, b), (g, g)).backward()
+        assert a.grad is g
+        assert np.array_equal(b.grad, g) and not np.shares_memory(a.grad, b.grad)
+
+    def test_toy_step_gradients_share_no_memory(self, monkeypatch):
+        from msvseg import scan
+        from msvseg.losses import total_loss
+        from msvseg.model import TOY_PRESET, build_model
+
+        outputs = []
+
+        def holding(record_op):
+            def held(*args):
+                outputs.append(record_op(*args))
+                return outputs[-1]
+            return held
+
+        for module in (T, scan):
+            monkeypatch.setattr(module, "record_op", holding(module.record_op))
+        model = build_model(TOY_PRESET, Rng(0))
+        img = Tensor(Rng(1).random((2, 3, 64, 64)).astype(np.float32))
+        mask = Rng(2).integers(0, 4, (2, 64, 64)).astype(np.int32)
+        total_loss(model.forward(img), mask, TOY_PRESET.alpha).backward()
+        grads = [t.grad for t in list(model.parameters()) + outputs if t.grad is not None]
+        assert len(grads) > 200
+        spans = sorted(np.lib.array_utils.byte_bounds(g) for g in grads)
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert end <= start
