@@ -1,7 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, gradcheck, bench-scan, export-features,
-count.  Every subcommand honors --seed; artifacts land under --out-dir.
+count.  Each takes only the options it reads:
+  --seed     gen-data, train, gradcheck, bench-scan
+  --out-dir  gen-data, train, eval, bench-scan, export-features
+  --threads  train, eval
 Exit codes: 0 ok, 1 invalid arguments, 2 runtime failure, 3 gradient-check
 failure.
 """
@@ -41,9 +44,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _InvalidArgs(message)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-    p.add_argument("--out-dir", default="out", help="directory for artifacts")
+def _add_threads(p):
     p.add_argument("--threads", type=int, default=1,
                    help="step workers: threads that run training and evaluation steps (only 1 "
                         "is implemented; higher values warn). Parameter initialisation uses "
@@ -51,17 +52,21 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="msvseg", description=__doc__)
+    parser = _ArgumentParser(prog="msvseg", description=__doc__,
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset directory")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the drawn images and masks")
+    p.add_argument("--out-dir", default="out", help="directory for the dataset")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--classes", type=int, default=4)
     p.add_argument("--size", type=int, default=64)
 
     p = sub.add_parser("train", help="train a model, write checkpoint + CSV log")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="override the configured train.seed")
+    p.add_argument("--out-dir", default="out", help="directory for the checkpoint and log")
+    _add_threads(p)
     p.add_argument("--config", default=None, help="key=value configuration file")
     p.add_argument("--preset", default="toy", help="base model preset (toy|tiny224)")
     p.add_argument("--data", required=True, help="dataset directory (from gen-data)")
@@ -70,31 +75,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    _add_common(p)
+    p.add_argument("--out-dir", default="out", help="directory for metrics.txt")
+    _add_threads(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suite")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the checked inputs")
     p.add_argument("--op-seeds", type=int, default=20)
     p.add_argument("--block-seeds", type=int, default=3)
     p.add_argument("--skip-model", action="store_true")
 
     p = sub.add_parser("bench-scan", help="benchmark the streamed scan against the sequential reference")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the scan inputs")
+    p.add_argument("--out-dir", default="out", help="directory for bench_scan.csv")
     # the defaults are the tiny224 preset's stage 1
     p.add_argument("--lengths", default="3136")
     p.add_argument("--state-size", type=int, default=16)
     p.add_argument("--channels", type=int, default=192)
 
     p = sub.add_parser("export-features", help="write decoder heatmaps for one sample")
-    _add_common(p)
+    p.add_argument("--out-dir", default="out", help="directory for the heatmaps")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--index", type=int, default=0)
 
     p = sub.add_parser("count", help="print parameter and FLOP counts")
-    _add_common(p)
     p.add_argument("--preset", default="toy", help="toy|tiny224")
     p.add_argument("--config", default=None)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
@@ -105,10 +111,7 @@ def _load_configs(args) -> tuple[ModelConfig, TrainConfig]:
     base_model = preset_model_config(args.preset)
     kv = parse_kv_text(Path(args.config).read_text()) if args.config else {}
     kv = apply_overrides(kv, args.set)
-    model_cfg, train_cfg = build_configs(kv, model_base=base_model)
-    if args.seed is not None:
-        train_cfg.seed = args.seed
-    return model_cfg, train_cfg
+    return build_configs(kv, model_base=base_model)
 
 
 def _undrawn_model(model_cfg: ModelConfig) -> VSSUNet:
@@ -158,15 +161,24 @@ def _require_positive(flag: str, *values: int):
 def _cmd_gen_data(args) -> int:
     _require_positive("--n", args.n)
     _require_positive("--size", args.size)
-    seed = args.seed if args.seed is not None else 0
-    samples = gen_synthetic_dataset(args.n, args.classes, args.size, Rng(seed))
+    samples = gen_synthetic_dataset(args.n, args.classes, args.size, Rng(args.seed))
     save_dataset(samples, args.out_dir, args.classes)
     print(f"wrote {len(samples)} samples ({args.classes} classes, {args.size}x{args.size}) to {args.out_dir}")
     return 0
 
 
+def _check_threads(args):
+    _require_positive("--threads", args.threads)
+    if args.threads > 1:
+        print("note: step workers are not implemented; steps run single-threaded",
+              file=sys.stderr)
+
+
 def _cmd_train(args) -> int:
+    _check_threads(args)
     model_cfg, train_cfg = _load_configs(args)
+    if args.seed is not None:
+        train_cfg.seed = args.seed
     samples, num_classes = load_dataset(args.data)
     if num_classes != model_cfg.num_classes:
         raise ValueError(f"dataset has {num_classes} classes but the model expects "
@@ -190,6 +202,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_threads(args)
     model, model_cfg = _restore_model(args.checkpoint)
     samples, num_classes = load_dataset(args.data)
     if num_classes != model_cfg.num_classes:
@@ -208,9 +221,8 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcheck(args) -> int:
     _require_positive("--op-seeds", args.op_seeds)
     _require_positive("--block-seeds", args.block_seeds)
-    seed = args.seed if args.seed is not None else 0
-    results = run_gradient_suite(seed=seed, op_seeds=args.op_seeds, block_seeds=args.block_seeds,
-                                 include_model=not args.skip_model)
+    results = run_gradient_suite(seed=args.seed, op_seeds=args.op_seeds,
+                                 block_seeds=args.block_seeds, include_model=not args.skip_model)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in sorted(results, key=lambda r: r.name):
@@ -229,9 +241,8 @@ def _cmd_bench_scan(args) -> int:
     _require_positive("--lengths", *lengths)
     _require_positive("--state-size", args.state_size)
     _require_positive("--channels", args.channels)
-    seed = args.seed if args.seed is not None else 0
     rows = run_scan_benchmark(lengths=lengths, n_state=args.state_size,
-                              channels=args.channels, seed=seed)
+                              channels=args.channels, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "bench_scan.csv"
@@ -292,12 +303,6 @@ def main(argv=None) -> int:
     except _InvalidArgs as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.threads != 1:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 1
-        print("note: step workers are not implemented; steps run single-threaded",
-              file=sys.stderr)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:

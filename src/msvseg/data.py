@@ -294,13 +294,18 @@ def _checked_id(sid: str) -> str:
 
 
 def save_dataset(samples: list[SegSample], out_dir, num_classes: int):
+    # every sample is checked before the directory is made, so a failed save
+    # writes no file, and an existing dataset stays as it was
+    ids = set()
     for s in samples:
-        _checked_id(s.sample_id)
+        if _checked_id(s.sample_id) in ids:
+            raise ValueError(f"sample {s.sample_id!r} appears twice")
+        ids.add(s.sample_id)
+        s.validate(num_classes)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["version=1", f"num_classes={num_classes}"]
     for s in samples:
-        s.validate(num_classes)
         save_tensor(out_dir / f"{s.sample_id}.image.msvt", s.image.data.astype(np.float32))
         save_tensor(out_dir / f"{s.sample_id}.mask.msvt", s.mask.astype(np.float32))
         lines.append(f"sample={s.sample_id}")

@@ -5,7 +5,8 @@ u8 rank, rank x u64 extents, then the little-endian payload.
 
 Checkpoint ("MSVC"): magic, u16 version=1, u32 config-blob length, the
 structured-text config blob (utf-8 key=value lines), u32 tensor count, then
-named tensor records (u16 name length, utf-8 name, tensor record).
+named tensor records (u16 name length, utf-8 name, tensor record).  No two
+records share a name.
 
 Records are streamed, one record in flight: the writer hands each array's
 own buffer to the file (copying only an array that is not contiguous or not
@@ -108,18 +109,24 @@ def load_tensor(path) -> np.ndarray:
     return arr
 
 
+def _check_new_name(name: str, named: dict):
+    if name in named:
+        raise ValueError(f"checkpoint tensor {name!r} appears twice")
+
+
 def save_checkpoint(path, config_text: str, named_arrays):
     blob = config_text.encode("utf-8")
     # every name and dtype is checked before the file is opened, so a failed
     # save leaves no file, or the old one untouched
-    records = []
+    records = {}
     for name, array in named_arrays:
+        _check_new_name(name, records)
         encoded = name.encode("utf-8")
-        records.append((struct.pack("<H", len(encoded)) + encoded, _record_array(array)))
+        records[name] = (struct.pack("<H", len(encoded)) + encoded, _record_array(array))
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC + struct.pack("<HI", VERSION, len(blob)) + blob
                 + struct.pack("<I", len(records)))
-        for name_field, arr in records:
+        for name_field, arr in records.values():
             f.write(name_field)
             _write_record(f, arr)
 
@@ -139,6 +146,7 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
         for _ in range(count):
             (name_len,) = _unpack("<H", f, end, "tensor name length")
             name = _read(f, end, name_len, "tensor name").decode("utf-8")
+            _check_new_name(name, tensors)
             tensors[name] = _read_record(f, end)
         _check_end(f, end, "the last checkpoint tensor")
     return config_text, tensors

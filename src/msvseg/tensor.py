@@ -91,7 +91,6 @@ class NonFiniteError(ArithmeticError):
     """A forward op produced NaN or Inf (aborts the step)."""
 
 
-_finite_checks = True
 _grad_enabled = True
 
 
@@ -105,17 +104,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-@contextmanager
-def finite_checks(enabled: bool):
-    global _finite_checks
-    prev = _finite_checks
-    _finite_checks = enabled
-    try:
-        yield
-    finally:
-        _finite_checks = prev
 
 
 def _as_array(data, dtype=None):
@@ -321,8 +309,8 @@ def _coerce(value, like: Tensor) -> Tensor:
 
 def check_finite(data: np.ndarray, name: str) -> np.ndarray:
     """``data``, after raising NonFiniteError naming op ``name`` if it holds
-    NaN or Inf while finite checks are on."""
-    if _finite_checks and not np.isfinite(data).all():
+    NaN or Inf."""
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"op '{name}' produced non-finite values")
     return data
 

@@ -135,7 +135,8 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
                eval_samples: list[SegSample] | None = None,
                progress=None) -> TrainResult:
     """Run the optimization; deterministic for a fixed seed.  A non-finite
-    loss aborts with a diagnostic.  Returns history plus the best-DSC state."""
+    loss, or a non-finite value in a step or an evaluation, aborts with a
+    diagnostic naming the step.  Returns history plus the best-DSC state."""
     cfg.validate()
     if not samples:
         raise ValueError("train_loop: empty dataset")
@@ -196,7 +197,11 @@ def train_loop(model, samples: list[SegSample], cfg: TrainConfig,
 
         done = step + 1
         if done % cfg.eval_every == 0 or done == total_steps:
-            report = evaluate(model, eval_samples, alpha=alpha)
+            try:
+                report = evaluate(model, eval_samples, alpha=alpha)
+            except NonFiniteError as exc:
+                raise RuntimeError(f"training diverged in the evaluation after step {step}: "
+                                   f"{exc}") from exc
             row = {
                 "epoch": epoch, "step": done, "lr": lr,
                 "loss": run_loss / run_count, "dice_loss": run_dice / run_count,

@@ -1,5 +1,7 @@
 """CLI subcommands, exit codes, artifact determinism."""
 
+import argparse
+import ast
 import os
 import shutil
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msvseg import tensor
+from msvseg import cli, tensor
 from msvseg.cli import _build_parser, main
 from msvseg.config import config_to_text
 from msvseg.data import load_dataset
@@ -59,8 +61,8 @@ class TestExitCodes:
             key = item.partition("=")[0]
             assert f"unknown configuration key: '{key}'" in capsys.readouterr().err
         # the preset names the base configuration, and no preset is named ''
-        for argv in (["train", "--data", str(dataset_dir)], ["count"]):
-            assert run([*argv, "--out-dir", str(tmp_path), "--preset", ""]) == 1
+        for argv in (["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path)], ["count"]):
+            assert run([*argv, "--preset", ""]) == 1
             assert "error: unknown preset ''" in capsys.readouterr().err
         assert not (tmp_path / "checkpoint.msvc").exists()
 
@@ -122,7 +124,8 @@ class TestExitCodes:
                  "gen-data": ["--n", "1", "--size", "32"],
                  "gradcheck": ["--op-seeds", "1", "--block-seeds", "1", "--skip-model"]}[argv[0]]
         out = tmp_path / "out"
-        assert run([argv[0], *small, *argv[1:], "--out-dir", str(out)]) == 1
+        out_dir = [] if argv[0] == "gradcheck" else ["--out-dir", str(out)]  # it writes nothing
+        assert run([argv[0], *small, *argv[1:], *out_dir]) == 1
         assert f"error: {flag} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
@@ -178,6 +181,14 @@ class TestExitCodes:
                         "--set", "train.eval_every=8"])
         assert code == 2
 
+    def test_divergence_in_an_evaluation_exits_two(self, dataset_dir, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
+                        "--quiet", "--set", "train.lr=1e18", "--set", "train.max_steps=2",
+                        "--set", "train.eval_every=1"])
+        assert code == 2
+        assert "training diverged in the evaluation after step 0" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.msvc").exists()
 
     def test_mixed_size_dataset_is_invalid_input(self, tmp_path, capsys):
         from msvseg.data import gen_synthetic_dataset, save_dataset
@@ -193,6 +204,79 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "s0000 is (3, 64, 64)" in err and "small is (3, 32, 32)" in err
         assert not (tmp_path / "out" / "checkpoint.msvc").exists()
+
+
+def _subcommand_options() -> dict[str, set[str]]:
+    """The destinations of each subcommand's options, by subcommand."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in p._actions if a.dest != "help"}
+            for name, p in sub.choices.items()}
+
+
+def _args_reads(fn: ast.FunctionDef, functions: dict, param: str) -> set[str]:
+    """The ``<param>.<name>`` attributes that ``fn`` reads, with those read by
+    the module's functions it passes ``param`` to."""
+    reads = set()
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == param):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
+            callee = functions[node.func.id]
+            for arg, callee_param in zip(node.args, callee.args.args):
+                if isinstance(arg, ast.Name) and arg.id == param:
+                    reads |= _args_reads(callee, functions, callee_param.arg)
+    return reads
+
+
+# each subcommand's shared flags that its handler never read, now refused
+REMOVED_FLAGS = [("eval", "--seed"), ("export-features", "--seed"), ("count", "--seed"),
+                 ("gradcheck", "--out-dir"), ("count", "--out-dir"),
+                 ("gen-data", "--threads"), ("gradcheck", "--threads"),
+                 ("bench-scan", "--threads"), ("export-features", "--threads"),
+                 ("count", "--threads")]
+
+
+class TestOptions:
+    def test_each_subcommand_takes_exactly_the_options_its_handler_reads(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+        options = _subcommand_options()
+        assert set(options) == set(cli._COMMANDS)
+        for command, handler in cli._COMMANDS.items():
+            reads = _args_reads(functions[handler.__name__], functions, "args")
+            assert options[command] == reads, command
+        # main dispatches and reads no option itself
+        assert _args_reads(functions["main"], functions, "args") == {"command"}
+
+    @pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                             ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
+    def test_unread_flag_is_invalid_args(self, command, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        required = (["--checkpoint", "c.msvc", "--data", "data"]
+                    if command in ("eval", "export-features") else [])
+        value = {"--seed": "3", "--out-dir": "written", "--threads": "1"}[flag]
+        assert run([command, *required, flag, value]) == 1
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_threads_below_one_is_invalid_args(self, command, tmp_path, monkeypatch, capsys):
+        # checked before anything is read or written
+        monkeypatch.chdir(tmp_path)
+        required = {"train": ["--data", "data"],
+                    "eval": ["--checkpoint", "c.msvc", "--data", "data"]}[command]
+        assert run([command, *required, "--threads", "0"]) == 1
+        assert "error: --threads must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_threads_above_one_notes_single_threaded_steps(self, trained_dir, dataset_dir,
+                                                           tmp_path, capsys):
+        assert run(["eval", "--checkpoint", str(trained_dir / "checkpoint.msvc"),
+                    "--data", str(dataset_dir), "--out-dir", str(tmp_path), "--threads", "2"]) == 0
+        assert "note: step workers are not implemented" in capsys.readouterr().err
+        assert (tmp_path / "metrics.txt").exists()
 
 
 class TestConfigFile:
@@ -285,6 +369,23 @@ class TestArtifacts:
         tensors[first] = np.full_like(tensors[first], value)
         save_checkpoint(path, text, tensors.items())
         return first
+
+    @pytest.mark.parametrize("command", ["eval", "export-features"])
+    def test_repeated_checkpoint_tensor_is_invalid_input(self, trained_dir, dataset_dir,
+                                                         tmp_path, capsys, command):
+        # the second record renamed to a placeholder, then byte-edited to the first's name
+        text, tensors = load_checkpoint(trained_dir / "checkpoint.msvc")
+        (first, a), (_, b), *rest = tensors.items()
+        placeholder = "#" * len(first)
+        ckpt = tmp_path / "repeated.msvc"
+        save_checkpoint(ckpt, text, [(first, a), (placeholder, b), *rest])
+        raw = ckpt.read_bytes()
+        assert raw.count(placeholder.encode()) == 1
+        ckpt.write_bytes(raw.replace(placeholder.encode(), first.encode()))
+        assert run([command, "--checkpoint", str(ckpt), "--data", str(dataset_dir),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+        assert f"error: checkpoint tensor '{first}' appears twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_eval_nonfinite_checkpoint_is_invalid_input(self, trained_dir, dataset_dir,
                                                         tmp_path, capsys):

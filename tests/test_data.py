@@ -258,6 +258,27 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match="invalid sample id"):
             load_dataset(data)
 
+    def test_failed_save_writes_no_file(self, dataset, tmp_path):
+        bad = SegSample(dataset[1].image, np.full_like(dataset[1].mask, 9), "s0001")
+        with pytest.raises(ValueError, match="sample s0001"):
+            save_dataset([dataset[0], bad], tmp_path / "out", 4)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["invalid-sample", "repeated-id"])
+    def test_failed_save_leaves_an_existing_dataset_untouched(self, dataset, tmp_path, case):
+        save_dataset(dataset[:2], tmp_path, 4)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # a new s0000 first, so a save that wrote as it checked would overwrite it
+        first = SegSample(dataset[2].image, dataset[2].mask, "s0000")
+        if case == "invalid-sample":
+            second, message = SegSample(dataset[3].image, np.full_like(dataset[3].mask, 9),
+                                        "s0001"), "sample s0001"
+        else:
+            second, message = first, "sample 's0000' appears twice"
+        with pytest.raises(ValueError, match=message):
+            save_dataset([first, second], tmp_path, 4)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_id_outside_directory_rejected_on_save(self, dataset, tmp_path):
         bad = SegSample(dataset[0].image, dataset[0].mask, "../escaped")
         with pytest.raises(ValueError, match=r"'\.\./escaped'"):

@@ -109,6 +109,24 @@ class TestCheckpoint:
             save_checkpoint(path, "k=v", named)
         assert path.read_bytes() == before
 
+    def test_repeated_name_is_refused_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "c.msvc"
+        named = [("a", np.zeros(2, np.float32)), ("a", np.ones(3, np.float32))]
+        with pytest.raises(ValueError, match="checkpoint tensor 'a' appears twice"):
+            save_checkpoint(path, "k=v", named)
+        assert not path.exists()
+
+    def test_repeated_name_is_rejected_on_load(self, tmp_path):
+        # the second record's name byte-edited to equal the first
+        path = tmp_path / "c.msvc"
+        save_checkpoint(path, "k=v", [("a", np.zeros(2, np.float32)), ("b", np.ones(3, np.float32))])
+        raw = path.read_bytes()
+        name_field = struct.pack("<H", 1) + b"b"
+        assert raw.count(name_field) == 1
+        path.write_bytes(raw.replace(name_field, struct.pack("<H", 1) + b"a"))
+        with pytest.raises(ValueError, match="checkpoint tensor 'a' appears twice"):
+            load_checkpoint(path)
+
 
 # covers both dtypes, rank 0, an empty extent and a non-contiguous view
 _PINNED_MATRIX = (np.arange(12, dtype=np.float32).reshape(3, 4) - 5.5) / 3

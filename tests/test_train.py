@@ -152,6 +152,14 @@ class TestTrainLoop:
                                                    r"s000[01], s000[01]: op '"):
                 train_loop(model, tiny_data, cfg)
 
+    def test_divergence_in_an_evaluation_names_its_step(self, tiny_data):
+        # the first update is finite, and the evaluation after it overflows
+        cfg = TrainConfig(lr=1e18, max_steps=2, batch_size=2, eval_every=1, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="training diverged in the evaluation "
+                                                   "after step 0: op '"):
+                train_loop(build_model(ModelConfig(), Rng(2)), tiny_data, cfg)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_loop(build_model(ModelConfig(), Rng(0)), [], TrainConfig())
