@@ -183,15 +183,14 @@ def _cmd_train(args) -> int:
     if num_classes != model_cfg.num_classes:
         raise ValueError(f"dataset has {num_classes} classes but the model expects "
                          f"{model_cfg.num_classes}; set model.num_classes")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     model = build_model(model_cfg, Rng(train_cfg.seed))
     progress = None if args.quiet else (lambda row: print(
         f"step {row['step']:5d} lr {row['lr']:.3e} loss {row['loss']:.4f} "
         f"dsc {row['mean_dsc']:.4f}", flush=True))
     result = train_loop(model, samples, train_cfg, progress=progress)
 
+    out_dir = Path(args.out_dir)  # made only once there is a checkpoint to write
+    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "checkpoint.msvc"
     save_checkpoint(ckpt, config_to_text(model_cfg),
                     [(name, result.best_state[name]) for name, _ in model.named_parameters()])
@@ -299,7 +298,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # refused under the subcommand's usage line, not the root's
+            commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            commands.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     except _InvalidArgs as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,7 +41,6 @@ from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
 
 __all__ = [
     "Tensor", "NonFiniteError", "no_grad", "check_finite", "record_op", "constant",
@@ -498,10 +497,83 @@ def silu(a: Tensor) -> Tensor:
     return _set_remat(record_op(out, (a,), backward, "silu"), remat)
 
 
+# Cody's rational Chebyshev forms of erf as Cephes writes them (ndtr.c):
+# erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and 1 - e^-x^2 P(x) / Q(x) above.
+# Coefficients run from the highest power down; U and Q are monic, and their
+# leading 1 is left out, as p1evl leaves it out.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+          4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+          9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERF_CHUNK = 1 << 15    # values per float64 pass of _erf: each scratch row is 256 KiB
+
+
+def _horner(x: np.ndarray, coeffs, monic: bool = False, out: np.ndarray | None = None):
+    """The polynomial at x by Horner's rule, rounding as Cephes's polevl
+    does, or as p1evl does for a ``monic`` one."""
+    if monic:  # (x + c0) x + c1 ...
+        y = np.add(x, coeffs[0], out=out)
+        rest = coeffs[1:]
+    else:  # (c0 x + c1) x + c2 ...
+        y = np.multiply(x, coeffs[0], out=out)
+        y += coeffs[1]
+        rest = coeffs[2:]
+    for c in rest:
+        y *= x
+        y += c
+    return y
+
+
+def _erf(v: np.ndarray) -> np.ndarray:
+    """erf of each value of the C-contiguous float array v, in place.
+
+    Cephes's erf, the one scipy.special.erf evaluates, written in numpy: in
+    float64, ``_ERF_CHUNK`` values at a time in three scratch rows.
+    x T(x^2) / U(x^2) runs on every value with x clipped to [-1, 1], so x^2
+    cannot overflow; 1 - e^-x^2 P(|x|) / Q(|x|), with the sign copied back,
+    runs only on the values beyond 1, with |x| clipped at 8, where it rounds
+    to 1 as Cephes's forms for |x| >= 8 do.  Negating x negates each product
+    and quotient exactly, so the odd form needs no sign step.  float32
+    results are bit for bit scipy's; float64 ones differ by at most 1 ulp,
+    where numpy's exp and the C library's differ.  No input overflows or is
+    invalid; underflow (x^2 or erf(x) below the normal range) is ignored.
+    """
+    flat = v.reshape(-1)
+    scratch = np.empty((3, min(flat.size, _ERF_CHUNK)))
+    with np.errstate(under="ignore"):
+        for start in range(0, flat.size, _ERF_CHUNK):
+            chunk = flat[start:start + _ERF_CHUNK]
+            m, z, y = scratch[:, :chunk.size]
+            np.clip(chunk, -1.0, 1.0, out=m)
+            np.multiply(m, m, out=z)
+            _horner(z, _ERF_T, out=y)
+            y *= m
+            y /= _horner(z, _ERF_U, monic=True, out=m)
+            big = np.flatnonzero(np.abs(chunk) > 1.0)
+            if big.size:
+                x = chunk[big]
+                b = np.minimum(np.abs(x, dtype=np.float64), 8.0)
+                e = np.multiply(b, -b)
+                np.exp(e, out=e)
+                e *= _horner(b, _ERF_P)
+                e /= _horner(b, _ERF_Q, monic=True)
+                np.subtract(1.0, e, out=e)
+                y[big] = np.copysign(e, x, out=e)
+            chunk[...] = y
+    return v
+
+
 def _gauss_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), each step in place in one buffer."""
-    phi = np.divide(x, math.sqrt(2.0))
-    special.erf(phi, out=phi)
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), each step in place in one
+    buffer, erf by the engine's own ``_erf``."""
+    phi = np.divide(x, math.sqrt(2.0), order="C")
+    _erf(phi)
     phi += 1.0
     phi *= 0.5
     return phi

@@ -1,6 +1,7 @@
-"""Shared brute-force oracles, independent of the library's compute paths, a
-count of the arrays a recorded graph holds for backward, and a probe of
-where a training step's traced memory peaks."""
+"""Shared brute-force oracles, independent of the library's compute paths,
+the scipy forms of the boundary and HD95 metrics, a count of the arrays a
+recorded graph holds for backward, and a probe of where a training step's
+traced memory peaks."""
 
 import collections
 import math
@@ -11,6 +12,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from msvseg.tensor import Tensor
 
@@ -141,6 +143,34 @@ def hd95_bruteforce(pred: np.ndarray, true: np.ndarray, num_classes: int):
         for (u, v) in bt:
             pooled.append(min(math.sqrt((i - u) ** 2 + (j - v) ** 2) for (i, j) in bp))
         out.append(percentile95_linear(pooled))
+    return out
+
+
+def boundary_pixels_scipy(region: np.ndarray) -> np.ndarray:
+    """The scipy form of ``metrics.boundary_pixels``: the region less its
+    binary erosion by the 3x3 square, with nothing beyond the edge."""
+    region = np.asarray(region, dtype=bool)
+    if not region.any():
+        return region
+    return region & ~ndimage.binary_erosion(region, structure=np.ones((3, 3), dtype=bool),
+                                            border_value=0)
+
+
+def hd95_scipy(pred: np.ndarray, true: np.ndarray, num_classes: int):
+    """The scipy form of ``metrics.hd95_metric``: each boundary's distances
+    read from the exact Euclidean distance transform of the other's
+    complement, pooled, then the linear 95th percentile."""
+    out = []
+    for cls in range(num_classes):
+        bp = boundary_pixels_scipy(pred == cls)
+        bt = boundary_pixels_scipy(true == cls)
+        if not bp.any() or not bt.any():
+            out.append(None)
+            continue
+        dist_to_true = ndimage.distance_transform_edt(~bt)
+        dist_to_pred = ndimage.distance_transform_edt(~bp)
+        pooled = np.concatenate([dist_to_true[bp], dist_to_pred[bt]])
+        out.append(float(np.percentile(pooled, 95, method="linear")))
     return out
 
 

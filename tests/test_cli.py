@@ -190,6 +190,17 @@ class TestExitCodes:
         assert "training diverged in the evaluation after step 0" in capsys.readouterr().err
         assert not (tmp_path / "checkpoint.msvc").exists()
 
+    def test_failed_train_leaves_no_out_dir(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert run(["gen-data", "--out-dir", str(data), "--n", "2", "--classes", "4",
+                    "--size", "32", "--seed", "1"]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["train", "--data", str(data), "--out-dir", str(out), "--quiet",
+                        "--set", "train.lr=1e18", "--set", "train.eval_every=1",
+                        "--set", "train.max_steps=2"])
+        assert code == 2
+        assert not out.exists()
+
     def test_mixed_size_dataset_is_invalid_input(self, tmp_path, capsys):
         from msvseg.data import gen_synthetic_dataset, save_dataset
         from msvseg.tensor import Rng
@@ -260,6 +271,14 @@ class TestOptions:
         assert run([command, *required, flag, value]) == 1
         assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_unread_flag_is_reported_under_the_subcommand_usage(self, tmp_path, monkeypatch,
+                                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["eval", "--checkpoint", "c", "--data", "d", "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: msvseg eval ")
+        assert "error: unrecognized arguments: --seed 3" in err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_threads_below_one_is_invalid_args(self, command, tmp_path, monkeypatch, capsys):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import boundary_bruteforce, dsc_set_oracle, hd95_bruteforce
+from conftest import (boundary_bruteforce, boundary_pixels_scipy, dsc_set_oracle,
+                      hd95_bruteforce, hd95_scipy)
 from msvseg.metrics import boundary_pixels, dsc_metric, hd95_metric
 from msvseg.tensor import Rng
 
@@ -128,3 +129,52 @@ class TestHd95:
                 assert g is None
             else:
                 assert g == pytest.approx(e, abs=1e-12)
+
+
+def _drawn_mask_pair(seed):
+    """A (pred, true, num_classes) case: shapes from 1x1 to 224x224, square or
+    not, 2-9 classes of which some may be absent from either mask, and labels
+    drawn per pixel (uniform) or per block of up to 32 pixels (blobs)."""
+    rng = Rng(seed)
+    side = int(rng.integers(0, 4))  # 1-8, 9-32, 33-96 or 97-224 pixels
+    lo, hi = ((1, 9), (9, 33), (33, 97), (97, 225))[side]
+    h, w = (int(v) for v in rng.integers(lo, hi, (2,)))
+    k = int(rng.integers(2, 10))
+    drawn = int(rng.integers(1, k + 1))  # labels 0..drawn-1, so classes above are empty
+    masks = []
+    for _ in range(2):
+        block = int(rng.integers(1, 33)) if seed % 2 else 1
+        coarse = rng.integers(0, drawn, (-(-h // block), -(-w // block)))
+        masks.append(np.repeat(np.repeat(coarse, block, 0), block, 1)[:h, :w].astype(np.int32))
+    return masks[0], masks[1], k
+
+
+class TestMatchesScipy:
+    """boundary_pixels and hd95_metric equal the scipy forms they replaced."""
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 5])
+    def test_hd95_equals_scipy_on_drawn_masks(self, chunk, monkeypatch):
+        from msvseg import metrics
+
+        monkeypatch.setattr(metrics, "_QUERY_CHUNK", chunk)
+        seeds = range(300) if chunk > 5 else range(0, 300, 10)
+        for seed in seeds:
+            pred, true, k = _drawn_mask_pair(seed)
+            assert hd95_metric(pred, true, k) == hd95_scipy(pred, true, k), seed
+
+    def test_boundary_equals_scipy_on_drawn_masks(self):
+        for seed in range(300):
+            pred, true, k = _drawn_mask_pair(seed)
+            for cls in range(k):
+                region = pred == cls
+                assert np.array_equal(boundary_pixels(region), boundary_pixels_scipy(region)), seed
+
+    def test_hd95_equals_scipy_on_edge_cases(self):
+        one = np.zeros((1, 1), dtype=np.int32)
+        line = np.arange(7, dtype=np.int32).reshape(1, 7) % 2
+        corners = np.zeros((224, 224), dtype=np.int32)
+        corners[0, 0] = corners[-1, -1] = 1
+        for pred, true in [(one, one), (one, one + 1), (line, line.T.reshape(1, 7)),
+                           (line.T, 1 - line.T), (corners, corners.T[::-1]),
+                           (corners, np.ones_like(corners))]:
+            assert hd95_metric(pred, true, 3) == hd95_scipy(pred, true, 3)

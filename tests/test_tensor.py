@@ -297,9 +297,10 @@ class TestActivations:
 
     @staticmethod
     def _composed_gelu(a):
-        # the composed form gelu's in-place forward replaced
+        # the composed form gelu's in-place forward replaced, on the engine's
+        # erf (which TestErf compares with scipy's)
         a_in = a.data
-        phi_cdf = 0.5 * (1.0 + special.erf(a_in / math.sqrt(2.0)))
+        phi_cdf = 0.5 * (1.0 + T._erf(a_in / math.sqrt(2.0)))
         return T.record_op(a_in * phi_cdf, (a,), lambda grad: (grad * phi_cdf,), "gelu")
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -349,6 +350,78 @@ class TestActivations:
                 assert np.array_equal(y._remat(), y.data)
             got = y._node.backward(grad)[0]
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def _float_draws(dtype, n=1_000_000):
+    """n normal draws at each of the scales 0.3, 1, 3 and 10."""
+    return np.concatenate([Rng(70 + i).normal((n,)) * scale
+                           for i, scale in enumerate((0.3, 1.0, 3.0, 10.0))]).astype(dtype)
+
+
+def _subnormals(dtype):
+    """Every power-of-two subnormal of dtype and its negative, plus random ones."""
+    info = np.finfo(dtype)
+    bits = np.uint32 if dtype == np.float32 else np.uint64
+    steps = (np.uint64(1) << np.arange(info.nmant, dtype=np.uint64)).astype(bits)
+    drawn = Rng(75).integers(1, 1 << info.nmant, (1000,)).astype(bits)
+    x = np.concatenate([steps, drawn]).view(dtype)
+    return np.concatenate([x, -x])
+
+
+# +-0, +-inf, NaN, huge values, and the seams of the forms: |x| = 1, 8, 26.6
+_ERF_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e30, -1e30, 1.0, -1.0,
+                 8.0, -8.0, 26.7, -26.7, 1e-30, -1e-30]
+
+
+class TestErf:
+    """The engine's erf against scipy.special.erf, whose Cephes forms it
+    evaluates."""
+
+    @staticmethod
+    def _erf(x):
+        return T._erf(x.copy())
+
+    def test_float32_equals_scipy_bit_for_bit(self):
+        x = np.concatenate([_float_draws(np.float32), np.array(_ERF_SPECIALS, np.float32),
+                            _subnormals(np.float32)])
+        got, expected = self._erf(x), special.erf(x)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_float64_is_within_one_ulp_of_scipy(self):
+        x = np.concatenate([_float_draws(np.float64), _ERF_SPECIALS, [1e300, -1e300],
+                            _subnormals(np.float64)])
+        got, expected = self._erf(x), special.erf(x)
+        assert got.dtype == np.float64
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        ok = ~np.isnan(expected)
+        assert np.all(np.abs(got[ok] - expected[ok]) <= np.spacing(np.abs(expected[ok])))
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        # the forms without exp, |x| <= 1, are exact
+        small = np.abs(x) <= 1.0
+        assert np.array_equal(got[small], expected[small])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_floating_point_error(self, dtype):
+        extra = [1e300, -1e300, 1e-200] if dtype == np.float64 else []
+        x = np.concatenate([_float_draws(dtype, 100_000),
+                            np.array(_ERF_SPECIALS + extra, dtype)])
+        with np.errstate(all="raise"):
+            self._erf(np.concatenate([x, _subnormals(dtype)]))
+            T._gauss_cdf(x)
+
+    def test_works_in_place_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(T, "_ERF_CHUNK", 7)
+        x = _float_draws(np.float32, 25).reshape(4, 25)
+        v = x.copy()
+        assert T._erf(v) is v and np.array_equal(v, special.erf(x))
+
+    def test_gauss_cdf_of_a_strided_input(self):
+        x = _float_draws(np.float32, 300).reshape(40, 30)
+        assert np.array_equal(T._gauss_cdf(x.T), T._gauss_cdf(np.ascontiguousarray(x.T)))
+        assert np.array_equal(T._gauss_cdf(x[::3, ::2]),
+                              T._gauss_cdf(np.ascontiguousarray(x[::3, ::2])))
 
 
 class TestSubNeg:
@@ -698,8 +771,7 @@ def _normalize_backward_unchunked(cells, axes, grad):
 
 def _gelu_backward_keeping_phi(a_in, grad):
     """gelu's backward from a kept Phi and a composed pdf."""
-    phi_cdf = np.divide(a_in, math.sqrt(2.0))
-    special.erf(phi_cdf, out=phi_cdf)
+    phi_cdf = T._erf(np.divide(a_in, math.sqrt(2.0)))
     phi_cdf += 1.0
     phi_cdf *= 0.5
     pdf = np.exp(-0.5 * a_in * a_in) / math.sqrt(2.0 * math.pi)
