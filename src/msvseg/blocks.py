@@ -39,16 +39,11 @@ DWCONV_KERNEL = 3
 
 @dataclass
 class BlockConfig:
-    """Shared block hyperparameters."""
+    """Shared block hyperparameters; ``ModelConfig.validate`` checks the
+    kernel set."""
     channels: int
     kernel_set: tuple[int, ...] = (1, 3, 5)
     state_size: int = 16
-
-    def __post_init__(self):
-        if not self.kernel_set:
-            raise ValueError("kernel_set must not be empty")
-        if any(k % 2 == 0 for k in self.kernel_set):
-            raise ValueError(f"kernel_set entries must be odd, got {self.kernel_set}")
 
 
 # -- leaf layers -----------------------------------------------------------------

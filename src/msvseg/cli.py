@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, eval, gradcheck, bench-scan, export-features,
-count.  Each takes only the options it reads:
-  --seed     gen-data, train, gradcheck, bench-scan
-  --out-dir  gen-data, train, eval, bench-scan, export-features
+Subcommands: gen-data, train, eval, gradcheck, export-features, count.
+Each takes only the options it reads:
+  --seed     gen-data, train, gradcheck
+  --out-dir  gen-data, train, eval, export-features
   --threads  train, eval
 Exit codes: 0 ok, 1 invalid arguments, 2 runtime failure, 3 gradient-check
 failure.
@@ -24,7 +24,6 @@ from .data import gen_synthetic_dataset, load_dataset, save_dataset
 from .gradcheck import run_gradient_suite
 from .model import (ModelConfig, VSSUNet, build_model, count_flops, count_params,
                     export_stage_features)
-from .scan import run_scan_benchmark
 from .serial import load_checkpoint, save_checkpoint
 from .tensor import NonFiniteError, Rng, deferred_fills
 from .train import TrainConfig, evaluate, train_loop
@@ -86,14 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-seeds", type=int, default=3)
     p.add_argument("--skip-model", action="store_true")
 
-    p = sub.add_parser("bench-scan", help="benchmark the streamed scan against the sequential reference")
-    p.add_argument("--seed", type=int, default=0, help="seed of the scan inputs")
-    p.add_argument("--out-dir", default="out", help="directory for bench_scan.csv")
-    # the defaults are the tiny224 preset's stage 1
-    p.add_argument("--lengths", default="3136")
-    p.add_argument("--state-size", type=int, default=16)
-    p.add_argument("--channels", type=int, default=192)
-
     p = sub.add_parser("export-features", help="write decoder heatmaps for one sample")
     p.add_argument("--out-dir", default="out", help="directory for the heatmaps")
     p.add_argument("--checkpoint", required=True)
@@ -153,9 +144,9 @@ def _restored_forward(checkpoint_path):
                          f"in the forward pass: {exc}") from exc
 
 
-def _require_positive(flag: str, *values: int):
-    if any(v < 1 for v in values):
-        raise ValueError(f"{flag} must be >= 1, got {','.join(map(str, values))}")
+def _require_positive(flag: str, value: int):
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
 
 
 def _cmd_gen_data(args) -> int:
@@ -232,30 +223,6 @@ def _cmd_gradcheck(args) -> int:
     return 0 if failures == 0 else 3
 
 
-def _cmd_bench_scan(args) -> int:
-    try:
-        lengths = tuple(int(v) for v in args.lengths.split(","))
-    except ValueError:
-        raise ValueError(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
-    _require_positive("--lengths", *lengths)
-    _require_positive("--state-size", args.state_size)
-    _require_positive("--channels", args.channels)
-    rows = run_scan_benchmark(lengths=lengths, n_state=args.state_size,
-                              channels=args.channels, seed=args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "bench_scan.csv"
-    lines = ["path_count,L,N,C,variant,wall_ns,checksum"]
-    for r in rows:
-        lines.append(f"{r['path_count']},{r['L']},{r['N']},{r['C']},{r['variant']},"
-                     f"{r['wall_ns']},{r['checksum']}")
-    csv_path.write_text("\n".join(lines) + "\n")
-    for r in rows:
-        print(f"L={r['L']:5d} {r['variant']:>10s}: {r['elements_per_s'] / 1e6:8.2f} M elem/s")
-    print(f"wrote {csv_path}")
-    return 0
-
-
 def _cmd_export_features(args) -> int:
     model, _ = _restore_model(args.checkpoint)
     samples, _ = load_dataset(args.data)
@@ -289,7 +256,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "eval": _cmd_eval,
     "gradcheck": _cmd_gradcheck,
-    "bench-scan": _cmd_bench_scan,
     "export-features": _cmd_export_features,
     "count": _cmd_count,
 }

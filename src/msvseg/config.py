@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .data import AugmentConfig
 from .model import ModelConfig, TINY224_PRESET, TOY_PRESET
 from .train import TrainConfig
 
@@ -23,31 +22,48 @@ def _parse_bool(s: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {s!r}")
+    raise ValueError(s)
 
 
 def _parse_int_tuple(s: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in s.replace(" ", "").split(",") if part)
+    """Comma-separated integers, spaces allowed around each; an empty value
+    is the empty tuple, an empty entry an error."""
+    return tuple(int(part) for part in s.split(",")) if s.strip() else ()
 
 
-def _optional(parse):
-    """``parse``, except that ``none`` or an empty value gives None."""
-    return lambda s: None if s.strip().lower() in ("none", "") else parse(s)
+# each field's parser and, for the message when it refuses a value, the kind of value it takes
+_INT = (int, "an integer")
+_FLOAT = (float, "a number")
+_INTS = (_parse_int_tuple, "comma-separated integers")
+
+
+def _optional(field):
+    """``field``, except that ``none`` or an empty value gives None."""
+    parse, kind = field
+    return (lambda s: None if s.strip().lower() in ("none", "") else parse(s)), f"{kind} or none"
 
 
 _MODEL_FIELDS = {
-    "base_channels": int, "stage_depths": _parse_int_tuple, "num_classes": int,
-    "input_size": _parse_int_tuple, "kernel_set": _parse_int_tuple,
-    "decoder_block": str, "upsampler": str, "alpha": float, "state_size": int,
+    "base_channels": _INT, "stage_depths": _INTS, "num_classes": _INT, "input_size": _INTS,
+    "kernel_set": _INTS, "decoder_block": (str, "a name"), "upsampler": (str, "a name"),
+    "alpha": _FLOAT, "state_size": _INT,
 }
 
 _TRAIN_FIELDS = {
-    "lr": float, "weight_decay": float, "batch_size": int, "max_epochs": int,
-    "max_steps": _optional(int), "seed": int, "eval_every": int,
-    "stop_dsc": _optional(float),
+    "lr": _FLOAT, "weight_decay": _FLOAT, "batch_size": _INT, "max_epochs": _INT,
+    "max_steps": _optional(_INT), "seed": _INT, "eval_every": _INT,
+    "stop_dsc": _optional(_FLOAT),
 }
 
-_AUG_FIELDS = {"target_size": _optional(_parse_int_tuple), "enabled": _parse_bool}
+_AUG_FIELDS = {"target_size": _optional(_INTS), "enabled": (_parse_bool, "a boolean")}
+
+
+def _parse_field(fields, name: str, value: str):
+    parse, kind = fields[name]
+    try:
+        return parse(value)
+    except ValueError:
+        raise ValueError(f"{name} must be {kind}, got {value!r}") from None
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -87,13 +103,13 @@ def build_configs(kv: dict[str, str],
         try:
             if key.startswith("train.augment."):
                 name = key[len("train.augment."):]
-                aug = replace(aug, **{name: _AUG_FIELDS[name](value)})
+                aug = replace(aug, **{name: _parse_field(_AUG_FIELDS, name, value)})
             elif key.startswith("train."):
                 name = key[len("train."):]
-                train = replace(train, **{name: _TRAIN_FIELDS[name](value)})
+                train = replace(train, **{name: _parse_field(_TRAIN_FIELDS, name, value)})
             elif key.startswith("model."):
                 name = key[len("model."):]
-                model = replace(model, **{name: _MODEL_FIELDS[name](value)})
+                model = replace(model, **{name: _parse_field(_MODEL_FIELDS, name, value)})
             else:
                 raise KeyError(key)
         except KeyError:

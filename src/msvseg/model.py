@@ -61,8 +61,8 @@ class ModelConfig:
             raise ValueError(f"decoder_block must be one of {sorted(_DECODER_BLOCKS)}")
         if self.upsampler not in _UPSAMPLERS:
             raise ValueError(f"upsampler must be one of {sorted(_UPSAMPLERS)}")
-        if any(k % 2 == 0 or k < 1 for k in self.kernel_set):
-            raise ValueError(f"kernel_set entries must be odd, got {self.kernel_set}")
+        if not self.kernel_set or any(k % 2 == 0 or k < 1 for k in self.kernel_set):
+            raise ValueError(f"kernel_set must be one or more odd sizes >= 1, got {self.kernel_set}")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         return self

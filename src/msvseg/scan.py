@@ -44,27 +44,28 @@ block's Abar, Bbar*x and h from its saved state with the forward's own
 functions (so bit-identical to the forward's states), runs the reverse
 recurrence over that block, and takes its sums over N or C as batched
 matmuls and its sums over time and against A as einsums.
-_scan_forward_core/_scan_backward_core keep the full history and stay as the
-reference the streamed op is tested against.  Both read out with a matmul,
-the reference as [C, N] @ [N, 1] per step, which sums over N in another
-order, so streamed y matches the reference within 1e-12 relative in
-float64, not bit for bit.  The reference's chunked form,
-``_scan_forward_core(..., chunk)`` with chunk < L, is the streamed op's own
-forward loop ``_stream_forward`` at block length chunk, so checking chunked
-against sequential checks the recurrence the model runs.
+_scan_forward_core keeps the full history and is the forward reference the
+streamed op is tested against; its backward partner, the reverse
+recurrence over that history, is a test oracle in ``tests/conftest.py``.
+Both forwards read out with a matmul, the reference as [C, N] @ [N, 1] per
+step, which sums over N in another order, so streamed y matches the
+reference within 1e-12 relative in float64, not bit for bit.  The
+reference's chunked form, ``_scan_forward_core(..., chunk)`` with chunk < L,
+is the streamed op's own forward loop ``_stream_forward`` at block length
+chunk, so checking chunked against sequential checks the recurrence the
+model runs.
 """
 
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
 from .tensor import (Module, Rng, Tensor, _keep, _kept, _linear, _sigmoid, _softplus, check_finite,
                      init_ones, record_op, schedule_fill, trunc_normal_draw, uniform_draw)
 
-__all__ = ["dt_rank", "cross_scan", "cross_merge", "SS2D", "run_scan_benchmark"]
+__all__ = ["dt_rank", "cross_scan", "cross_merge", "SS2D"]
 
 
 def dt_rank(channels: int) -> int:
@@ -105,30 +106,6 @@ def _scan_forward_core(x, delta, a, b, c_out, skip, chunk=None):
         h[:, t] = acc
     y = np.matmul(h, c_out[..., None])[..., 0] + skip[:, None, :] * x
     return y, h, abar
-
-
-def _scan_backward_core(grad_y, x, delta, a, b, c_out, skip, h, abar):
-    """Reverse recurrence producing gradients for every scan input."""
-    g_c = (grad_y[..., None] * h).sum(axis=2)
-    # after the loop g_bx[:, t] holds the total state gradient at step t
-    g_bx = grad_y[..., None] * c_out[:, :, None, :]
-    g_abar = np.empty_like(h)
-    g_abar[:, 0] = 0.0
-    gh_carry = np.zeros_like(h[:, 0])
-    for t in range(h.shape[1] - 1, -1, -1):
-        gh = g_bx[:, t]
-        gh += gh_carry
-        if t > 0:
-            np.multiply(gh, h[:, t - 1], out=g_abar[:, t])
-        np.multiply(gh, abar[:, t], out=gh_carry)
-    g_abar *= abar  # now holds dL/d(delta * a) summands
-    g_a = (g_abar * delta[..., None]).sum(axis=1)
-    gbx_b = (g_bx * b[:, :, None, :]).sum(-1)
-    g_delta = (g_abar * a[:, None]).sum(-1) + gbx_b * x
-    g_b = (g_bx * (delta * x)[..., None]).sum(axis=2)
-    g_x = grad_y * skip[:, None, :] + gbx_b * delta
-    g_skip = (grad_y * x).sum(axis=1)
-    return g_x, g_delta, g_a, g_b, g_c, g_skip
 
 
 def _block_terms(x, delta, a_t, b, s, abar, bx):
@@ -417,64 +394,3 @@ def _linear_grads(grad, x, weight):
     g3 = grad.reshape(p, -1, m)
     gx = (g3 @ weight.swapaxes(-1, -2)).reshape(x.shape)
     return gx, x.reshape(p, -1, k).swapaxes(-1, -2) @ g3
-
-
-# -- benchmark -------------------------------------------------------------------
-
-# Channels do not interact in the recurrence, so the benchmark gate runs the
-# full-history reference on groups of this many channels, not on all C at once.
-_GATE_CHANNELS = 8
-
-
-def run_scan_benchmark(lengths, n_state: int, channels: int, seed: int) -> list[dict]:
-    """Time the streamed recurrence, at the model's block length SCAN_BLOCK,
-    against the sequential reference in float32, over the four stacked paths
-    of SS2D.
-
-    Each length is gated first: in float64 every channel of the streamed
-    output must match the full-history reference within 1e-12 relative to
-    the reference's largest |y|, or the benchmark aborts.  Both variants then
-    run forward in float32, the training dtype.  Returns rows of path_count,
-    L, N, C, variant, wall_ns, throughput and checksum.
-    """
-    paths = 4
-
-    def streamed(arrays):
-        return _stacked_scan(*arrays, SCAN_BLOCK)[0]
-
-    rows = []
-    for length in lengths:
-        rng = Rng(seed).child(length)
-        x = rng.normal((paths, length, channels)).astype(np.float64)
-        delta = np.log1p(np.exp(rng.normal((paths, length, channels)))) + 1e-4
-        a = -np.exp(rng.normal((paths, channels, n_state)) * 0.5)
-        b = rng.normal((paths, length, n_state))
-        c_out = rng.normal((paths, length, n_state))
-        skip = rng.normal((paths, channels))
-        arrays = (x, delta, a, b, c_out, skip)
-
-        groups = [slice(lo, lo + _GATE_CHANNELS) for lo in range(0, channels, _GATE_CHANNELS)]
-        y_ref = np.concatenate([_scan_forward_core(x[..., ch], delta[..., ch], a[:, ch], b, c_out,
-                                                   skip[:, ch])[0] for ch in groups], axis=-1)
-        dev = float(np.max(np.abs(streamed(arrays) - y_ref)))
-        if dev > 1e-12 * float(np.max(np.abs(y_ref))):
-            raise AssertionError(f"benchmark gate failed: streamed deviates by {dev:.3e} at L={length}")
-
-        arrays32 = tuple(v.astype(np.float32) for v in arrays)
-        variants = (("reference", lambda: _scan_forward_core(*arrays32)[0]),
-                    ("streamed", lambda: streamed(arrays32)))
-        for variant, run in variants:
-            best = None
-            for _ in range(3):
-                t0 = time.perf_counter_ns()
-                y = run()
-                dt = time.perf_counter_ns() - t0
-                best = dt if best is None else min(best, dt)
-            elems = paths * length * channels
-            rows.append({
-                "path_count": paths, "L": length, "N": n_state, "C": channels,
-                "variant": variant, "wall_ns": best,
-                "elements_per_s": elems / (best * 1e-9),
-                "checksum": f"{float(y.sum()):.17g}",
-            })
-    return rows

@@ -1,7 +1,7 @@
 """Shared brute-force oracles, independent of the library's compute paths,
-the scipy forms of the boundary and HD95 metrics, a count of the arrays a
-recorded graph holds for backward, and a probe of where a training step's
-traced memory peaks."""
+the full-history scan backward, the scipy forms of the boundary and HD95
+metrics, a count of the arrays a recorded graph holds for backward, and a
+probe of where a training step's traced memory peaks."""
 
 import collections
 import math
@@ -82,6 +82,31 @@ def scan_scalar_loop(x, delta, a, b, c_out, skip):
                 acc += h[ci, ni] * c_out[t, ni]
             y[t, ci] = acc + skip[ci] * x[t, ci]
     return y
+
+
+def scan_backward_core(grad_y, x, delta, a, b, c_out, skip, h, abar):
+    """Reverse recurrence producing gradients for every scan input, over the
+    full history h and Abar that ``scan._scan_forward_core`` returns."""
+    g_c = (grad_y[..., None] * h).sum(axis=2)
+    # after the loop g_bx[:, t] holds the total state gradient at step t
+    g_bx = grad_y[..., None] * c_out[:, :, None, :]
+    g_abar = np.empty_like(h)
+    g_abar[:, 0] = 0.0
+    gh_carry = np.zeros_like(h[:, 0])
+    for t in range(h.shape[1] - 1, -1, -1):
+        gh = g_bx[:, t]
+        gh += gh_carry
+        if t > 0:
+            np.multiply(gh, h[:, t - 1], out=g_abar[:, t])
+        np.multiply(gh, abar[:, t], out=gh_carry)
+    g_abar *= abar  # now holds dL/d(delta * a) summands
+    g_a = (g_abar * delta[..., None]).sum(axis=1)
+    gbx_b = (g_bx * b[:, :, None, :]).sum(-1)
+    g_delta = (g_abar * a[:, None]).sum(-1) + gbx_b * x
+    g_b = (g_bx * (delta * x)[..., None]).sum(axis=2)
+    g_x = grad_y * skip[:, None, :] + gbx_b * delta
+    g_skip = (grad_y * x).sum(axis=1)
+    return g_x, g_delta, g_a, g_b, g_c, g_skip
 
 
 def dsc_set_oracle(pred: np.ndarray, true: np.ndarray, num_classes: int):

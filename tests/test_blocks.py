@@ -147,14 +147,6 @@ class TestMultiScaleFFN:
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_empty_kernel_set_rejected(self):
-        with pytest.raises(ValueError):
-            BlockConfig(channels=4, kernel_set=())
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            BlockConfig(channels=4, kernel_set=(1, 2))
-
 
 class TestResidualBlocks:
     @pytest.mark.parametrize("cls", [MSVSSBlock, VSSBlock])

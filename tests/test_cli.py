@@ -3,6 +3,7 @@
 import argparse
 import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -89,7 +90,8 @@ class TestExitCodes:
                                       "train.augment.target_size=0,0",
                                       "train.augment.target_size=32,32,32",
                                       "train.stop_dsc=nan", "train.stop_dsc=5",
-                                      "train.stop_dsc=-0.1"])
+                                      "train.stop_dsc=-0.1", "train.lr=abc",
+                                      "train.max_steps=1.5", "train.augment.enabled=maybe"])
     def test_invalid_train_value_names_its_key(self, item, dataset_dir, tmp_path, capsys):
         assert run(["train", "--data", str(dataset_dir), "--out-dir", str(tmp_path),
                     "--set", item]) == 1
@@ -99,29 +101,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("item", ["model.state_size=0", "model.base_channels=0",
                                       "model.input_size=0,0", "model.input_size=64",
-                                      "model.input_size=64,64,64"])
+                                      "model.input_size=64,64,64", "model.base_channels=x",
+                                      "model.kernel_set=1,,3", "model.kernel_set=1,3,",
+                                      "model.stage_depths=1,1,,1,1", "model.kernel_set=",
+                                      "model.kernel_set=-1", "model.kernel_set=1,2"])
     def test_invalid_model_value_names_its_key(self, item, capsys):
         assert run(["count", "--set", item]) == 1
         key = item.partition("=")[0].removeprefix("model.")
         assert f"error: {key} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
-        (["bench-scan", "--lengths", "0"], "--lengths"),
-        (["bench-scan", "--lengths", "8,-1"], "--lengths"),
-        (["bench-scan", "--state-size", "0"], "--state-size"),
-        (["bench-scan", "--channels", "0"], "--channels"),
         (["gen-data", "--n", "0"], "--n"),
         (["gen-data", "--n", "-1"], "--n"),
         (["gen-data", "--size", "0"], "--size"),
         (["gradcheck", "--op-seeds", "0"], "--op-seeds"),
         (["gradcheck", "--op-seeds", "-2"], "--op-seeds"),
         (["gradcheck", "--block-seeds", "0"], "--block-seeds"),
-    ], ids=["length-0", "length-neg", "state-size-0", "channels-0", "n-0", "n-neg", "size-0",
-            "op-seeds-0", "op-seeds-neg", "block-seeds-0"])
+    ], ids=["n-0", "n-neg", "size-0", "op-seeds-0", "op-seeds-neg", "block-seeds-0"])
     def test_size_below_one_is_invalid_args(self, argv, flag, tmp_path, capsys):
         # small valid sizes for the other arguments; argparse keeps the last value
-        small = {"bench-scan": ["--lengths", "8", "--state-size", "2", "--channels", "2"],
-                 "gen-data": ["--n", "1", "--size", "32"],
+        small = {"gen-data": ["--n", "1", "--size", "32"],
                  "gradcheck": ["--op-seeds", "1", "--block-seeds", "1", "--skip-model"]}[argv[0]]
         out = tmp_path / "out"
         out_dir = [] if argv[0] == "gradcheck" else ["--out-dir", str(out)]  # it writes nothing
@@ -129,14 +128,12 @@ class TestExitCodes:
         assert f"error: {flag} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("lengths", ["8,,16", "8,x", "8.5", ""],
-                             ids=["empty-entry", "word", "fraction", "empty"])
-    def test_malformed_lengths_name_the_flag(self, lengths, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert run(["bench-scan", "--lengths", lengths, "--state-size", "2", "--channels", "2",
-                    "--out-dir", str(out)]) == 1
-        assert "error: --lengths must be comma-separated integers" in capsys.readouterr().err
-        assert not out.exists()
+    def test_removed_bench_scan_is_an_invalid_choice(self, tmp_path, monkeypatch, capsys):
+        # scan-kernel timing lives in perfbench, not the CLI
+        monkeypatch.chdir(tmp_path)
+        assert run(["bench-scan"]) == 1
+        assert "invalid choice: 'bench-scan'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("classes", ["13", "14"])
     def test_class_counts_above_nine_find_a_palette(self, classes, tmp_path):
@@ -245,8 +242,7 @@ def _args_reads(fn: ast.FunctionDef, functions: dict, param: str) -> set[str]:
 REMOVED_FLAGS = [("eval", "--seed"), ("export-features", "--seed"), ("count", "--seed"),
                  ("gradcheck", "--out-dir"), ("count", "--out-dir"),
                  ("gen-data", "--threads"), ("gradcheck", "--threads"),
-                 ("bench-scan", "--threads"), ("export-features", "--threads"),
-                 ("count", "--threads")]
+                 ("export-features", "--threads"), ("count", "--threads")]
 
 
 class TestOptions:
@@ -296,6 +292,36 @@ class TestOptions:
                     "--data", str(dataset_dir), "--out-dir", str(tmp_path), "--threads", "2"]) == 0
         assert "note: step workers are not implemented" in capsys.readouterr().err
         assert (tmp_path / "metrics.txt").exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _flag_users() -> dict[str, list[str]]:
+    """The subcommands that take each shared flag, in ``cli._COMMANDS`` order."""
+    options = _subcommand_options()
+    return {flag: [c for c in cli._COMMANDS if flag[2:].replace("-", "_") in options[c]]
+            for flag in ("--seed", "--out-dir", "--threads")}
+
+
+class TestDocs:
+    """The subcommand lists in README and the CLI's docstring follow the parser."""
+
+    def test_readme_flag_table_follows_the_parser(self):
+        rows = dict(re.findall(r"^\| `(--[\w-]+)` \| ([^|]+) \|", README.read_text(), re.M))
+        users = _flag_users()
+        assert {flag: re.findall(r"`([\w-]+)`", rows[flag]) for flag in users} == users
+
+    def test_readme_cli_block_runs_every_subcommand(self):
+        block = README.read_text().split("## CLI", 1)[1].split("```", 2)[1]
+        assert sorted(re.findall(r"^msvseg ([\w-]+)", block, re.M)) == sorted(cli._COMMANDS)
+
+    def test_cli_docstring_follows_the_parser(self):
+        listed = re.search(r"Subcommands: ([^.]+)\.", cli.__doc__).group(1)
+        assert re.split(r",\s+", listed) == list(cli._COMMANDS)
+        rows = dict(re.findall(r"^  (--[\w-]+) +(.+)$", cli.__doc__, re.M))
+        users = _flag_users()
+        assert {flag: rows[flag].split(", ") for flag in users} == users
 
 
 class TestConfigFile:
@@ -595,17 +621,6 @@ class TestArtifacts:
         assert run(["export-features", "--checkpoint", str(trained_dir / "checkpoint.msvc"),
                     "--data", str(dataset_dir), "--out-dir", str(tmp_path),
                     "--index", "99"]) == 1
-
-    def test_bench_scan_csv(self, tmp_path):
-        assert run(["bench-scan", "--out-dir", str(tmp_path), "--lengths", "64,128",
-                    "--state-size", "4", "--channels", "2"]) == 0
-        lines = (tmp_path / "bench_scan.csv").read_text().splitlines()
-        assert lines[0] == "path_count,L,N,C,variant,wall_ns,checksum"
-        assert len(lines) == 5
-
-    def test_bench_scan_defaults_to_the_tiny224_stage_one_shape(self):
-        args = _build_parser().parse_args(["bench-scan"])
-        assert (args.lengths, args.channels, args.state_size) == ("3136", 192, 16)
 
     def test_count_prints_reference_for_tiny224(self, capsys):
         assert run(["count", "--preset", "tiny224"]) == 0

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from conftest import held_bytes, scan_scalar_loop
+from conftest import held_bytes, scan_backward_core, scan_scalar_loop
 from msvseg import scan as S
 from msvseg import tensor as T
 from msvseg.gradcheck import _f64_params
-from msvseg.scan import SS2D, cross_merge, cross_scan, run_scan_benchmark
+from msvseg.scan import SS2D, cross_merge, cross_scan
 from msvseg.tensor import (Rng, Tensor, fill_draws, finite_diff_grad_check, no_grad,
                            trunc_normal_draw)
 
@@ -207,7 +207,7 @@ class TestStreamedScan:
         # the matmul readout sums over N in another order than the reference
         assert np.max(np.abs(y - y_ref)) <= 1e-12 * np.max(np.abs(y_ref))
         grad_y = Rng(y_ref.size).normal(y_ref.shape)
-        expected = S._scan_backward_core(grad_y, *arrays, h, abar)
+        expected = scan_backward_core(grad_y, *arrays, h, abar)
         for g, ref in zip(S._stacked_scan_backward(grad_y, *arrays, carries, block), expected):
             assert g.shape == ref.shape
             assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -338,7 +338,7 @@ def _core_op(x, delta, a, b, c_out, skip):
     y, h, abar = S._scan_forward_core(*arrays)
 
     def backward(grad):
-        return tuple(g[0] for g in S._scan_backward_core(grad[None], *arrays, h, abar))
+        return tuple(g[0] for g in scan_backward_core(grad[None], *arrays, h, abar))
 
     return T.record_op(y[0], (x, delta, a, b, c_out, skip), backward, "oracle_scan")
 
@@ -563,40 +563,3 @@ class TestSS2D:
         f = Tensor(Rng(24).normal((6, 5, 4)), dtype=np.float64, requires_grad=True)
         err = finite_diff_grad_check(lambda f: T.tsum(T.mul(ss(f), ss(f))), [f])
         assert err <= 1e-4
-
-
-class TestBenchmark:
-    def test_rows_and_gate(self):
-        rows = run_scan_benchmark(lengths=(64, 128), n_state=4, channels=2, seed=3)
-        assert [(r["L"], r["variant"]) for r in rows] == [
-            (64, "reference"), (64, "streamed"), (128, "reference"), (128, "streamed")]
-        for row in rows:
-            assert set(row) >= {"path_count", "L", "N", "C", "variant", "wall_ns", "checksum"}
-            assert row["wall_ns"] > 0
-
-    def test_gate_aborts_on_a_deviating_streamed_op(self, monkeypatch):
-        real_scan = S._stacked_scan
-        monkeypatch.setattr(S, "_stacked_scan",
-                            lambda *args: (real_scan(*args)[0] * (1.0 + 1e-9), None))
-        with pytest.raises(AssertionError, match="benchmark gate failed"):
-            run_scan_benchmark(lengths=(64,), n_state=4, channels=2, seed=3)
-
-    def test_gate_checks_every_channel_group(self, monkeypatch):
-        # 18 channels span several reference groups, the last one partial; a
-        # 1e-9 relative deviation on the last channel alone must trip the gate
-        real_scan = S._stacked_scan
-
-        def last_channel_off(*args):
-            y, carries = real_scan(*args)
-            y[..., -1] *= 1.0 + 1e-9
-            return y, carries
-
-        run_scan_benchmark(lengths=(64,), n_state=4, channels=18, seed=3)
-        monkeypatch.setattr(S, "_stacked_scan", last_channel_off)
-        with pytest.raises(AssertionError, match="benchmark gate failed"):
-            run_scan_benchmark(lengths=(64,), n_state=4, channels=18, seed=3)
-
-    def test_checksums_deterministic(self):
-        r1 = run_scan_benchmark(lengths=(64,), n_state=4, channels=2, seed=3)
-        r2 = run_scan_benchmark(lengths=(64,), n_state=4, channels=2, seed=3)
-        assert [r["checksum"] for r in r1] == [r["checksum"] for r in r2]
