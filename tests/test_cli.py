@@ -14,7 +14,7 @@ import pytest
 
 from msvseg import cli, tensor
 from msvseg.cli import _build_parser, main
-from msvseg.config import config_to_text
+from msvseg.config import build_configs, config_to_text
 from msvseg.data import load_dataset
 from msvseg.model import ModelConfig, build_model
 from msvseg.serial import load_checkpoint, load_tensor, save_checkpoint, save_tensor
@@ -325,6 +325,22 @@ class TestDocs:
 
 
 class TestConfigFile:
+    def test_spaces_around_tuple_entries_are_allowed(self):
+        model, _ = build_configs({"model.kernel_set": " 1 , 3,5 ",
+                                  "model.stage_depths": "1, 1 ,1,1"})
+        assert (model.kernel_set, model.stage_depths) == ((1, 3, 5), (1, 1, 1, 1))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("model.kernel_set", "1,,3", "kernel_set must be comma-separated integers, got '1,,3'"),
+        ("train.lr", "abc", "lr must be a number, got 'abc'"),
+        ("train.max_steps", "1.5", "max_steps must be an integer or none, got '1.5'"),
+        ("train.augment.enabled", "maybe", "enabled must be a boolean, got 'maybe'"),
+    ], ids=["int-tuple", "float", "optional-int", "bool"])
+    def test_unparsable_value_message_names_the_kind(self, key, value, message):
+        with pytest.raises(ValueError) as info:
+            build_configs({key: value})
+        assert str(info.value) == message
+
     def test_shipped_overfit_config_parses(self, dataset_dir, tmp_path):
         from pathlib import Path
         shipped = Path(__file__).resolve().parent.parent / "configs" / "toy_overfit.cfg"

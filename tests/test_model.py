@@ -44,6 +44,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig(upsampler="bilinear").validate()
 
+    @pytest.mark.parametrize("kernel_set", [(), (1, 2), (-1,), (0, 3)],
+                             ids=["empty", "even", "negative", "zero"])
+    def test_kernel_set_needs_odd_sizes_of_at_least_one(self, kernel_set):
+        # the one check of kernel_set: the blocks take it as given
+        with pytest.raises(ValueError, match=r"kernel_set must be one or more odd sizes >= 1"):
+            ModelConfig(kernel_set=kernel_set).validate()
+
     def test_stage_widths(self):
         assert ModelConfig(base_channels=96).stage_channels() == (96, 192, 384, 768)
 
