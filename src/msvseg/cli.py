@@ -46,8 +46,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _add_threads(p):
     p.add_argument("--threads", type=int, default=1,
                    help="step workers: threads that run training and evaluation steps (only 1 "
-                        "is implemented; higher values warn). Parameter initialisation uses "
-                        "the available CPUs whatever this says")
+                        "is implemented; higher values warn). Parameter initialisation and "
+                        "the scans use the available CPUs whatever this says")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,8 +161,8 @@ def _cmd_gen_data(args) -> int:
 def _check_threads(args):
     _require_positive("--threads", args.threads)
     if args.threads > 1:
-        print("note: step workers are not implemented; steps run single-threaded",
-              file=sys.stderr)
+        print("note: step workers are not implemented; the flag is ignored (each scan "
+              "runs on up to two threads whatever it says)", file=sys.stderr)
 
 
 def _cmd_train(args) -> int:

@@ -27,7 +27,11 @@ parameter quantity of the four paths is one stacked [4, ...] tensor (A_log
 [4, C, N], the B projection [4, C, N], ...), so projecting the stacked
 sequences is one batched matmul per quantity.  The recurrence folds the
 leading batch axes into its row axis: [4, B, L, C] runs as P = 4B rows,
-path p's parameters repeated for each of its B maps.
+path p's parameters repeated for each of its B maps.  SS2D runs paths
+{0, 1} and {2, 3} as two such stacks, the second on its own thread when two
+CPUs are available (``_run_pairs``), with the same bytes: the paths are
+independent until the ordered merge, and a stacked matmul makes one BLAS
+call per path.
 
 The recurrence streams in blocks of SCAN_BLOCK time steps
 in time-major buffers, [T, P, N, C] with C contiguous, so each step of the
@@ -59,11 +63,13 @@ model runs.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .tensor import (Module, Rng, Tensor, _keep, _kept, _linear, _sigmoid, _softplus, check_finite,
-                     init_ones, record_op, schedule_fill, trunc_normal_draw, uniform_draw)
+                     fill_workers, init_ones, record_op, schedule_fill, trunc_normal_draw,
+                     uniform_draw)
 
 __all__ = ["dt_rank", "cross_scan", "cross_merge", "SS2D"]
 
@@ -145,12 +151,12 @@ def _spans(length, block):
     return [slice(t0, min(t0 + block, length)) for t0 in range(0, length, block)]
 
 
-def _stream_forward(x, delta, a, b, c_out, skip, block):
+def _stream_forward(x, delta, a, b, c_out, skip, block, y=None, carries=None):
     """The streamed recurrence in blocks of ``block`` time steps, shapes as
     in _scan_forward_core.
 
     Returns y [P, L, C] and the state entering each block,
-    [ceil(L/T), P, N, C].
+    [ceil(L/T), P, N, C], written into ``y`` and ``carries`` when given.
     """
     p, l, c = x.shape
     n = a.shape[-1]
@@ -158,9 +164,9 @@ def _stream_forward(x, delta, a, b, c_out, skip, block):
     spans = _spans(l, block)
     a_t = np.ascontiguousarray(a.transpose(0, 2, 1))
     abuf, hbuf = (np.empty((min(block, l), p, n, c), dtype=dtype) for _ in range(2))
-    carries = np.empty((len(spans), p, n, c), dtype=dtype)
+    carries = np.empty((len(spans), p, n, c), dtype=dtype) if carries is None else carries
     carries[0] = 0.0
-    y = np.empty((p, l, c), dtype=dtype)
+    y = np.empty((p, l, c), dtype=dtype) if y is None else y
     for j, s in enumerate(spans):
         abar, h, _ = _block_terms(x, delta, a_t, b, s, abuf, hbuf)
         _block_states(abar, h, carries[j])
@@ -172,27 +178,29 @@ def _stream_forward(x, delta, a, b, c_out, skip, block):
     return y, carries
 
 
-def _stacked_scan(x, delta, a, b, c_out, skip, block):
+def _stacked_scan(x, delta, a, b, c_out, skip, block, y=None, carries=None):
     """The streamed recurrence over stacked paths, on arrays.
 
     x, delta: [Q, ..., L, C]; b, c_out: [Q, ..., L, N]; a: [Q, C, N] and
     skip: [Q, C] are shared by the B sequences of each path q.  The
     sequences run as P = Q*B rows, with A and D repeated per sequence.
     Returns y shaped as x and the state entering each block of ``block``
-    steps, [ceil(L/T), P, N, C].
+    steps, [ceil(L/T), P, N, C], written into ``y`` and ``carries`` if given.
     """
     q, *_, l, c = x.shape
     p = x.size // (l * c)
     # [Q, ..., L, K] -> [P, L, K], a view of the contiguous buffer
     xd, dd, bd, cd = (v.reshape(p, l, -1) for v in (x, delta, b, c_out))
-    y, carries = _stream_forward(xd, dd, np.repeat(a, p // q, axis=0), bd, cd,
-                                 np.repeat(skip, p // q, axis=0), block)
-    return y.reshape(x.shape), carries
+    y_rows, carries = _stream_forward(xd, dd, np.repeat(a, p // q, axis=0), bd, cd,
+                                      np.repeat(skip, p // q, axis=0), block,
+                                      None if y is None else y.reshape(p, l, c), carries)
+    return y_rows.reshape(x.shape), carries
 
 
-def _stacked_scan_backward(grad, x, delta, a, b, c_out, skip, carries, block):
+def _stacked_scan_backward(grad, x, delta, a, b, c_out, skip, carries, block, g_x=None):
     """Gradients of every input of ``_stacked_scan`` for the output gradient
     ``grad``, each shaped as its input; A's and D's are summed back per path.
+    x's is written into a contiguous ``g_x`` when given.
 
     Walks the blocks in reverse and recomputes each block's Abar, Bbar*x and
     h from ``carries`` with the forward's own functions, so bit-identical to
@@ -239,7 +247,8 @@ def _stacked_scan_backward(grad, x, delta, a, b, c_out, skip, carries, block):
         np.matmul(bd[:, s, None, :].swapaxes(0, 1), g_bx, out=gbx_b[:, s, None, :].swapaxes(0, 1))
         np.matmul(g_bx, dx[..., None], out=g_b[:, s, :, None].swapaxes(0, 1))
     g_delta = gabar_a + gbx_b * xd
-    g_x = grad * sd[:, None, :] + gbx_b * dd
+    g_x = np.multiply(grad, sd[:, None, :], out=None if g_x is None else g_x.reshape(p, l, c))
+    g_x += gbx_b * dd
     g_skip = (grad * xd).sum(axis=1)
     g_a = g_a.reshape(q, reps, n, c).sum(axis=1).transpose(0, 2, 1)
     g_skip = g_skip.reshape(q, reps, c).sum(axis=1)
@@ -249,13 +258,14 @@ def _stacked_scan_backward(grad, x, delta, a, b, c_out, skip, carries, block):
 
 # -- 2D cross scan --------------------------------------------------------------
 
-def _paths(fmap: np.ndarray) -> np.ndarray:
+def _paths(fmap: np.ndarray, pair: int | None = None) -> np.ndarray:
     """[..., H, W, C] -> [4, ..., H*W, C]: rows, columns, reversed rows,
-    reversed columns."""
+    reversed columns; with ``pair`` k, paths 2k and 2k + 1 only."""
     *lead, _, _, c = fmap.shape
     rows = fmap.reshape(*lead, -1, c)
     cols = fmap.swapaxes(-3, -2).reshape(*lead, -1, c)
-    return np.stack([rows, cols, rows[..., ::-1, :], cols[..., ::-1, :]])
+    paths = [rows, cols, rows[..., ::-1, :], cols[..., ::-1, :]]
+    return np.stack(paths if pair is None else paths[2 * pair:2 * pair + 2])
 
 
 def _merge(seqs: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -300,8 +310,9 @@ class SS2D(Module):
     tensor, path i drawn from ``rng.child(i)`` alone.  A_log parameterizes
     the strictly negative transition A = -exp(A_log); delta comes from a rank
     ``dt_rank(C)`` projection followed by softplus, B and C from direct linear
-    projections of the input.  The paths are projected and scanned stacked,
-    so the time loop is shared, and the four restored outputs are summed.
+    projections of the input.  Paths {0, 1} and {2, 3} are projected and
+    scanned stacked, on two threads when two CPUs are available, and the
+    four restored outputs are summed.
 
     A forward records one op, "selective_scan", whose node keeps the input
     map, the seven parameters and the recurrence's block-entry states, and
@@ -340,51 +351,93 @@ class SS2D(Module):
         self.dt_bias = per_path(5, (channels,), dt_bias)
 
     def forward(self, fmap: Tensor) -> Tensor:
-        """Runs the cross-scan, the projections, softplus, A = -exp(A_log),
-        the streamed recurrence and the merge on arrays.  The cross-scan, the
-        projections and exp are checked for non-finite values under those
-        names; softplus of a finite value is finite, and a non-finite
-        recurrence output leaves the merged sum non-finite, so record_op's
-        check of that sum names both "selective_scan".  Backward adds the
-        four contributions to the paths' gradient in the order scan, dt, B,
-        C."""
+        """Runs the cross-scan, the projections, softplus, A = -exp(A_log) and
+        the recurrence per path pair (``_forward_pair``), then the merge.  The
+        cross-scan, the projections and exp are checked for non-finite values
+        under those names; softplus of a finite value is finite, and a
+        non-finite recurrence output leaves the merged sum non-finite, so
+        record_op's check of that sum names both "selective_scan".  Backward
+        adds the four contributions to the paths' gradient in the order scan,
+        dt, B, C."""
         fm = fmap.data
-        h, w = fm.shape[-3:-1]
+        *lead, h, w, c = fm.shape
         params = (self.a_log, self.skip, self.w_b, self.w_c, self.w_dt_down, self.w_dt_up,
                   self.dt_bias)
-        a_log, skip, w_b, w_c, w_down, w_up, dt_bias = (t.data for t in params)
+        arrays = a_log, skip, w_b, w_c, w_down, w_up, dt_bias = tuple(t.data for t in params)
         block = SCAN_BLOCK
-        # path p of the stack is projected with path p of each parameter
-        seqs = check_finite(_paths(fm), "cross_scan")
-        dt_low = check_finite(_linear(seqs, w_down), "linear")
-        delta = _softplus(check_finite(_linear(dt_low, w_up, dt_bias), "linear"))
-        a = -check_finite(np.exp(a_log), "exp")
-        b = check_finite(_linear(seqs, w_b), "linear")
-        c_out = check_finite(_linear(seqs, w_c), "linear")
-        y, carries = _stacked_scan(seqs, delta, a, b, c_out, skip, block)
+        dtype = np.result_type(fm, *arrays)
+        y = np.empty((4, *lead, h * w, c), dtype)
+        carries = np.empty((2, -(-h * w // block), 2 * math.prod(lead), a_log.shape[-1], c), dtype)
+        _run_pairs(_forward_pair, fm, arrays, block, y, carries)
         fm_in = _keep(fmap)
 
         def backward(grad):
-            xs = _paths(_kept(fm_in))
-            low = _linear(xs, w_down)
-            pre = _linear(low, w_up, dt_bias)
+            # by name: perfbench's tracer counts the arrays among the closure's cells
+            arrays = (a_log, skip, w_b, w_c, w_down, w_up, dt_bias)
+            g_xs = np.empty((4, *lead, h * w, c), dtype)
+            grads = [g_xs] + [np.empty(v.shape, dtype) for v in arrays]
             exp_a = np.exp(a_log)
-            g_xs, g_delta, g_a, g_b, g_c, g_skip = _stacked_scan_backward(
-                _paths(grad), xs, _softplus(pre), -exp_a, _linear(xs, w_b), _linear(xs, w_c),
-                skip, carries, block)
-            g_pre = g_delta * _sigmoid(pre)
-            g_low, g_up = _linear_grads(g_pre, low, w_up)
-            g_dt_bias = g_pre.reshape(len(dt_bias), -1, dt_bias.shape[-1]).sum(axis=-2)
-            g_xs_dt, g_down = _linear_grads(g_low, xs, w_down)
-            g_xs += g_xs_dt
-            g_xs_b, g_w_b = _linear_grads(g_b, xs, w_b)
-            g_xs += g_xs_b
-            g_xs_c, g_w_c = _linear_grads(g_c, xs, w_c)
-            g_xs += g_xs_c
-            return (_merge(g_xs, h, w), -g_a * exp_a, g_skip, g_w_b, g_w_c, g_down, g_up,
-                    g_dt_bias)
+            _run_pairs(_backward_pair, _kept(fm_in), grad, arrays, exp_a, carries, block, grads)
+            return (_merge(g_xs, h, w), -grads[1] * exp_a, *grads[2:])
 
         return record_op(_merge(y, h, w), (fmap,) + params, backward, "selective_scan")
+
+
+def _run_pairs(pair_fn, *args):
+    """``pair_fn(k, *args)`` for the path pairs k = 0, 1: pair 1 on a thread
+    of its own when ``fill_workers()`` allows two, joined before this
+    returns or raises; a failure of pair 0 is raised before one of pair 1."""
+    if fill_workers() < 2:
+        pair_fn(0, *args)
+        pair_fn(1, *args)
+        return
+    errstate = np.geterr()  # a new thread starts with numpy's defaults
+
+    def second():
+        with np.errstate(**errstate):
+            pair_fn(1, *args)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        job = pool.submit(second)
+        pair_fn(0, *args)
+    job.result()
+
+
+def _forward_pair(k, fm, arrays, block, y, carries):
+    """SS2D's forward for paths 2k and 2k + 1 of ``fm``, with their slices of
+    the stacked ``arrays``, into their slice of ``y`` and ``carries[k]``."""
+    pair = slice(2 * k, 2 * k + 2)
+    a_log, skip, w_b, w_c, w_down, w_up, dt_bias = (v[pair] for v in arrays)
+    # path p of the stack is projected with path p of each parameter
+    seqs = check_finite(_paths(fm, k), "cross_scan")
+    dt_low = check_finite(_linear(seqs, w_down), "linear")
+    delta = _softplus(check_finite(_linear(dt_low, w_up, dt_bias), "linear"))
+    a = -check_finite(np.exp(a_log), "exp")
+    b = check_finite(_linear(seqs, w_b), "linear")
+    c_out = check_finite(_linear(seqs, w_c), "linear")
+    _stacked_scan(seqs, delta, a, b, c_out, skip, block, y[pair], carries[k])
+
+
+def _backward_pair(k, fm, grad, arrays, exp_a, carries, block, grads):
+    """SS2D's backward for paths 2k and 2k + 1, from the map ``fm`` and
+    ``carries[k]``, into their slices of ``grads``: the paths' gradient, then
+    the parameters' in ``arrays`` order, with A's in place of A_log's."""
+    pair = slice(2 * k, 2 * k + 2)
+    _, skip, w_b, w_c, w_down, w_up, dt_bias = (v[pair] for v in arrays)
+    g_xs, g_a, g_skip, g_w_b, g_w_c, g_down, g_up, g_dt_bias = (g[pair] for g in grads)
+    xs = _paths(fm, k)
+    low = _linear(xs, w_down)
+    pre = _linear(low, w_up, dt_bias)
+    _, g_delta, g_a[...], g_b, g_c, g_skip[...] = _stacked_scan_backward(
+        _paths(grad, k), xs, _softplus(pre), -exp_a[pair], _linear(xs, w_b), _linear(xs, w_c),
+        skip, carries[k], block, g_xs)
+    g_pre = g_delta * _sigmoid(pre)
+    g_low, g_up[...] = _linear_grads(g_pre, low, w_up)
+    g_dt_bias[...] = g_pre.reshape(len(dt_bias), -1, dt_bias.shape[-1]).sum(axis=-2)
+    for g_out, weight, g_weight in ((g_low, w_down, g_down), (g_b, w_b, g_w_b),
+                                    (g_c, w_c, g_w_c)):
+        g_xs_in, g_weight[...] = _linear_grads(g_out, xs, weight)
+        g_xs += g_xs_in
 
 
 def _linear_grads(grad, x, weight):

@@ -444,14 +444,32 @@ def log(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x) from e^-|x|, which cannot overflow."""
-    s = 1.0 / (1.0 + np.exp(-np.abs(x)))
-    return np.where(x >= 0, s, 1.0 - s)
+    """1 / (1 + e^-x) from s = 1 / (1 + e^-|x|), which cannot overflow: s
+    where x >= 0, else 1 - s, formed in one buffer as 0.5 + copysign(s - 0.5,
+    x).  s lies in [0.5, 1], so s - 0.5 is exact, 0.5 + (s - 0.5) is s and
+    0.5 - (s - 0.5) rounds the same real number as 1 - s: the bits of the
+    select, without its per-element branch (x = -0.0 gives s = 0.5 either
+    way)."""
+    s = np.abs(x, out=np.empty_like(x))
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    s -= 0.5
+    np.copysign(s, x, out=s)
+    s += 0.5
+    return s
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + e^x), stable for large |x|."""
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    """log(1 + e^x) as max(x, 0) + log1p(e^-|x|), stable for large |x|; the
+    second term is formed in place in one buffer."""
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def relu(a: Tensor) -> Tensor:

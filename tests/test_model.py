@@ -1,13 +1,16 @@
 """Model assembly: shapes, determinism, accounting, feature export."""
 
 import hashlib
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from msvseg.losses import ce_loss, dice_loss
+from msvseg import scan
+from msvseg.blocks import _UPSAMPLERS
+from msvseg.losses import ce_loss, dice_loss, total_loss
 from msvseg.model import (ModelConfig, TINY224_PRESET, TOY_PRESET, VSSUNet, build_model,
                           channel_mean_heatmap, count_flops, count_params,
                           export_stage_features, write_pgm)
@@ -182,6 +185,40 @@ class TestDeterminism:
         same = all(np.array_equal(p1.data, p2.data)
                    for (_, p1), (_, p2) in zip(m1.named_parameters(), m2.named_parameters()))
         assert not same
+
+    @staticmethod
+    def _step(upsampler, dtype):
+        """Logits and every parameter gradient of a micro model at batch 2."""
+        cfg = micro_cfg(upsampler=upsampler)
+        model = build_model(cfg, Rng(17))
+        params = list(model.parameters())
+        for p in params:
+            p.data = p.data.astype(dtype)
+        img = Tensor(Rng(18).random((2, 3, 32, 32)), dtype=dtype)
+        mask = Rng(19).integers(0, cfg.num_classes, (2, 32, 32)).astype(np.int32)
+        logits = model.forward(img)
+        total_loss(logits, mask, cfg.alpha).backward()
+        return [logits.data] + [p.grad for p in params]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("upsampler", sorted(_UPSAMPLERS))
+    def test_scan_thread_count_changes_no_value(self, upsampler, dtype, monkeypatch):
+        # the threads that each SS2D path pair ran on, per worker count
+        pair_threads = {1: set(), 2: set()}
+        for name in ("_forward_pair", "_backward_pair"):
+            def recording(k, *args, _run=getattr(scan, name)):
+                pair_threads[workers].add((k, threading.get_ident()))
+                return _run(k, *args)
+            monkeypatch.setattr(scan, name, recording)
+        results = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(scan, "fill_workers", lambda: workers)
+            results[workers] = self._step(upsampler, dtype)
+        main = threading.get_ident()
+        assert pair_threads[1] == {(0, main), (1, main)}  # one worker starts no thread
+        assert {k for k, ident in pair_threads[2] if ident != main} == {1}
+        for single, paired in zip(results[1], results[2]):
+            assert single.dtype == paired.dtype == dtype and np.array_equal(single, paired)
 
 
 class TestAccounting:

@@ -1,5 +1,7 @@
 """Selective scan: discretization, recurrence oracles, cross-scan geometry."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -522,6 +524,47 @@ class TestSS2D:
         fmap.data[0, 0, 0] = np.nan
         with pytest.raises(T.NonFiniteError, match="op 'cross_scan' produced"):
             ss(fmap)
+
+    def test_second_pair_failures_raise_and_leave_no_thread(self, monkeypatch):
+        monkeypatch.setattr(S, "fill_workers", lambda: 2)
+        before = threading.active_count()
+        ss = SS2D(Rng(54), channels=2, n_state=3)
+        fmap = Tensor(Rng(55).normal((2, 3, 4, 2)).astype(np.float32), requires_grad=True)
+        y = ss(fmap)
+        assert threading.active_count() == before
+        T.tsum(y).backward()
+        assert threading.active_count() == before and fmap.grad is not None
+        # a failure in the second pair's backward is raised by the op's backward
+        y = ss(fmap)
+        run = S._backward_pair
+
+        def failing(k, *args):
+            if k == 1:
+                raise RuntimeError("second pair failed")
+            return run(k, *args)
+
+        monkeypatch.setattr(S, "_backward_pair", failing)
+        with pytest.raises(RuntimeError, match="second pair failed"):
+            T.tsum(y).backward()
+        assert threading.active_count() == before
+        # the second pair keeps the caller's numpy error handling
+        a_log = ss.a_log.data.copy()
+        ss.a_log.data[2:] = 1e3
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            ss(fmap)
+        assert threading.active_count() == before
+        ss.a_log.data[...] = a_log
+        # path 3 is in the second pair only
+        ss.w_b.data[3, 1, 2] = np.inf
+        with pytest.raises(T.NonFiniteError, match="op 'linear' produced"):
+            ss(fmap)
+        assert threading.active_count() == before
+        # both pairs fail: the first pair's op is named, as with one thread, where
+        # exp is checked before path 3's B projection
+        ss.a_log.data[0] = 1e3
+        with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="op 'exp' produced"):
+            ss(fmap)
+        assert threading.active_count() == before
 
     def test_overflow_in_the_merge_names_the_scan(self):
         # each path's y is finite (1.5e38 per pixel and channel); only the

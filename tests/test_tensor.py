@@ -322,6 +322,31 @@ class TestActivations:
             expected = model(img).data
         assert got.dtype == np.float32 and np.array_equal(got, expected)
 
+    @staticmethod
+    def _composed_sigmoid(x):
+        # the expressions the in-place forms replaced
+        s = 1.0 / (1.0 + np.exp(-np.abs(x)))
+        return np.where(x >= 0, s, 1.0 - s)
+
+    @staticmethod
+    def _composed_softplus(x):
+        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["sigmoid", "softplus"])
+    def test_in_place_forms_equal_the_composed_ones(self, name, dtype):
+        specials = [0.0, -0.0, 1e-30, -1e-30, 1.0, -1.0, 88.0, -88.0, 700.0, -700.0,
+                    1e38, -1e38, np.inf, -np.inf, np.nan]
+        x = np.concatenate([_float_draws(dtype), _subnormals(dtype),
+                            np.array(specials, dtype)])
+        with np.errstate(over="ignore"):
+            got = getattr(T, f"_{name}")(x)
+            expected = getattr(self, f"_composed_{name}")(x)
+        nan = np.isnan(expected)
+        assert got.dtype == expected.dtype == dtype and np.array_equal(np.isnan(got), nan)
+        # bit for bit, so -0.0 and 0.0 differ
+        assert got[~nan].tobytes() == expected[~nan].tobytes()
+
     @pytest.mark.parametrize("kind", ["silu", "gelu", "relu"])
     def test_gradients_match_fd(self, kind):
         x = Tensor(Rng(11).normal((4, 5)) + 0.2 * np.sign(Rng(11).normal((4, 5))),
