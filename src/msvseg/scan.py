@@ -29,7 +29,8 @@ sequences is one batched matmul per quantity.  The recurrence folds the
 leading batch axes into its row axis: [4, B, L, C] runs as P = 4B rows,
 path p's parameters repeated for each of its B maps.  SS2D runs paths
 {0, 1} and {2, 3} as two such stacks, the second on its own thread when two
-CPUs are available (``_run_pairs``), with the same bytes: the paths are
+CPUs are available and the op holds at least ``_THREAD_MIN_STATE`` state
+elements per path (``_run_pairs``), with the same bytes: the paths are
 independent until the ordered merge, and a stacked matmul makes one BLAS
 call per path.
 
@@ -63,6 +64,7 @@ model runs.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -89,6 +91,19 @@ def dt_rank(channels: int) -> int:
 #   L = 3136, C = 192, P = 4                          515 / 530 ms
 # At P = 4 the toy scans measure flat from 16 to 128.
 SCAN_BLOCK = 32
+
+# Path-state elements, B*H*W*C*N per path, from which SS2D runs its second
+# pair on a thread.  Below it the thread's start, join and interpreter-lock
+# hand-overs cost about what the overlap saves: forward plus backward at two
+# workers over one, 2-vCPU Xeon, 0.92 at toy's [8, 16, 16, 32] (N = 8, 0.5 M)
+# and 1.14 at its [8, 2, 2, 256], against 0.62 at wide224's [1, 14, 14, 384].
+_THREAD_MIN_STATE = 1 << 20
+
+# The per-time-step loops release the interpreter lock only around short
+# numpy calls, so two at once hand it over at nearly every call, a context
+# switch each.  They take turns a block at a time instead, which halves the
+# switches (a tiny224 image: about 3,400 instead of 6,700).
+_STEP_LOOPS = threading.Lock()
 
 
 def _scan_forward_core(x, delta, a, b, c_out, skip, chunk=None):
@@ -139,10 +154,11 @@ def _block_states(abar, bx, h0):
     """
     tmp = np.empty_like(h0)
     prev = h0
-    for t in range(bx.shape[0]):
-        np.multiply(prev, abar[t], out=tmp)
-        prev = bx[t]
-        prev += tmp
+    with _STEP_LOOPS:
+        for t in range(bx.shape[0]):
+            np.multiply(prev, abar[t], out=tmp)
+            prev = bx[t]
+            prev += tmp
     return bx
 
 
@@ -233,10 +249,11 @@ def _stacked_scan_backward(grad, x, delta, a, b, c_out, skip, carries, block, g_
         # after the loop g_bx[t] holds the total state gradient at step t
         g_bx = gbuf[:len(h)]
         np.multiply(cd[:, s, :, None].swapaxes(0, 1), gy[:, :, None, :], out=g_bx)
-        for t in range(len(h) - 1, -1, -1):
-            gh = g_bx[t]
-            gh += gh_carry
-            np.multiply(gh, abar[t], out=gh_carry)
+        with _STEP_LOOPS:
+            for t in range(len(h) - 1, -1, -1):
+                gh = g_bx[t]
+                gh += gh_carry
+                np.multiply(gh, abar[t], out=gh_carry)
         # dL/d(delta * a) summands g_bx_t * h_{t-1} * abar_t, formed in abar's buffer
         g_abar = abar
         g_abar[1:] *= h[:-1]
@@ -311,8 +328,8 @@ class SS2D(Module):
     the strictly negative transition A = -exp(A_log); delta comes from a rank
     ``dt_rank(C)`` projection followed by softplus, B and C from direct linear
     projections of the input.  Paths {0, 1} and {2, 3} are projected and
-    scanned stacked, on two threads when two CPUs are available, and the
-    four restored outputs are summed.
+    scanned stacked, on two threads when two CPUs are available and the map
+    is large enough, and the four restored outputs are summed.
 
     A forward records one op, "selective_scan", whose node keeps the input
     map, the seven parameters and the recurrence's block-entry states, and
@@ -368,7 +385,8 @@ class SS2D(Module):
         dtype = np.result_type(fm, *arrays)
         y = np.empty((4, *lead, h * w, c), dtype)
         carries = np.empty((2, -(-h * w // block), 2 * math.prod(lead), a_log.shape[-1], c), dtype)
-        _run_pairs(_forward_pair, fm, arrays, block, y, carries)
+        threaded = fill_workers() >= 2 and fm.size * a_log.shape[-1] >= _THREAD_MIN_STATE
+        _run_pairs(_forward_pair, threaded, fm, arrays, block, y, carries)
         fm_in = _keep(fmap)
 
         def backward(grad):
@@ -377,17 +395,18 @@ class SS2D(Module):
             g_xs = np.empty((4, *lead, h * w, c), dtype)
             grads = [g_xs] + [np.empty(v.shape, dtype) for v in arrays]
             exp_a = np.exp(a_log)
-            _run_pairs(_backward_pair, _kept(fm_in), grad, arrays, exp_a, carries, block, grads)
+            _run_pairs(_backward_pair, threaded, _kept(fm_in), grad, arrays, exp_a, carries,
+                       block, grads)
             return (_merge(g_xs, h, w), -grads[1] * exp_a, *grads[2:])
 
         return record_op(_merge(y, h, w), (fmap,) + params, backward, "selective_scan")
 
 
-def _run_pairs(pair_fn, *args):
-    """``pair_fn(k, *args)`` for the path pairs k = 0, 1: pair 1 on a thread
-    of its own when ``fill_workers()`` allows two, joined before this
-    returns or raises; a failure of pair 0 is raised before one of pair 1."""
-    if fill_workers() < 2:
+def _run_pairs(pair_fn, threaded, *args):
+    """``pair_fn(k, *args)`` for the path pairs k = 0, 1: with ``threaded``,
+    pair 1 on a thread of its own, joined before this returns or raises; a
+    failure of pair 0 is raised before one of pair 1."""
+    if not threaded:
         pair_fn(0, *args)
         pair_fn(1, *args)
         return

@@ -203,7 +203,9 @@ class TestDeterminism:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("upsampler", sorted(_UPSAMPLERS))
     def test_scan_thread_count_changes_no_value(self, upsampler, dtype, monkeypatch):
-        # the threads that each SS2D path pair ran on, per worker count
+        # the threads that each SS2D path pair ran on, per worker count; the
+        # micro model's maps are below the size from which SS2D starts a thread
+        monkeypatch.setattr(scan, "_THREAD_MIN_STATE", 0)
         pair_threads = {1: set(), 2: set()}
         for name in ("_forward_pair", "_backward_pair"):
             def recording(k, *args, _run=getattr(scan, name)):

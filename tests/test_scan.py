@@ -525,8 +525,30 @@ class TestSS2D:
         with pytest.raises(T.NonFiniteError, match="op 'cross_scan' produced"):
             ss(fmap)
 
+    def test_small_maps_run_both_pairs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(S, "fill_workers", lambda: 2)
+        threads = []
+        run = S._forward_pair
+
+        def recording(k, *args):
+            threads.append((k, threading.get_ident()))
+            return run(k, *args)
+
+        monkeypatch.setattr(S, "_forward_pair", recording)
+        ss = SS2D(Rng(56), channels=4, n_state=2)
+        fmap = Tensor(Rng(57).normal((1, 4, 4, 4)))  # 64 * N = 128 state elements per path
+        main = threading.get_ident()
+        monkeypatch.setattr(S, "_THREAD_MIN_STATE", 129)
+        ss(fmap)
+        assert threads == [(0, main), (1, main)]
+        threads.clear()
+        monkeypatch.setattr(S, "_THREAD_MIN_STATE", 128)
+        ss(fmap)
+        assert [k for k, ident in threads if ident != main] == [1]
+
     def test_second_pair_failures_raise_and_leave_no_thread(self, monkeypatch):
         monkeypatch.setattr(S, "fill_workers", lambda: 2)
+        monkeypatch.setattr(S, "_THREAD_MIN_STATE", 0)
         before = threading.active_count()
         ss = SS2D(Rng(54), channels=2, n_state=3)
         fmap = Tensor(Rng(55).normal((2, 3, 4, 2)).astype(np.float32), requires_grad=True)
